@@ -492,6 +492,63 @@ mod tests {
     }
 
     #[test]
+    fn machine_site_totals_with_loads_stalled_behind_stores_are_pinned() {
+        // Campaign trigger indices number the sites a baseline run
+        // visits. A plain load stalled behind an older store re-offers
+        // its EA site on every retry while a hook is installed, so the
+        // totals pin how often the cycle core retries those loads.
+        let mut asm = ProgramBuilder::new(CODE_BASE);
+        let code = ImplicitCodeRegion::new(CODE_BASE, 0xFFFF, true).unwrap();
+        let data = ImplicitDataRegion::new(DATA_BASE, 0xFFFF, true, true).unwrap();
+        let heap = ExplicitDataRegion::large(HEAP_BASE, 1 << 16, true, true).unwrap();
+        asm.hfi_set_region(0, Region::Code(code));
+        asm.hfi_set_region(2, Region::Data(data));
+        asm.hfi_set_region(6, Region::Explicit(heap));
+        asm.hfi_enter(SandboxConfig::hybrid());
+        asm.movi(Reg(0), 0);
+        asm.movi(Reg(1), DATA_BASE as i64);
+        asm.movi(Reg(3), 4);
+        let top = asm.label_here("top");
+        // A cold load yields the store's address; the loads behind the
+        // store stall until it resolves.
+        asm.load(Reg(2), MemOperand::base_disp(Reg(1), 0), 8);
+        asm.store(Reg(3), MemOperand::base_disp(Reg(2), 0), 8);
+        asm.load(Reg(4), MemOperand::base_disp(Reg(1), 0x40), 8);
+        asm.hmov_load(0, Reg(5), HmovOperand::disp(0x40), 8);
+        asm.alu(AluOp::Add, Reg(0), Reg(0), Reg(4));
+        asm.alu(AluOp::Add, Reg(0), Reg(0), Reg(5));
+        asm.alu_ri(AluOp::Add, Reg(1), Reg(1), 0x800);
+        asm.alu_ri(AluOp::Sub, Reg(3), Reg(3), 1);
+        asm.branch_i(Cond::Ne, Reg(3), 0, top);
+        asm.hfi_exit();
+        asm.halt();
+        let mut machine = Machine::new(asm.finish());
+        for it in 0..4u64 {
+            let row = DATA_BASE + it * 0x800;
+            machine.mem.write(row, DATA_BASE + 0x8000 + it * 8, 8);
+            machine.mem.write(row + 0x40, it, 8);
+        }
+        machine.mem.write(HEAP_BASE + 0x40, 10, 8);
+        let counter = SiteCounter::new();
+        machine.set_chaos(Box::new(counter.clone()));
+        let result = machine.run(1_000_000);
+        assert_eq!(result.stop, Stop::Halted);
+        assert_eq!(result.regs[0], 6 + 4 * 10);
+        assert_eq!(
+            counter.counts(),
+            SiteCounts {
+                ea: 2289,
+                result: 45,
+                guard: 16,
+                transition: 0,
+                branch: 4,
+                context: 45,
+                predictor: 45,
+            }
+        );
+    }
+
+    #[test]
     fn weakened_transition_corrupt_escapes() {
         // With the entry assertion and guards disabled, the junk value
         // walks into the sandbox, the store retires out of every spec

@@ -183,7 +183,7 @@ impl CacheHierarchy {
             l1i: Cache::new(32 << 10, 8, 64),
             l1d: Cache::new(32 << 10, 8, 64),
             l2: Cache::new(1 << 20, 16, 64),
-            // 64-entry dTLB over 4 KiB pages, modelled as 64 sets x 1 way
+            // 64-entry dTLB over 4 KiB pages, modelled as 16 sets x 4 ways
             // over page granularity (fully assoc would be ideal; 4-way is
             // close enough for the experiments).
             dtlb: Cache::new(64 * 4096, 4, 4096),

@@ -99,7 +99,10 @@ pub struct CoreStats {
     /// Cycles the front end could not decode because the ROB was full.
     pub rob_stall_cycles: u64,
     /// HFI checks performed (fetch, implicit-data, and `hmov` checks
-    /// evaluated while a sandbox was active).
+    /// evaluated while a sandbox was active). A stalled `hmov` load
+    /// counts one check per dispatch attempt: once in every cycle the
+    /// issue stage reaches it with a memory port free, not once per
+    /// instruction.
     pub hfi_checks: u64,
     /// Pipeline drains for serialization.
     pub serializations: u64,
@@ -256,10 +259,6 @@ enum EntryState {
 /// state.
 const NO_GEN: u32 = u32::MAX;
 
-/// `issue_queue` wake sentinel: no memoized blocking producer — the
-/// entry must be fully re-evaluated at its next scan visit.
-const NO_WAKE: u64 = u64::MAX;
-
 /// A reorder-buffer entry: *dynamic* state only. Every static fact
 /// (operand shape, opcode class, latency class, branch target…) lives in
 /// the shared [`DecodedProgram`] and is reached through `inst_idx` — the
@@ -279,9 +278,9 @@ struct RobEntry {
     /// snapshot, so its result cannot change between retries.
     mem_addr: u64,
     /// For stores: the value to write at commit (`EF_HAS_STORE_VALUE`).
-    /// For loads: the seq of the older store this load's dependence memo
-    /// waits on (`EF_DEP_ADDR` / `EF_DEP_COMMIT`) — loads never forward
-    /// data out of this field, so the reuse cannot be observed.
+    /// For loads: the seq of the older store this load is stalled behind
+    /// (`EF_DEP_ADDR` / `EF_DEP_COMMIT`) — loads never forward data out
+    /// of this field, so the reuse cannot be observed.
     store_value: u64,
     /// Fault detected at decode or execute, delivered at commit.
     fault: Option<HfiFault>,
@@ -318,10 +317,10 @@ const EF_HAS_STORE_VALUE: u8 = 1 << 3;
 /// so retries skip `hmov_check_access` (pure per generation snapshot).
 const EF_EA_KNOWN: u8 = 1 << 4;
 /// Load stalled on a store (`store_value`) whose address is unknown:
-/// the dependence scan is skipped until that store's `mem_size` is set.
-/// Sound because older stores only *resolve* over time (a squash that
-/// removes the store removes this younger load too), so the scan's
-/// verdict cannot change before the memoized store's does.
+/// the dependence scan cannot pass it until that store's `mem_size` is
+/// set or it commits. Older stores only *resolve* over time (a squash
+/// that removes the store removes this younger load too), so the scan's
+/// verdict cannot change before that store's does.
 const EF_DEP_ADDR: u8 = 1 << 5;
 /// Load stalled on a partially overlapping store (`store_value`): every
 /// store between it and the load already had a known, non-overlapping
@@ -350,6 +349,139 @@ impl RobEntry {
     #[inline(always)]
     fn has(&self, flag: u8) -> bool {
         self.flags & flag != 0
+    }
+}
+
+/// Entries parked off the issue queue, chained per ROB slot of the entry
+/// they wait on. The live window never holds more than `rob_size`
+/// entries, so `seq & mask` (over the next power of two) names one slot
+/// per in-flight entry. A parked entry waits on one blocker at a time,
+/// so its own slot can hold its link in that blocker's chain.
+#[derive(Debug)]
+struct WaitLists {
+    /// Latest waiter parked on each slot's entry, `NONE` when none.
+    head: Vec<u64>,
+    /// The next waiter in the same chain, by the waiter's own slot.
+    next: Vec<u64>,
+    mask: u64,
+    /// Slots with waiters, so squash and fault delivery touch only
+    /// those; `at[slot]` is the slot's index in `busy`.
+    busy: Vec<usize>,
+    at: Vec<usize>,
+}
+
+impl WaitLists {
+    const NONE: u64 = u64::MAX;
+
+    fn new(rob_size: usize) -> Self {
+        let slots = rob_size.max(1).next_power_of_two();
+        WaitLists {
+            head: vec![Self::NONE; slots],
+            next: vec![Self::NONE; slots],
+            mask: slots as u64 - 1,
+            busy: Vec::new(),
+            at: vec![0; slots],
+        }
+    }
+
+    #[inline(always)]
+    fn slot(&self, seq: u64) -> usize {
+        (seq & self.mask) as usize
+    }
+
+    /// Parks `seq` until `blocker` wakes it.
+    fn park(&mut self, blocker: u64, seq: u64) {
+        let b = self.slot(blocker);
+        if self.head[b] == Self::NONE {
+            self.at[b] = self.busy.len();
+            self.busy.push(b);
+        }
+        let s = self.slot(seq);
+        self.next[s] = self.head[b];
+        self.head[b] = seq;
+    }
+
+    #[inline(always)]
+    fn has_waiters(&self, blocker: u64) -> bool {
+        self.head[self.slot(blocker)] != Self::NONE
+    }
+
+    /// Moves the entries parked on `blocker` to `out`.
+    fn wake(&mut self, blocker: u64, out: &mut Vec<u64>) {
+        let b = self.slot(blocker);
+        let mut s = std::mem::replace(&mut self.head[b], Self::NONE);
+        if s == Self::NONE {
+            return;
+        }
+        while s != Self::NONE {
+            out.push(s);
+            s = self.next[self.slot(s)];
+        }
+        self.unlist(b);
+    }
+
+    fn unlist(&mut self, slot: usize) {
+        let k = self.at[slot];
+        self.busy.swap_remove(k);
+        if let Some(&moved) = self.busy.get(k) {
+            self.at[moved] = k;
+        }
+    }
+
+    /// Drops every parked entry younger than `seq`. A waiter is younger
+    /// than its blocker, so this also empties every squashed slot.
+    fn prune_after(&mut self, seq: u64) {
+        let mut k = 0;
+        while k < self.busy.len() {
+            let b = self.busy[k];
+            let mut s = std::mem::replace(&mut self.head[b], Self::NONE);
+            let mut kept = Self::NONE;
+            while s != Self::NONE {
+                let after = self.next[self.slot(s)];
+                if s <= seq {
+                    // Relink the survivors, keeping their order.
+                    if kept == Self::NONE {
+                        self.head[b] = s;
+                    } else {
+                        let link = self.slot(kept);
+                        self.next[link] = s;
+                    }
+                    kept = s;
+                }
+                s = after;
+            }
+            if kept == Self::NONE {
+                self.unlist(b);
+            } else {
+                let last = self.slot(kept);
+                self.next[last] = Self::NONE;
+                k += 1;
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        for &b in &self.busy {
+            self.head[b] = Self::NONE;
+        }
+        self.busy.clear();
+    }
+}
+
+/// Merges the ascending `extra` into the ascending `into`, from the back,
+/// so only the tail that has to move is touched.
+fn merge_sorted(into: &mut Vec<u64>, extra: &[u64]) {
+    let mut a = into.len();
+    let mut b = extra.len();
+    into.resize(a + b, 0);
+    while b > 0 {
+        if a > 0 && into[a - 1] > extra[b - 1] {
+            a -= 1;
+            into[a + b] = into[a];
+        } else {
+            b -= 1;
+            into[a + b] = extra[b];
+        }
     }
 }
 
@@ -391,15 +523,22 @@ pub struct Machine {
     rob: VecDeque<RobEntry>,
     /// Sequence number of the ROB head (equal to `next_seq` when empty).
     head_seq: u64,
-    /// `(seq, wake)` of `Waiting` entries in age order — the issue stage
-    /// scans only these, compacting in place, instead of walking the
-    /// whole ROB every cycle. `wake` is the seq of the operand producer
-    /// the entry was last seen blocked on ([`NO_WAKE`] when it must be
-    /// fully re-evaluated): while that producer is in flight and not
-    /// `Done` the retry is a single state check, which is exact — the
-    /// full evaluation would reach `wait_value` on the same producer and
-    /// requeue without any architectural effect.
-    issue_queue: Vec<(u64, u64)>,
+    /// Seqs of the `Waiting` entries the issue stage visits, in age
+    /// order. An entry blocked on an in-flight producer, or (with no
+    /// chaos hook) on an older store, leaves the queue and parks in
+    /// `waits` until that blocker completes, resolves or commits.
+    issue_queue: Vec<u64>,
+    /// Parked entries, listed under the entry they wait on.
+    waits: WaitLists,
+    /// Entries woken by the finish or commit stage, merged into
+    /// `issue_queue` before the next scan.
+    woken: Vec<u64>,
+    /// Seqs of `hmov` loads parked on a store since an earlier cycle,
+    /// ascending; `parked_hmov_now` holds those parked this cycle. Each
+    /// counts one HFI check per cycle in which the issue stage would
+    /// have re-dispatched it (see `execute`).
+    parked_hmov: Vec<u64>,
+    parked_hmov_now: Vec<u64>,
     /// `(seq, done_at)` of `Executing` entries — the finish stage wakes
     /// only these.
     in_flight: Vec<(u64, u64)>,
@@ -480,6 +619,10 @@ impl Machine {
             rob: VecDeque::new(),
             head_seq: 0,
             issue_queue: Vec::new(),
+            waits: WaitLists::new(config.rob_size),
+            woken: Vec::new(),
+            parked_hmov: Vec::new(),
+            parked_hmov_now: Vec::new(),
             in_flight: Vec::new(),
             reg_writer: [None; 16],
             store_seqs: VecDeque::new(),
@@ -502,6 +645,9 @@ impl Machine {
     }
 
     /// Installs a runtime fault-injection hook (see [`crate::chaos`]).
+    /// Install it before [`Machine::run`]: a load that stalled behind a
+    /// store with no hook installed waits off the issue queue and offers
+    /// its address to the hook again only once the store has moved on.
     pub fn set_chaos(&mut self, hook: Box<dyn ChaosHook>) {
         self.chaos = Some(hook);
     }
@@ -837,7 +983,7 @@ impl Machine {
             self.bump_hfi_gen();
         }
         let seq = self.push_entry(entry);
-        self.issue_queue.push((seq, NO_WAKE));
+        self.issue_queue.push(seq);
         self.fetch_index = next;
         true
     }
@@ -928,28 +1074,43 @@ impl Machine {
         self.alu_ops_this_cycle = 0;
 
         // Finish in-flight work: only the Executing entries are visited,
-        // not the whole ROB. (Wakeup order is irrelevant — marking Done
-        // has no other side effect.)
+        // not the whole ROB. An entry parked on an operand re-enters the
+        // queue as its producer completes, the same cycle its value
+        // becomes readable. (Wakeup order is irrelevant: the woken seqs
+        // are sorted before they join the queue.)
         if !self.in_flight.is_empty() {
             let cycle = self.cycle;
             let head_seq = self.head_seq;
             let rob = &mut self.rob;
+            let waits = &mut self.waits;
+            let woken = &mut self.woken;
             self.in_flight.retain(|&(seq, done_at)| {
-                if done_at <= cycle {
-                    rob[(seq - head_seq) as usize].state = EntryState::Done;
-                    false
-                } else {
-                    true
+                if done_at > cycle {
+                    return true;
                 }
+                let entry = &mut rob[(seq - head_seq) as usize];
+                entry.state = EntryState::Done;
+                // A store's waiters are loads, which wait for its address
+                // or its commit instead.
+                if !entry.has(EF_STORE) {
+                    waits.wake(seq, woken);
+                }
+                false
             });
+        }
+        if !self.woken.is_empty() {
+            self.woken.sort_unstable();
+            merge_sorted(&mut self.issue_queue, &self.woken);
+            self.woken.clear();
         }
 
         // Issue ready entries (oldest first), respecting port limits. The
-        // scan walks only the Waiting entries — `issue_queue` holds their
-        // seqs in age order and is compacted in place — and every static
-        // fact comes from the pre-decoded plan: no `Inst` match, no
-        // allocation, no clone.
+        // scan walks only the queued entries, compacting in place, and
+        // every static fact comes from the pre-decoded plan: no `Inst`
+        // match, no allocation, no clone.
         let plan = Arc::clone(&self.plan);
+        // Seq of the entry that took the last memory port, if any did.
+        let mut mem_full_at = u64::MAX;
         let mut redirect: Option<(usize, usize)> = None; // (rob index, correct next)
         let mut queue = std::mem::take(&mut self.issue_queue);
         let mut keep = 0usize; // entries [0..keep) stay queued
@@ -962,21 +1123,8 @@ impl Machine {
             {
                 break;
             }
-            let (seq, wake) = queue[qi];
+            let seq = queue[qi];
             qi += 1;
-            // Wake shortcut: still blocked on the memoized producer. The
-            // full evaluation below would reach `wait_value` on this very
-            // producer and requeue without side effects, so a one-check
-            // skip is exact. (Port gating and operand memoization on the
-            // skipped path mutate nothing observable.)
-            if wake != NO_WAKE
-                && wake >= self.head_seq
-                && self.rob[(wake - self.head_seq) as usize].state != EntryState::Done
-            {
-                queue[keep] = (seq, wake);
-                keep += 1;
-                continue;
-            }
             let i = (seq - self.head_seq) as usize;
             let inst_idx = self.rob[i].inst_idx as usize;
             let uop = plan.op(inst_idx);
@@ -985,12 +1133,12 @@ impl Machine {
             // counts as a memory op below), faithfully to the seed.
             if uop.has(MicroOp::GATE_MEM) {
                 if self.mem_ops_this_cycle >= self.config.mem_ports {
-                    queue[keep] = (seq, NO_WAKE);
+                    queue[keep] = seq;
                     keep += 1;
                     continue;
                 }
             } else if self.alu_ops_this_cycle >= self.config.alu_ports {
-                queue[keep] = (seq, NO_WAKE);
+                queue[keep] = seq;
                 keep += 1;
                 continue;
             }
@@ -999,7 +1147,7 @@ impl Machine {
             // is older than this consumer, so between its completion and
             // this issue no same-register commit can intervene.)
             let mut vals = [0u64; 3];
-            let mut blocker = NO_WAKE;
+            let mut blocker = None;
             for (k, val) in vals.iter_mut().enumerate() {
                 let src = self.rob[i].srcs[k];
                 match src.tag {
@@ -1011,15 +1159,16 @@ impl Machine {
                             self.rob[i].srcs[k] = Src::ready(value);
                         }
                         None => {
-                            blocker = src.payload;
+                            blocker = Some(src.payload);
                             break;
                         }
                     },
                 }
             }
-            if blocker != NO_WAKE {
-                queue[keep] = (seq, blocker);
-                keep += 1;
+            if let Some(producer) = blocker {
+                // Every visit until the producer completes would stop
+                // here without an effect, so park instead of revisiting.
+                self.waits.park(producer, seq);
                 continue;
             }
             let v = |k: usize| vals[k];
@@ -1159,8 +1308,9 @@ impl Machine {
                 OpClass::HmovLoad => {
                     // One check per dispatch attempt, exactly as the
                     // hardware would issue it — a store-dependence stall
-                    // retries the check next cycle, so the counter ticks
-                    // again even though the memoized outcome is reused.
+                    // retries the check every cycle, so the counter ticks
+                    // again even though the memoized outcome is reused
+                    // (counted in bulk below while the load is parked).
                     self.stats.hfi_checks += 1;
                     if self.rob[i].has(EF_EA_KNOWN) {
                         let ea = self.rob[i].mem_addr;
@@ -1260,15 +1410,43 @@ impl Machine {
                 }
                 OpClass::Syscall => unreachable!("syscalls handled at decode"),
             }
-            // A load can return from `exec_load` without issuing (store
-            // dependence: unknown address or partial overlap): it stays
-            // Waiting and must remain queued for the next cycle. No wake
-            // memo here — the retry must re-enter the dispatch arm (hmov
-            // loads count a check per attempt); the entry-level
-            // `EF_DEP_*` memo makes that retry cheap instead.
+            if mem_full_at == u64::MAX && self.mem_ops_this_cycle >= self.config.mem_ports {
+                mem_full_at = seq;
+            }
             if self.rob[i].state == EntryState::Waiting {
-                queue[keep] = (seq, NO_WAKE);
-                keep += 1;
+                // A load that returned from `exec_load` without issuing:
+                // stalled behind the older store in `store_value`.
+                if self.chaos.is_some() {
+                    // A plain load's retry offers its address to the hook
+                    // every cycle, and campaign trigger indices number
+                    // those offers: keep the per-cycle retry.
+                    queue[keep] = seq;
+                    keep += 1;
+                } else {
+                    self.waits.park(self.rob[i].store_value, seq);
+                    if uop.class == OpClass::HmovLoad {
+                        self.parked_hmov_now.push(seq);
+                    }
+                }
+            } else if self.rob[i].mem_size != 0
+                && self.rob[i].has(EF_STORE)
+                && self.waits.has_waiters(seq)
+            {
+                // This store's address just resolved. The loads parked
+                // on it are younger, so they re-enter ahead of the cursor
+                // and are still visited this cycle.
+                self.wake_loads(seq);
+                for load in self.woken.drain(..) {
+                    let at = qi + queue[qi..].partition_point(|&s| s < load);
+                    if keep < qi {
+                        // Slide the unvisited prefix into the gap.
+                        queue.copy_within(qi..at, qi - 1);
+                        qi -= 1;
+                        queue[at - 1] = load;
+                    } else {
+                        queue.insert(at, load);
+                    }
+                }
             }
         }
         // Entries not yet visited (early break) stay queued, in order.
@@ -1286,6 +1464,34 @@ impl Machine {
                 .fetch_stall_until
                 .max(self.cycle + self.config.redirect_penalty);
         }
+
+        // An `hmov` load parked in an earlier cycle would have been
+        // re-dispatched, counting one check, had the scan reached it with
+        // a memory port free: exactly when it is older than the entry
+        // that took the last port. Counted after the squash, which
+        // removes loads the redirect cut the scan short of; loads parked
+        // this cycle already counted at their own visit.
+        self.stats.hfi_checks += self.parked_hmov.partition_point(|&s| s < mem_full_at) as u64;
+        if !self.parked_hmov_now.is_empty() {
+            merge_sorted(&mut self.parked_hmov, &self.parked_hmov_now);
+            self.parked_hmov_now.clear();
+        }
+        debug_assert!(
+            self.issue_queue.windows(2).all(|w| w[0] < w[1]),
+            "issue queue in age order"
+        );
+    }
+
+    /// Moves the loads parked on `store` to `self.woken`, dropping them
+    /// from the parked-`hmov` tally.
+    fn wake_loads(&mut self, store: u64) {
+        let from = self.woken.len();
+        self.waits.wake(store, &mut self.woken);
+        for load in &self.woken[from..] {
+            if let Ok(k) = self.parked_hmov.binary_search(load) {
+                self.parked_hmov.remove(k);
+            }
+        }
     }
 
     /// Executes a load: HFI check first (zero latency, parallel with the
@@ -1295,7 +1501,9 @@ impl Machine {
         // recorded store is still blocking, the full scan below would
         // reach the same store and stall again (older stores only
         // resolve; none are inserted), so skip it. The memo re-arms on
-        // every fresh stall, and dies with the entry on squash.
+        // every fresh stall, and dies with the entry on squash. Only the
+        // per-cycle retry under a chaos hook finds it still blocking; a
+        // parked load returns here only once its store has moved on.
         if self.rob[i].flags & (EF_DEP_ADDR | EF_DEP_COMMIT) != 0 {
             let dep = self.rob[i].store_value;
             let still_blocked = if dep < self.head_seq {
@@ -1448,7 +1656,11 @@ impl Machine {
         while self.store_seqs.back().is_some_and(|&s| s > squash_seq) {
             self.store_seqs.pop_back();
         }
-        self.issue_queue.retain(|&(s, _)| s <= squash_seq);
+        let live = |list: &Vec<u64>| list.partition_point(|&s| s <= squash_seq);
+        self.issue_queue.truncate(live(&self.issue_queue));
+        self.parked_hmov.truncate(live(&self.parked_hmov));
+        self.parked_hmov_now.truncate(live(&self.parked_hmov_now));
+        self.waits.prune_after(squash_seq);
         self.in_flight.retain(|&(s, _)| s <= squash_seq);
         self.rebuild_reg_writer();
     }
@@ -1479,7 +1691,13 @@ impl Machine {
             if entry.has(EF_STORE) {
                 debug_assert_eq!(self.store_seqs.front(), Some(&seq));
                 self.store_seqs.pop_front();
+                // Loads stalled behind this store re-enter the queue.
+                self.wake_loads(seq);
             }
+            debug_assert!(
+                !self.waits.has_waiters(seq),
+                "no entry stays parked on a committed one"
+            );
             while self
                 .call_journal
                 .front()
@@ -1617,6 +1835,10 @@ impl Machine {
         self.rob.clear();
         self.head_seq = self.next_seq;
         self.issue_queue.clear();
+        self.waits.clear();
+        self.woken.clear();
+        self.parked_hmov.clear();
+        self.parked_hmov_now.clear();
         self.in_flight.clear();
         self.reg_writer = [None; 16];
         self.store_seqs.clear();
@@ -2084,5 +2306,312 @@ mod tests {
         let result = run_program(asm);
         assert_eq!(result.stop, Stop::Halted);
         assert_eq!(result.stats.committed, 602);
+    }
+
+    // The programs below exercise each way an entry leaves the issue
+    // queue and comes back. Their expected cycles and counters were
+    // recorded from the issue stage that revisited every waiting entry on
+    // every cycle, so any drift in when an entry re-enters the queue, or
+    // in how parked `hmov` loads count checks, shows up here.
+
+    const DATA_BASE: u64 = 0x10_0000;
+    const HEAP_BASE: u64 = 0x100_0000;
+
+    /// Code, a 64 KiB implicit data region at [`DATA_BASE`] and a 64 KiB
+    /// `hmov` heap (region 0) at [`HEAP_BASE`], then a hybrid enter.
+    fn enter_sandbox(asm: &mut ProgramBuilder) {
+        let code = ImplicitCodeRegion::new(CODE_BASE, 0xFFFF, true).unwrap();
+        let data = ImplicitDataRegion::new(DATA_BASE, 0xFFFF, true, true).unwrap();
+        let heap = ExplicitDataRegion::large(HEAP_BASE, 1 << 16, true, true).unwrap();
+        asm.hfi_set_region(0, Region::Code(code));
+        asm.hfi_set_region(2, Region::Data(data));
+        asm.hfi_set_region(6, Region::Explicit(heap));
+        asm.hfi_enter(SandboxConfig::hybrid());
+    }
+
+    fn assert_pinned(result: &RunResult, cycles: u64, stats: CoreStats) {
+        assert_eq!((result.cycles, result.stats), (cycles, stats));
+    }
+
+    #[test]
+    fn operand_waits_on_cold_loads_are_exact() {
+        let mut asm = ProgramBuilder::new(CODE_BASE);
+        let (acc, ptr, val, n, sq) = (Reg(0), Reg(1), Reg(2), Reg(3), Reg(4));
+        asm.movi(acc, 0);
+        asm.movi(ptr, 0x50_0000);
+        asm.movi(n, 6);
+        let top = asm.label_here("top");
+        // A cold line on a fresh page: memory latency plus a dTLB miss.
+        asm.load(val, MemOperand::base_disp(ptr, 0), 8);
+        // Two consumers wait on the load, a third on one of them.
+        asm.alu(AluOp::Add, acc, acc, val);
+        asm.alu(AluOp::Mul, sq, val, val);
+        asm.alu(AluOp::Xor, acc, acc, sq);
+        asm.alu_ri(AluOp::Add, ptr, ptr, 4096);
+        asm.alu_ri(AluOp::Sub, n, n, 1);
+        asm.branch_i(Cond::Ne, n, 0, top);
+        asm.halt();
+        let mut machine = Machine::new(asm.finish());
+        for k in 0..6u64 {
+            machine.mem.write(0x50_0000 + k * 4096, k + 3, 8);
+        }
+        let result = machine.run(1_000_000);
+        assert_eq!(result.stop, Stop::Halted);
+        let expected = (3..9u64).fold(0, |acc, v| (acc + v) ^ (v * v));
+        assert_eq!(result.regs[0], expected);
+        assert_pinned(
+            &result,
+            447,
+            CoreStats {
+                committed: 46,
+                squashed: 5,
+                branches: 6,
+                mispredicts: 1,
+                rob_stall_cycles: 0,
+                hfi_checks: 0,
+                serializations: 0,
+                squashed_loads_executed: 0,
+                faults: 0,
+                syscalls_redirected: 0,
+                syscalls_to_os: 0,
+            },
+        );
+    }
+
+    #[test]
+    fn hmov_loads_parked_behind_a_store_count_every_check() {
+        // Each iteration: a cold load yields the address of a store;
+        // `hmov` loads behind that store stall until it resolves. Older
+        // plain loads whose base comes off a multiply chain take both
+        // memory ports in some of those cycles, and younger stores off a
+        // second chain take them in others, so some stalled `hmov` loads
+        // are reached with a port free and some are not.
+        let mut asm = ProgramBuilder::new(CODE_BASE);
+        enter_sandbox(&mut asm);
+        let (acc, table, ptr, n, k) = (Reg(0), Reg(1), Reg(2), Reg(3), Reg(9));
+        asm.movi(acc, 0);
+        asm.movi(table, DATA_BASE as i64);
+        asm.movi(n, 4);
+        asm.movi(k, 1);
+        let top = asm.label_here("top");
+        asm.load(ptr, MemOperand::base_disp(table, 0), 8);
+        asm.alu(AluOp::Mul, Reg(8), k, k);
+        asm.alu(AluOp::Mul, Reg(8), Reg(8), k);
+        asm.alu_ri(AluOp::And, Reg(8), Reg(8), 0x38);
+        for disp in [0x100, 0x140, 0x180] {
+            asm.load(Reg(10), MemOperand::full(table, Reg(8), 1, disp), 8);
+        }
+        asm.store(n, MemOperand::base_disp(ptr, 0), 8);
+        for (dst, disp) in [(4, 0x40), (5, 0x48), (6, 0x50)] {
+            asm.hmov_load(0, Reg(dst), crate::isa::HmovOperand::disp(disp), 8);
+        }
+        asm.alu(AluOp::Mul, Reg(13), k, k);
+        asm.alu(AluOp::Mul, Reg(13), Reg(13), k);
+        asm.alu_ri(AluOp::And, Reg(13), Reg(13), 0x38);
+        asm.store(k, MemOperand::full(table, Reg(13), 1, 0x200), 8);
+        asm.store(k, MemOperand::full(table, Reg(13), 1, 0x240), 8);
+        asm.hmov_load(0, Reg(7), crate::isa::HmovOperand::disp(0x58), 8);
+        asm.alu(AluOp::Add, acc, acc, Reg(4));
+        asm.alu(AluOp::Add, acc, acc, Reg(7));
+        asm.alu_ri(AluOp::Add, k, k, 1);
+        asm.alu_ri(AluOp::Add, table, table, 0x800);
+        asm.alu_ri(AluOp::Sub, n, n, 1);
+        asm.branch_i(Cond::Ne, n, 0, top);
+        asm.hfi_exit();
+        asm.halt();
+        let mut machine = Machine::new(asm.finish());
+        for it in 0..4u64 {
+            machine
+                .mem
+                .write(DATA_BASE + it * 0x800, DATA_BASE + 0x8000 + it * 8, 8);
+        }
+        machine.mem.write(HEAP_BASE + 0x40, 5, 8);
+        machine.mem.write(HEAP_BASE + 0x58, 7, 8);
+        let result = machine.run(1_000_000);
+        assert_eq!(result.stop, Stop::Halted);
+        assert_eq!(result.regs[0], 4 * (5 + 7));
+        assert_pinned(
+            &result,
+            1266,
+            CoreStats {
+                committed: 102,
+                squashed: 5,
+                branches: 4,
+                mispredicts: 1,
+                rob_stall_cycles: 0,
+                hfi_checks: 5180,
+                serializations: 0,
+                squashed_loads_executed: 0,
+                faults: 0,
+                syscalls_redirected: 0,
+                syscalls_to_os: 0,
+            },
+        );
+    }
+
+    #[test]
+    fn partially_overlapping_loads_wait_for_the_store_to_commit() {
+        let mut asm = ProgramBuilder::new(CODE_BASE);
+        enter_sandbox(&mut asm);
+        let (acc, base, value, n) = (Reg(0), Reg(1), Reg(2), Reg(3));
+        asm.movi(acc, 0);
+        asm.movi(base, (DATA_BASE + 0x100) as i64);
+        asm.movi(value, 0x1122_3344_5566_7788);
+        asm.movi(n, 5);
+        let top = asm.label_here("top");
+        asm.store(value, MemOperand::base_disp(base, 0), 8);
+        asm.load(Reg(4), MemOperand::base_disp(base, 4), 4);
+        asm.hmov_store(0, value, crate::isa::HmovOperand::disp(0x40), 8);
+        asm.hmov_load(0, Reg(5), crate::isa::HmovOperand::disp(0x44), 4);
+        asm.hmov_load(0, Reg(6), crate::isa::HmovOperand::disp(0x40), 8);
+        asm.alu(AluOp::Add, acc, acc, Reg(4));
+        asm.alu(AluOp::Add, acc, acc, Reg(5));
+        asm.alu(AluOp::Xor, acc, acc, Reg(6));
+        asm.alu_ri(AluOp::Add, value, value, 1);
+        asm.alu_ri(AluOp::Sub, n, n, 1);
+        asm.branch_i(Cond::Ne, n, 0, top);
+        asm.hfi_exit();
+        asm.halt();
+        let result = run_program(asm);
+        assert_eq!(result.stop, Stop::Halted);
+        let expected = (0..5u64).fold(0, |acc, i| {
+            let v = 0x1122_3344_5566_7788 + i;
+            (acc + 2 * (v >> 32)) ^ v
+        });
+        assert_eq!(result.regs[0], expected);
+        assert_pinned(
+            &result,
+            474,
+            CoreStats {
+                committed: 65,
+                squashed: 0,
+                branches: 5,
+                mispredicts: 1,
+                rob_stall_cycles: 0,
+                hfi_checks: 177,
+                serializations: 0,
+                squashed_loads_executed: 0,
+                faults: 0,
+                syscalls_redirected: 0,
+                syscalls_to_os: 0,
+            },
+        );
+    }
+
+    #[test]
+    fn mispredicted_branch_squashes_parked_entries() {
+        // The branch depends on a cold load whose value alternates, so it
+        // keeps mispredicting. Predicted taken into the body when it is
+        // not, it leaves a wrong path that holds operand waiters on that
+        // load, a store whose address waits on it, and `hmov` loads that
+        // stalled behind that store cycles before the branch resolves.
+        let mut asm = ProgramBuilder::new(CODE_BASE);
+        enter_sandbox(&mut asm);
+        let (acc, table, flag, n) = (Reg(0), Reg(1), Reg(2), Reg(3));
+        asm.movi(acc, 0);
+        asm.movi(table, DATA_BASE as i64);
+        asm.movi(n, 8);
+        let top = asm.label_here("top");
+        let body = asm.label();
+        let join = asm.label();
+        asm.load(flag, MemOperand::base_disp(table, 0), 8);
+        asm.branch_i(Cond::Ne, flag, 0, body);
+        asm.jump(join);
+        asm.place(body);
+        asm.alu(AluOp::Add, Reg(4), flag, flag);
+        asm.store(Reg(4), MemOperand::full(table, flag, 8, 0x400), 8);
+        asm.hmov_load(0, Reg(5), crate::isa::HmovOperand::disp(0x40), 8);
+        asm.hmov_load(0, Reg(6), crate::isa::HmovOperand::disp(0x80), 8);
+        asm.alu(AluOp::Add, acc, acc, Reg(5));
+        asm.alu(AluOp::Add, acc, acc, Reg(6));
+        asm.place(join);
+        asm.alu_ri(AluOp::Add, table, table, 0x800);
+        asm.alu_ri(AluOp::Sub, n, n, 1);
+        asm.branch_i(Cond::Ne, n, 0, top);
+        asm.hfi_exit();
+        asm.halt();
+        let mut machine = Machine::new(asm.finish());
+        for it in 0..8u64 {
+            machine.mem.write(DATA_BASE + it * 0x800, (it + 1) % 2, 8);
+        }
+        machine.mem.write(HEAP_BASE + 0x40, 10, 8);
+        machine.mem.write(HEAP_BASE + 0x80, 1, 8);
+        let result = machine.run(1_000_000);
+        assert_eq!(result.stop, Stop::Halted);
+        assert_eq!(result.regs[0], 4 * 11);
+        assert!(result.stats.mispredicts > 0);
+        assert_pinned(
+            &result,
+            2016,
+            CoreStats {
+                committed: 77,
+                squashed: 186,
+                branches: 16,
+                mispredicts: 9,
+                rob_stall_cycles: 0,
+                hfi_checks: 12772,
+                serializations: 0,
+                squashed_loads_executed: 0,
+                faults: 0,
+                syscalls_redirected: 0,
+                syscalls_to_os: 0,
+            },
+        );
+    }
+
+    #[test]
+    fn fault_delivery_clears_parked_entries() {
+        // An out-of-bounds load faults while younger entries are parked
+        // on a cold load and on a store waiting for its address; the
+        // signal handler then runs the same pattern cleanly and halts.
+        let mut asm = ProgramBuilder::new(CODE_BASE);
+        let handler = asm.label();
+        enter_sandbox(&mut asm);
+        let (table, ptr, oob) = (Reg(1), Reg(2), Reg(6));
+        asm.movi(table, DATA_BASE as i64);
+        asm.movi(oob, 0x20_0000);
+        asm.load(Reg(7), MemOperand::base_disp(oob, 0), 8);
+        asm.load(ptr, MemOperand::base_disp(table, 0), 8);
+        asm.alu(AluOp::Add, Reg(3), ptr, ptr);
+        asm.store(Reg(3), MemOperand::base_disp(ptr, 0x100), 8);
+        asm.hmov_load(0, Reg(4), crate::isa::HmovOperand::disp(0x40), 8);
+        asm.alu(AluOp::Add, Reg(5), Reg(4), Reg(4));
+        asm.halt();
+        asm.place(handler);
+        let handler_idx = asm.here();
+        asm.movi(table, (DATA_BASE + 0x800) as i64);
+        asm.load(ptr, MemOperand::base_disp(table, 0), 8);
+        asm.store(table, MemOperand::base_disp(ptr, 0), 8);
+        asm.load(Reg(4), MemOperand::base_disp(table, 0x40), 8);
+        asm.alu(AluOp::Add, Reg(5), Reg(4), ptr);
+        asm.halt();
+        let program = asm.finish();
+        let handler_pc = program.pc_of(handler_idx);
+        let mut machine = Machine::new(program);
+        machine.signal_handler = Some(handler_pc);
+        machine.mem.write(DATA_BASE, DATA_BASE + 0x10, 8);
+        machine.mem.write(DATA_BASE + 0x800, DATA_BASE + 0x8000, 8);
+        machine.mem.write(DATA_BASE + 0x840, 9, 8);
+        let result = machine.run(1_000_000);
+        assert_eq!(result.stop, Stop::Halted);
+        assert_eq!(result.regs[5], 9 + DATA_BASE + 0x8000);
+        assert_eq!(result.stats.faults, 1);
+        assert_pinned(
+            &result,
+            3626,
+            CoreStats {
+                committed: 12,
+                squashed: 8,
+                branches: 0,
+                mispredicts: 0,
+                rob_stall_cycles: 0,
+                hfi_checks: 15,
+                serializations: 0,
+                squashed_loads_executed: 0,
+                faults: 1,
+                syscalls_redirected: 0,
+                syscalls_to_os: 0,
+            },
+        );
     }
 }

@@ -1,9 +1,10 @@
 //! Golden counter-exactness gate for the cycle simulator.
 //!
 //! The hot-loop optimizations (ring-buffer ROB, zero-clone issue, delta
-//! undo journals, page/cache flattening) must not change a single
-//! architectural counter: every figure in the reproduction depends on
-//! them. This test runs the Fig. 3 smoke grid and the §6.4.1 syscall
+//! undo journals, page/cache flattening, the event-driven issue stage)
+//! must not change a single architectural counter: every figure in the
+//! reproduction depends on them. This test runs the Fig. 3 smoke grid,
+//! the two ROB-bound SPEC-like cells and the §6.4.1 syscall
 //! interposition kernels on the cycle-level `Machine` and compares the
 //! *full* counter surface — cycles, committed, squashed, branches,
 //! mispredicts, ROB stalls, serializations, every cache and dTLB
@@ -79,7 +80,15 @@ fn collect_counters() -> String {
         Isolation::BoundsChecks,
         Isolation::Hfi,
     ];
-    for kernel in &kernels {
+    // Plus the two ROB-bound cells, whose issue windows hold the most
+    // parked entries; only their Hfi runs stall `hmov` loads behind
+    // older stores, the path where `hfi_checks` counts every retry.
+    let rob_bound: Vec<_> = speclike::suite(1)
+        .into_iter()
+        .filter(|k| matches!(k.name.as_str(), "456.hmmer-like" | "462.libquantum-like"))
+        .collect();
+    assert_eq!(rob_bound.len(), 2, "ROB-bound kernels renamed?");
+    for kernel in kernels.iter().chain(&rob_bound) {
         for isolation in schemes {
             let run = run_on_machine(kernel, isolation);
             let label = format!("fig3/{}/{:?}", kernel.name, isolation);
