@@ -2,9 +2,8 @@
 //! the scaling lever for every figure in the reproduction.
 //!
 //! Runs the SPEC-like suite under the three Fig. 3 isolation schemes on
-//! each executor tier — the cycle `Machine`, the reference functional
-//! interpreter, and the fused (block-threaded superinstruction)
-//! functional tier — sequentially (per-core simulated-instruction
+//! each executor tier — the cycle `Machine` and the functional
+//! interpreter — sequentially (per-core simulated-instruction
 //! throughput is the metric; the parallel harness already saturates
 //! cores), and emits `BENCH_throughput.json` at the repo root:
 //!
@@ -23,13 +22,13 @@
 //! # Gate semantics
 //!
 //! The gate compares each tier's aggregate sim-MIPS against the
-//! baseline's matching `sim_mips_cycle` / `sim_mips_functional` /
-//! `sim_mips_fused` field **independently** and fails (exit 1) if any
-//! tier regressed more than [`REGRESSION_BUDGET`] (the printed gate
-//! lines quote the budget from that constant — the one source of truth
-//! for the threshold). Gating per tier matters: a fused-tier rewrite
-//! that accidentally slowed the cycle machine (or vice versa) must not
-//! be able to hide inside a blended aggregate. The baseline is read
+//! baseline's matching `sim_mips_cycle` / `sim_mips_functional` field
+//! **independently** and fails (exit 1) if any tier regressed more than
+//! [`REGRESSION_BUDGET`] (the printed gate lines quote the budget from
+//! that constant — the one source of truth for the threshold). Gating
+//! per tier matters: an interpreter rewrite that accidentally slowed
+//! the cycle machine (or vice versa) must not be able to hide inside a
+//! blended aggregate. The baseline is read
 //! *before* the output file is written, so `--check
 //! BENCH_throughput.json --out BENCH_throughput.json` gates against the
 //! previously committed numbers — never against the file this run is
@@ -42,8 +41,7 @@
 use std::time::Instant;
 
 use hfi_bench::{
-    compile_cached, median, print_table, run_functional_record, run_fused_record, run_on_machine,
-    Harness, FIG3_SCHEMES,
+    compile_cached, print_table, run_functional_record, run_on_machine, Harness, FIG3_SCHEMES,
 };
 use hfi_wasm::compiler::CompileOptions;
 use hfi_wasm::kernels::speclike;
@@ -52,7 +50,7 @@ use hfi_wasm::kernels::speclike;
 const REGRESSION_BUDGET: f64 = 0.20;
 
 /// The executor tiers the benchmark sweeps, in presentation order.
-const TIERS: [&str; 3] = ["cycle", "functional", "fused"];
+const TIERS: [&str; 2] = ["cycle", "functional"];
 
 struct CellResult {
     tier: &'static str,
@@ -156,10 +154,6 @@ fn main() {
                         let record = run_functional_record(kernel, isolation);
                         (record.committed, record.cycles as u64)
                     }
-                    "fused" => {
-                        let record = run_fused_record(kernel, isolation);
-                        (record.committed, record.cycles as u64)
-                    }
                     _ => unreachable!(),
                 };
                 let host_ns = started.elapsed().as_nanos() as u64;
@@ -229,11 +223,9 @@ fn main() {
         );
     }
     let cycle = &tiers[0];
-    let fused = &tiers[2];
     println!(
-        "  host-ns/cycle (cycle tier): {:.1}; fused speedup over functional: {:.2}x",
-        cycle.host_ns as f64 / cycle.cycles.max(1) as f64,
-        fused.sim_mips / tiers[1].sim_mips.max(f64::MIN_POSITIVE)
+        "  host-ns/cycle (cycle tier): {:.1}",
+        cycle.host_ns as f64 / cycle.cycles.max(1) as f64
     );
 
     let mut json = String::from("{");
@@ -265,80 +257,6 @@ fn main() {
     json.push_str("]}");
     std::fs::write(&out_path, format!("{json}\n")).expect("write throughput json");
     eprintln!("[throughput] wrote {out_path}");
-
-    // The fused-tier contract: on every kernel × isolation cell, block
-    // dispatch must not lose to the reference functional loop by more
-    // than REGRESSION_BUDGET — unless the small-kernel fallback
-    // (`hfi_sim::fused_fallback`) routed that program through the
-    // reference loop already, in which case any residual delta is two
-    // timings of the same loop. Single-run cells are noisy at the
-    // sub-millisecond scale, so an apparent violation is re-measured
-    // (median of five back-to-back pairs) before it fails the run.
-    let mut fused_violations = Vec::new();
-    for kernel in &kernels {
-        for isolation in FIG3_SCHEMES {
-            let iso = format!("{isolation:?}");
-            let func_ns = cells
-                .iter()
-                .find(|c| c.tier == "functional" && c.kernel == kernel.name && c.isolation == iso)
-                .expect("every kernel has a functional cell")
-                .host_ns;
-            let fused_ns = cells
-                .iter()
-                .find(|c| c.tier == "fused" && c.kernel == kernel.name && c.isolation == iso)
-                .expect("every kernel has a fused cell")
-                .host_ns;
-            if fused_ns as f64 <= func_ns as f64 * (1.0 + REGRESSION_BUDGET) {
-                continue;
-            }
-            let compiled = compile_cached(kernel, &CompileOptions::new(isolation));
-            if hfi_sim::fused_fallback(&compiled.program) {
-                println!(
-                    "  fused-cell[{}/{iso}]: fallback engaged (plan > {} ops), delta is \
-                     reference-loop noise",
-                    kernel.name,
-                    hfi_sim::FUSED_FALLBACK_MAX_OPS
-                );
-                continue;
-            }
-            let mut func_samples = Vec::new();
-            let mut fused_samples = Vec::new();
-            for _ in 0..5 {
-                let t = Instant::now();
-                run_functional_record(kernel, isolation);
-                func_samples.push(t.elapsed().as_nanos() as f64);
-                let t = Instant::now();
-                run_fused_record(kernel, isolation);
-                fused_samples.push(t.elapsed().as_nanos() as f64);
-            }
-            let func_med = median(&func_samples);
-            let fused_med = median(&fused_samples);
-            if fused_med > func_med * (1.0 + REGRESSION_BUDGET) {
-                fused_violations.push(format!(
-                    "{}/{iso}: fused {fused_med:.0}ns vs functional {func_med:.0}ns \
-                     ({:+.1}% median of 5; first run {:+.1}%)",
-                    kernel.name,
-                    (fused_med / func_med - 1.0) * 100.0,
-                    (fused_ns as f64 / func_ns as f64 - 1.0) * 100.0
-                ));
-            } else {
-                println!(
-                    "  fused-cell[{}/{iso}]: first-run delta {:+.1}% was noise \
-                     (median of 5: {:+.1}%)",
-                    kernel.name,
-                    (fused_ns as f64 / func_ns as f64 - 1.0) * 100.0,
-                    (fused_med / func_med - 1.0) * 100.0
-                );
-            }
-        }
-    }
-    if !fused_violations.is_empty() {
-        for v in &fused_violations {
-            eprintln!("[throughput] FAIL: fused tier slower than functional on {v}");
-        }
-        std::process::exit(1);
-    }
-    println!("  fused-cell check: fused >= functional (or fallback) on every cell");
 
     if let Some(baseline_mips) = baseline_mips {
         let mut failed = false;

@@ -24,15 +24,6 @@
 //! actually see one. A zero-escape claim from an oracle that cannot
 //! fail is worthless; CI runs both modes.
 //!
-//! `--fused` runs the sweep on the fused (block-threaded
-//! superinstruction) tier of the functional executor instead of the
-//! cycle machine: installing a hook forces the fused engine onto its
-//! fully-observed per-op path, and this mode proves at campaign scale
-//! that no injection site or oracle observation was lost to fusion.
-//! The two speculative fault classes (wrong-path, predictor-clobber)
-//! have no sites there and are accounted under `no-site`, exactly as
-//! on the plain functional tier.
-//!
 //! `--serve` routes every injected cell through the `hfi-serve`
 //! scheduler instead of running it inline: cells become [`Request`]s
 //! with the chaos rig attached as the per-run hook, tenants pass the
@@ -40,9 +31,10 @@
 //! injections via the warm pool (the pool's release reset must detach
 //! the hook and scrub the scribbled state, or a fault would leak into
 //! the next tenant's run). Zero escapes by exit code on the served
-//! path proves the fail-closed contract survives warm reuse.
-//! Combine with `--fused` to serve on the fused tier; alone it serves
-//! on the plain functional tier.
+//! path proves the fail-closed contract survives warm reuse. It serves
+//! on the functional tier, where the two speculative fault classes
+//! (wrong-path, predictor-clobber) have no sites and are accounted
+//! under `no-site`.
 //!
 //! Cells run under the supervised harness (panic isolation, watchdog,
 //! retries) and stream to `chaos.jsonl`; `--resume` skips journaled
@@ -78,10 +70,8 @@ use hfi_wasm::sandbox_spec;
 enum Vehicle {
     /// The cycle-accurate machine (default).
     Machine,
-    /// The plain functional tier (`--serve` without `--fused`).
+    /// The functional tier (`--serve`).
     Functional,
-    /// The fused superinstruction tier (`--fused`).
-    Fused,
 }
 
 /// One HFI kernel the campaign perturbs.
@@ -208,12 +198,8 @@ fn run_hooked(
             let stop = Executor::run(&mut machine, limit);
             (stop, Executor::stats(&machine), Executor::regs(&machine))
         }
-        Vehicle::Functional | Vehicle::Fused => {
-            let mut functional = if vehicle == Vehicle::Fused {
-                Functional::new_fused(program.clone())
-            } else {
-                Functional::new(program.clone())
-            };
+        Vehicle::Functional => {
+            let mut functional = Functional::new(program.clone());
             for (off, bytes) in heap_init {
                 Executor::prepare(&mut functional, heap_base + *off as u64, bytes);
             }
@@ -268,7 +254,7 @@ fn run_baseline(target: &Target) -> Baseline {
     );
     // Budget for injected runs: generous multiple of the baseline, in
     // the vehicle's own unit — cycles for the machine, retired
-    // instructions for the functional tiers.
+    // instructions for the functional tier.
     let limit = if target.vehicle == Vehicle::Machine {
         ((record.cycles as u64).saturating_mul(8) + 1_000_000).min(MACHINE_LIMIT)
     } else {
@@ -343,9 +329,8 @@ fn run_cells_served(
     workers: usize,
 ) -> Vec<CellOutcome<CellResult>> {
     let tier = match vehicle {
-        Vehicle::Fused => Tier::Fused,
         Vehicle::Functional => Tier::Functional,
-        Vehicle::Machine => unreachable!("--serve always picks a functional tier"),
+        Vehicle::Machine => unreachable!("--serve always picks the functional tier"),
     };
     let tenants: Vec<TenantSpec> = targets
         .iter()
@@ -855,22 +840,17 @@ fn context_for(name: &str, class: FaultClass, rep: u64) -> Vec<(&'static str, St
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let weaken = args.iter().any(|a| a == "--weaken");
-    let fused = args.iter().any(|a| a == "--fused");
     let serve = args.iter().any(|a| a == "--serve");
-    let vehicle = match (serve, fused) {
-        (_, true) => Vehicle::Fused,
-        (true, false) => Vehicle::Functional,
-        (false, false) => Vehicle::Machine,
+    let vehicle = if serve {
+        Vehicle::Functional
+    } else {
+        Vehicle::Machine
     };
-    let figure = match (serve, fused, weaken) {
-        (false, false, false) => "chaos",
-        (false, false, true) => "chaos-weakened",
-        (false, true, false) => "chaos-fused",
-        (false, true, true) => "chaos-fused-weakened",
-        (true, false, false) => "chaos-serve",
-        (true, false, true) => "chaos-serve-weakened",
-        (true, true, false) => "chaos-serve-fused",
-        (true, true, true) => "chaos-serve-fused-weakened",
+    let figure = match (serve, weaken) {
+        (false, false) => "chaos",
+        (false, true) => "chaos-weakened",
+        (true, false) => "chaos-serve",
+        (true, true) => "chaos-serve-weakened",
     };
     let mut harness = Harness::from_env(figure);
 
@@ -1010,19 +990,11 @@ fn main() {
         })
         .collect();
     print_table(
-        match (serve, fused, weaken) {
-            (false, false, false) => "Chaos verdict matrix",
-            (false, false, true) => "Chaos verdict matrix (WEAKENED build: guards disabled)",
-            (false, true, false) => "Chaos verdict matrix (fused functional tier)",
-            (false, true, true) => {
-                "Chaos verdict matrix (fused tier, WEAKENED build: guards disabled)"
-            }
-            (true, false, false) => "Chaos verdict matrix (served, functional tier)",
-            (true, false, true) => "Chaos verdict matrix (served, WEAKENED build: guards disabled)",
-            (true, true, false) => "Chaos verdict matrix (served, fused tier)",
-            (true, true, true) => {
-                "Chaos verdict matrix (served, fused tier, WEAKENED build: guards disabled)"
-            }
+        match (serve, weaken) {
+            (false, false) => "Chaos verdict matrix",
+            (false, true) => "Chaos verdict matrix (WEAKENED build: guards disabled)",
+            (true, false) => "Chaos verdict matrix (served, functional tier)",
+            (true, true) => "Chaos verdict matrix (served, WEAKENED build: guards disabled)",
         },
         &[
             "class",
@@ -1039,20 +1011,15 @@ fn main() {
     // scheduler, after the site-level sweep so its matrix prints last.
     let mut soak_failures: Vec<String> = Vec::new();
     if serve {
-        let tier = if fused { Tier::Fused } else { Tier::Functional };
         let soak_rows = serve_fault_soak(
             &targets,
-            tier,
+            Tier::Functional,
             campaign_seed,
             harness.jobs().max(1),
             &mut soak_failures,
         );
         print_table(
-            if fused {
-                "Serving fault-containment soak (fused tier)"
-            } else {
-                "Serving fault-containment soak (functional tier)"
-            },
+            "Serving fault-containment soak (functional tier)",
             &[
                 "class",
                 "done",

@@ -6,7 +6,7 @@
 //! the verifyset kernel suites, then drives deterministic open-loop
 //! arrival schedules (seeded Poisson at several offered loads plus one
 //! bursty MMPP level) through the sharded work-stealing scheduler on
-//! the fused executor tier, and emits `BENCH_serving.json`:
+//! the functional executor tier, and emits `BENCH_serving.json`:
 //!
 //! ```text
 //! cargo run --release -p hfi-bench --bin serve_bench -- --smoke
@@ -238,7 +238,7 @@ const WEDGE_DEADLINE: Duration = Duration::from_millis(5);
 /// tenant (a kernel that never halts).
 const WEDGE_PERIOD: usize = 32;
 
-/// The graceful-degradation sweep: HFI tenants on the fused tier,
+/// The graceful-degradation sweep: HFI tenants on the functional tier,
 /// offered load at multiplier × measured capacity, run clean and with
 /// induced faults (rogue tenant 0 panics on dispatch; every
 /// [`WEDGE_PERIOD`]th request is a runaway under a short deadline),
@@ -263,7 +263,7 @@ fn run_degrade(
                     format!("{}@deg{r}", kernel.name),
                     kernel.clone(),
                     opts,
-                    Tier::Fused,
+                    Tier::Functional,
                     compile_cached,
                 )
             })
@@ -288,7 +288,7 @@ fn run_degrade(
         runaway,
         VerifyVerdict::Unchecked,
         Isolation::Hfi,
-        Tier::Fused,
+        Tier::Functional,
         opts.heap_base,
         Vec::new(),
         None,
@@ -692,7 +692,7 @@ fn main() {
                             name,
                             kernel.clone(),
                             opts,
-                            Tier::Fused,
+                            Tier::Functional,
                             compile_cached,
                         )
                     } else {
@@ -700,7 +700,7 @@ fn main() {
                             name,
                             kernel.clone(),
                             opts,
-                            Tier::Fused,
+                            Tier::Functional,
                             compile_cached,
                         )
                     }
@@ -868,7 +868,7 @@ fn main() {
         })
         .collect();
     print_table(
-        "Serving latency under open-loop load (fused tier)",
+        "Serving latency under open-loop load (functional tier)",
         &[
             "scheme", "level", "offered", "achieved", "p50ms", "p99ms", "p999ms", "warm", "stolen",
             "overload", "shed",
@@ -926,7 +926,7 @@ fn main() {
         "\"figure\":\"serving\",\"mode\":\"{}\",\"seed\":{seed},\"workers\":{workers},\
          \"tenants\":{tenant_count},\"tier\":\"{}\",\"transition_scheme\":\"{scheme_label}\"",
         if harness.smoke() { "smoke" } else { "full" },
-        Tier::Fused.as_str()
+        Tier::Functional.as_str()
     ));
     for s in &scheme_results {
         let p99 = level_results
@@ -966,7 +966,7 @@ fn main() {
             ));
         }
     }
-    let tier = Tier::Fused.as_str();
+    let tier = Tier::Functional.as_str();
     json.push_str(",\"cells\":[");
     for (i, r) in level_results.iter().enumerate() {
         if i > 0 {

@@ -133,7 +133,7 @@ pub fn run_cell(executor: &mut dyn Executor, kernel: &Kernel, heap_base: u64) ->
         executor.prepare(heap_base + *off as u64, bytes);
     }
     let limit = match executor.kind() {
-        hfi_sim::ExecutorKind::Functional | hfi_sim::ExecutorKind::Fused => FUNCTIONAL_LIMIT,
+        hfi_sim::ExecutorKind::Functional => FUNCTIONAL_LIMIT,
         _ => MACHINE_LIMIT,
     };
     let started = std::time::Instant::now();
@@ -236,25 +236,6 @@ pub fn run_functional_record(kernel: &Kernel, isolation: Isolation) -> RunRecord
 /// Panics if the kernel misbehaves.
 pub fn run_functional(kernel: &Kernel, isolation: Isolation) -> f64 {
     run_functional_record(kernel, isolation).cycles
-}
-
-/// Runs `kernel` on the fused (block-threaded superinstruction) tier of
-/// the functional executor; returns the counter snapshot. Cycles,
-/// counters, and registers are bit-identical to
-/// [`run_functional_record`] — only the host-side throughput fields
-/// differ (see `tests/predecode_differential.rs`).
-///
-/// # Panics
-///
-/// Panics if the kernel misbehaves.
-pub fn run_fused_record(kernel: &Kernel, isolation: Isolation) -> RunRecord {
-    let opts = CompileOptions::new(isolation);
-    let compiled = compile_cached(kernel, &opts);
-    let mut functional = Functional::new_fused(compiled.program.clone());
-    let mut record = run_cell(&mut functional, kernel, opts.heap_base);
-    record.verified = compiled.verified() == Some(true);
-    record.proof_digest = compiled.proof_digest_word();
-    record
 }
 
 /// The isolation schemes of the Fig. 3 comparison, in presentation order.

@@ -14,8 +14,8 @@ use hfi_core::TransitionScheme;
 use hfi_native::{benchmark_program, interposition_spec, Interposition};
 use hfi_sim::{emulate_arc, uses_hfi, Program};
 use hfi_verify::{
-    direct_mutants, emulation_mutants, verify_emulation, verify_emulation_cached, verify_fusion,
-    verify_fusion_cached, Mutant, Proof, SandboxSpec, Violation,
+    direct_mutants, emulation_mutants, verify_emulation, verify_emulation_cached, verify_program,
+    verify_program_cached, Mutant, Proof, SandboxSpec, Violation,
 };
 use hfi_wasm::compiler::{CompileOptions, Isolation};
 use hfi_wasm::kernels::{sightglass, speclike};
@@ -26,10 +26,7 @@ use crate::compile_cached;
 /// How a target's program is checked against its spec.
 #[derive(Debug, Clone)]
 pub enum VerifyMode {
-    /// Direct dataflow verification of the program itself, plus
-    /// structural validation of its superinstruction fusion overlay
-    /// (any directly-verified program may run on the fused tier, so the
-    /// sweep checks the overlay it would dispatch through).
+    /// Direct dataflow verification of the program itself.
     Direct,
     /// Translation validation: verify `original`, then structurally
     /// validate the target's (emulated) program against it.
@@ -58,7 +55,7 @@ pub struct VerifyTarget {
 /// already proven under the same spec returns its cached proof.
 pub fn verify_target(target: &VerifyTarget) -> Result<Arc<Proof>, Vec<Violation>> {
     match &target.mode {
-        VerifyMode::Direct => verify_fusion_cached(&target.program, &target.spec),
+        VerifyMode::Direct => verify_program_cached(&target.program, &target.spec),
         VerifyMode::Emulation { original } => {
             verify_emulation_cached(original, &target.program, &target.spec)
         }
@@ -72,7 +69,7 @@ pub fn verify_target(target: &VerifyTarget) -> Result<Arc<Proof>, Vec<Violation>
 /// (pinned by the `proof_cache` test suite).
 pub fn mutant_killed(target: &VerifyTarget, mutant: &Mutant) -> bool {
     match &target.mode {
-        VerifyMode::Direct => verify_fusion(&mutant.program, &target.spec).is_err(),
+        VerifyMode::Direct => verify_program(&mutant.program, &target.spec).is_err(),
         VerifyMode::Emulation { original } => {
             verify_emulation(original, &mutant.program, &target.spec).is_err()
         }

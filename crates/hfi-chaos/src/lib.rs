@@ -229,11 +229,17 @@ mod tests {
     /// whose address flows through one of the scrubbed registers — the
     /// state a corrupted springboard would leak through.
     fn springboard_program() -> ProgramBuilder {
+        springboard_zeroing(&[3, 4, 5])
+    }
+
+    /// The springboard workload, zeroing only `regs` of the three
+    /// registers its contract declares zeroed.
+    fn springboard_zeroing(regs: &[u8]) -> ProgramBuilder {
         let mut asm = ProgramBuilder::new(CODE_BASE);
         let code = ImplicitCodeRegion::new(CODE_BASE, 0xFFFF, true).unwrap();
         let data = ImplicitDataRegion::new(DATA_BASE, 0xFFFF, true, true).unwrap();
         let heap = ExplicitDataRegion::large(HEAP_BASE, 1 << 16, true, true).unwrap();
-        for r in [3u8, 4, 5] {
+        for &r in regs {
             asm.movi(Reg(r), 0);
             asm.mark_last_transition();
         }
@@ -442,52 +448,72 @@ mod tests {
         // Corrupting any springboard zeroing op breaks the declared
         // entry contract; the `hfi_enter` assertion must trap before
         // the sandbox observes the leaked value.
-        for fused in [false, true] {
-            for trigger in 0..3u64 {
-                let engine = ChaosEngine::new(ChaosPlan {
-                    seed: 11 ^ trigger,
-                    class: FaultClass::TransitionCorrupt,
-                    trigger,
-                });
-                let monitor = ShadowMonitor::from_spec(&spec());
-                let program = std::sync::Arc::new(springboard_program().finish());
-                let stop = {
-                    let mut functional = Functional::new(program);
-                    functional.set_fused(fused);
-                    functional.set_chaos(Box::new(Rig::new(engine.clone(), monitor.clone())));
-                    functional.run(1_000_000).stop
-                };
-                assert!(engine.fired().is_some(), "trigger {trigger} never fired");
-                assert!(
-                    matches!(stop, Stop::Fault(HfiFault::TransitionContract { .. })),
-                    "fused={fused} trigger {trigger}: expected contract trap, got {stop:?}"
-                );
-                let verdict = classify(&monitor.report(), false);
-                assert!(
-                    matches!(verdict, Verdict::FailClosed { .. }),
-                    "fused={fused} trigger {trigger}: {verdict:?}"
-                );
+        for trigger in 0..3u64 {
+            let engine = ChaosEngine::new(ChaosPlan {
+                seed: 11 ^ trigger,
+                class: FaultClass::TransitionCorrupt,
+                trigger,
+            });
+            let monitor = ShadowMonitor::from_spec(&spec());
+            let stop = {
+                let mut functional = Functional::new(springboard_program().finish());
+                functional.set_chaos(Box::new(Rig::new(engine.clone(), monitor.clone())));
+                functional.run(1_000_000).stop
+            };
+            assert!(engine.fired().is_some(), "trigger {trigger} never fired");
+            assert!(
+                matches!(stop, Stop::Fault(HfiFault::TransitionContract { .. })),
+                "trigger {trigger}: expected contract trap, got {stop:?}"
+            );
+            let verdict = classify(&monitor.report(), false);
+            assert!(
+                matches!(verdict, Verdict::FailClosed { .. }),
+                "trigger {trigger}: {verdict:?}"
+            );
+        }
+        // The same trap with no injection, from a springboard that skips
+        // a declared zeroing: the block-stepped loop and the per-op path
+        // (under a fuel hook that never fires) must stop identically,
+        // with identical registers and memory.
+        let leaky = std::sync::Arc::new(springboard_zeroing(&[3, 5]).finish());
+        let run = |per_op: bool| {
+            let mut functional = Functional::new(std::sync::Arc::clone(&leaky));
+            functional.set_reg(Reg(4), 0xDEAD);
+            if per_op {
+                functional.set_fuel(1, Box::new(|| true));
             }
-            // Same sweep on the cycle machine.
-            for trigger in 0..3u64 {
-                let engine = ChaosEngine::new(ChaosPlan {
-                    seed: 13 ^ trigger,
-                    class: FaultClass::TransitionCorrupt,
-                    trigger,
-                });
-                let monitor = ShadowMonitor::from_spec(&spec());
-                let mut machine = Machine::new(springboard_program().finish());
-                machine.set_chaos(Box::new(Rig::new(engine.clone(), monitor.clone())));
-                let stop = machine.run(1_000_000).stop;
-                assert!(
-                    matches!(stop, Stop::Fault(HfiFault::TransitionContract { .. })),
-                    "cycle trigger {trigger}: expected contract trap, got {stop:?}"
-                );
-                assert!(matches!(
-                    classify(&monitor.report(), false),
-                    Verdict::FailClosed { .. }
-                ));
-            }
+            let result = functional.run(1_000_000);
+            (result, functional.mem.read_bytes(DATA_BASE, 0x100))
+        };
+        let fast = run(false);
+        assert!(
+            matches!(
+                fast.0.stop,
+                Stop::Fault(HfiFault::TransitionContract { .. })
+            ),
+            "expected contract trap, got {:?}",
+            fast.0.stop
+        );
+        assert_eq!(fast, run(true));
+        // Same sweep on the cycle machine.
+        for trigger in 0..3u64 {
+            let engine = ChaosEngine::new(ChaosPlan {
+                seed: 13 ^ trigger,
+                class: FaultClass::TransitionCorrupt,
+                trigger,
+            });
+            let monitor = ShadowMonitor::from_spec(&spec());
+            let mut machine = Machine::new(springboard_program().finish());
+            machine.set_chaos(Box::new(Rig::new(engine.clone(), monitor.clone())));
+            let stop = machine.run(1_000_000).stop;
+            assert!(
+                matches!(stop, Stop::Fault(HfiFault::TransitionContract { .. })),
+                "cycle trigger {trigger}: expected contract trap, got {stop:?}"
+            );
+            assert!(matches!(
+                classify(&monitor.report(), false),
+                Verdict::FailClosed { .. }
+            ));
         }
     }
 

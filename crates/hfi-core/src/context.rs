@@ -9,6 +9,8 @@
 //! in Appendix A.1, or to one hardware check performed implicitly during
 //! execution (data access, instruction fetch, syscall decode).
 
+use std::ops::RangeInclusive;
+
 use crate::fault::{Access, ExitReason, HfiFault, HmovViolation, SyscallKind};
 use crate::region::{ExplicitDataRegion, Region};
 
@@ -531,6 +533,31 @@ impl HfiContext {
         Err(fault)
     }
 
+    /// A byte range inside which every fetch passes
+    /// [`check_fetch`](Self::check_fetch): by its first-match rule, the
+    /// range of the first code slot that holds a code region, when that
+    /// region is well formed and executable, and an empty range
+    /// otherwise. A fetch outside the window may still pass.
+    ///
+    /// Computed on demand from the region registers, so it is never
+    /// stale: an interpreter running code in which no op can change the
+    /// context may check each block against it once instead of checking
+    /// every fetch.
+    pub fn fetch_window(&self) -> RangeInclusive<u64> {
+        #[allow(clippy::reversed_empty_ranges)]
+        const EMPTY: RangeInclusive<u64> = 1..=0;
+        let first_code = self.regions[..NUM_CODE_REGIONS]
+            .iter()
+            .find_map(|slot| match slot {
+                Some(Region::Code(region)) => Some(region),
+                _ => None,
+            });
+        match first_code {
+            Some(region) if region.exec() => region.range().unwrap_or(EMPTY),
+            _ => EMPTY,
+        }
+    }
+
     /// The `hmov{N}` effective-address computation and bounds check
     /// (paper §3.2, §4.2).
     ///
@@ -768,6 +795,50 @@ mod tests {
         assert!(hfi.check_fetch(0x10_0000, 4).is_err());
         // Fetch inside succeeds.
         assert!(hfi.check_fetch(0x800, 4).is_ok());
+    }
+
+    #[test]
+    fn fetch_window_follows_the_first_code_slot() {
+        let mut hfi = HfiContext::new();
+        assert!(hfi.fetch_window().is_empty(), "no code region");
+        hfi.set_region(1, code_region(0x8000, 0xFFF)).unwrap();
+        assert_eq!(
+            hfi.fetch_window(),
+            0x8000..=0x8FFF,
+            "slot 1 when slot 0 is empty"
+        );
+        hfi.set_region(0, code_region(0x1000, 0xFFF)).unwrap();
+        assert_eq!(hfi.fetch_window(), 0x1000..=0x1FFF, "slot 0 matches first");
+        hfi.enter(SandboxConfig::hybrid()).unwrap();
+        // Every fetch inside the window passes; one outside it can pass
+        // too, as slot 1's code does.
+        for (pc, len) in [(0x1000, 1), (0x1FF0, 16), (0x1800, 8)] {
+            assert!(hfi.check_fetch(pc, len).is_ok(), "{pc:#x}+{len}");
+        }
+        assert!(hfi.check_fetch(0x8000, 4).is_ok());
+        assert!(hfi.check_fetch(0x1FF8, 16).is_err(), "runs off the window");
+
+        // A non-executable first match grants nothing.
+        let mut hfi = HfiContext::new();
+        let no_exec = ImplicitCodeRegion::new(0x1000, 0xFFF, false).unwrap();
+        hfi.set_region(0, Region::Code(no_exec)).unwrap();
+        hfi.set_region(1, code_region(0x1000, 0xFFF)).unwrap();
+        assert!(hfi.fetch_window().is_empty());
+        hfi.enter(SandboxConfig::hybrid()).unwrap();
+        assert!(hfi.check_fetch(0x1000, 4).is_err());
+    }
+
+    #[test]
+    fn fetch_window_is_empty_for_a_malformed_region() {
+        for (base_xor, len_xor) in [(0, 0x10), (0x800, 0), (0, 1 << 40)] {
+            let mut hfi = HfiContext::new();
+            hfi.set_region(0, code_region(0x1000, 0xFFF)).unwrap();
+            assert!(hfi.inject_region_bitflip(0, base_xor, len_xor));
+            assert!(
+                hfi.fetch_window().is_empty(),
+                "flip {base_xor:#x}/{len_xor:#x}"
+            );
+        }
     }
 
     #[test]

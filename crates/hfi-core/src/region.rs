@@ -14,6 +14,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::ops::RangeInclusive;
 
 use crate::fault::Access;
 
@@ -160,6 +161,14 @@ impl ImplicitCodeRegion {
     /// Regions are never empty; present for API completeness.
     pub fn is_empty(&self) -> bool {
         false
+    }
+
+    /// The contiguous byte range [`contains`](Self::contains) matches, or
+    /// `None` when the region is malformed (a non-contiguous mask or a
+    /// misaligned prefix, which only fault injection can produce).
+    pub(crate) fn range(&self) -> Option<RangeInclusive<u64>> {
+        validate_prefix(self.base_prefix, self.lsb_mask).ok()?;
+        Some(self.base_prefix..=self.base_prefix | self.lsb_mask)
     }
 }
 

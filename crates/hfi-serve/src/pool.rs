@@ -2,9 +2,9 @@
 //! admit, charged against a real [`SandboxRuntime`] address space.
 //!
 //! One pool entry per tenant holds ready-to-run executor instances. A
-//! **warm hit** pops an instance whose program, decode plan, and fusion
-//! overlay are already resolved and whose heap image is already loaded
-//! — the request pays a queue pop. A **cold build** pays the tenant's
+//! **warm hit** pops an instance whose program and decode plan are
+//! already resolved and whose heap image is already loaded — the
+//! request pays a queue pop. A **cold build** pays the tenant's
 //! compile (memoized process-wide by the caller-supplied compile
 //! function, so only the first tenant of a kernel × options pair pays
 //! the real compiler), the verify-before-admit check, executor
@@ -77,10 +77,8 @@ pub fn select_cheapest_scheme(
 pub enum Tier {
     /// The cycle-accurate `Machine`.
     Cycle,
-    /// The per-op reference functional interpreter.
+    /// The functional interpreter.
     Functional,
-    /// The block-threaded superinstruction tier.
-    Fused,
 }
 
 impl Tier {
@@ -89,7 +87,6 @@ impl Tier {
         match self {
             Tier::Cycle => "cycle",
             Tier::Functional => "functional",
-            Tier::Fused => "fused",
         }
     }
 }
@@ -337,8 +334,8 @@ impl WarmInstance {
         self.engine.executor_mut()
     }
 
-    /// Direct access to the functional engine (tier `Functional` or
-    /// `Fused`), for state inspection in tests.
+    /// Direct access to the functional engine (tier `Functional`), for
+    /// state inspection in tests.
     pub fn functional_mut(&mut self) -> Option<&mut Functional> {
         match &mut self.engine {
             Engine::Func(f) => Some(f.as_mut()),
@@ -734,7 +731,6 @@ fn build_engine(tier: Tier, program: &Arc<Program>) -> Engine {
     match tier {
         Tier::Cycle => Engine::Cycle(Box::new(Machine::new(Arc::clone(program)))),
         Tier::Functional => Engine::Func(Box::new(Functional::new(Arc::clone(program)))),
-        Tier::Fused => Engine::Func(Box::new(Functional::new_fused(Arc::clone(program)))),
     }
 }
 

@@ -49,17 +49,17 @@ pub struct Request {
     /// completion so queueing delay is `start_ns - arrival_ns`.
     pub arrival_ns: u64,
     /// Run budget, in the serving tier's native unit (instructions for
-    /// the functional tiers, cycles for the cycle tier).
+    /// the functional tier, cycles for the cycle tier).
     pub limit: u64,
     /// Optional wall-clock budget, measured from submission. A request
     /// still queued past its deadline completes as
     /// [`Outcome::DeadlineExceeded`] without running; one that is
     /// mid-run when the deadline passes is cooperatively cancelled via
-    /// the executor's fuel hook (functional tiers; the cycle tier has
+    /// the executor's fuel hook (functional tier; the cycle tier has
     /// no cancellation seam and runs to its `limit`).
     pub deadline: Option<Duration>,
     /// Optional fault-injection hook, installed for this run only
-    /// (functional tiers; the cycle tier has no chaos seam).
+    /// (functional tier; the cycle tier has no chaos seam).
     pub chaos: Option<Box<dyn ChaosHook>>,
 }
 
@@ -591,7 +591,7 @@ fn serve_one(
     let warm = lease.warm;
     let generation = lease.instance.generation();
     if let Some(hook) = request.chaos {
-        // Chaos hooks ride the functional tiers; the pool's release
+        // Chaos hooks ride the functional tier; the pool's release
         // reset detaches the hook, so it never leaks into the next run.
         if let Some(functional) = lease.instance.functional_mut() {
             functional.set_chaos(hook);

@@ -99,9 +99,8 @@ impl ProgramBuilder {
     }
 
     /// Marks the most recently pushed instruction as a springboard
-    /// (transition) op: the plan lowering flags it so the fused tier
-    /// folds it into the enter/exit `HfiSeq` superop and the chaos
-    /// engine can target it.
+    /// (transition) op: the plan lowering flags it so the chaos engine
+    /// can target it.
     ///
     /// # Panics
     ///

@@ -102,23 +102,7 @@ static EMULATE_MEMO: OnceLock<Mutex<crate::plan::MemoEntries<Program>>> = OnceLo
 /// is itself a stable `Arc` — every emulated machine also shares one
 /// pre-decoded plan (`plan_of` is keyed the same way).
 pub fn emulate_arc(program: &Arc<Program>) -> Arc<Program> {
-    let memo = EMULATE_MEMO.get_or_init(|| Mutex::new(Vec::new()));
-    let key = Arc::as_ptr(program) as usize;
-    let mut entries = memo.lock().expect("emulate memo unpoisoned");
-    entries.retain(|(_, witness, _)| witness.strong_count() > 0);
-    for (entry_key, witness, emulated) in entries.iter() {
-        if *entry_key == key {
-            if let Some(alive) = witness.upgrade() {
-                if Arc::ptr_eq(&alive, program) {
-                    return Arc::clone(emulated);
-                }
-            }
-        }
-    }
-    let emulated = Arc::new(emulate(program));
-    entries.retain(|(entry_key, _, _)| *entry_key != key);
-    entries.push((key, Arc::downgrade(program), Arc::clone(&emulated)));
-    emulated
+    crate::plan::memoized(&EMULATE_MEMO, program, 0, || emulate(program))
 }
 
 /// Options for the *guarded* emulation variant ([`emulate_guarded`]).

@@ -30,9 +30,6 @@ pub enum ExecutorKind {
     Cycle,
     /// The calibrated [`Functional`] interpreter.
     Functional,
-    /// The [`Functional`] interpreter block-threading the fused
-    /// superinstruction plan (bit-identical results, faster dispatch).
-    Fused,
     /// The Appendix A.2 emulation transform on the cycle [`Machine`].
     Emulated,
 }
@@ -43,7 +40,6 @@ impl ExecutorKind {
         match self {
             ExecutorKind::Cycle => "cycle",
             ExecutorKind::Functional => "functional",
-            ExecutorKind::Fused => "fused",
             ExecutorKind::Emulated => "emulated",
         }
     }
@@ -304,11 +300,7 @@ impl Executor for Machine {
 
 impl Executor for Functional {
     fn kind(&self) -> ExecutorKind {
-        if self.is_fused() {
-            ExecutorKind::Fused
-        } else {
-            ExecutorKind::Functional
-        }
+        ExecutorKind::Functional
     }
 
     fn prepare(&mut self, addr: u64, bytes: &[u8]) {

@@ -12,14 +12,15 @@
 use std::sync::Arc;
 
 use hfi_core::{
-    Access, CostModel, ExitDisposition, HfiContext, HfiFault, SyscallDisposition, SyscallKind,
+    Access, CostModel, ExitDisposition, HfiContext, HfiFault, SerializationEffect,
+    SyscallDisposition, SyscallKind,
 };
 
 use crate::chaos::{ArchEvent, ChaosHook};
 use crate::core::{DefaultOs, OsModel, Stop, SyscallOutcome};
 use crate::isa::{AluOp, Inst, Program, Reg};
 use crate::mem::SparseMemory;
-use crate::plan::{fused_plan_of, plan_of, DecodedProgram, MicroOp, OpClass, SuperOpKind, NO_REG};
+use crate::plan::{plan_of, DecodedProgram, MicroOp, OpClass, NO_REG};
 
 /// Per-class cycle costs for the functional timing model, calibrated so
 /// that functional cycle counts track the cycle simulator on the
@@ -100,8 +101,8 @@ struct Fuel {
     check: Box<dyn FnMut() -> bool + Send>,
 }
 
-/// Where control goes after executing one micro-op or superinstruction:
-/// on to another instruction index, or out of the run entirely.
+/// Where control goes after executing one micro-op: on to another
+/// instruction index, or out of the run entirely.
 enum StepExit {
     /// Continue at this instruction index (usually `pc + 1`; a branch
     /// target or fault-handler index otherwise).
@@ -110,9 +111,25 @@ enum StepExit {
     Stop(Stop),
 }
 
+/// What one op's class semantics ([`Functional::exec`]) produced.
+enum Flow {
+    /// Continue at this instruction index.
+    Next(usize),
+    /// The op raised this fault; it is delivered at the op's index.
+    Fault(HfiFault),
+    /// Execution is over (halt, exit, return from the outermost frame,
+    /// a redirect to an unmapped handler).
+    Stop(Stop),
+    /// The block loop does not run this class inline: the op takes the
+    /// per-op [`Functional::step`] instead. Nothing was executed.
+    Leave,
+}
+
 /// The functional executor.
 pub struct Functional {
-    program: Arc<Program>,
+    /// The shared pre-decoded plan of the program ([`plan_of`]), fetched
+    /// once at construction and kept across [`Functional::reset`].
+    plan: Arc<DecodedProgram>,
     /// Data memory.
     pub mem: SparseMemory,
     /// HFI register state (identical semantics to the cycle model).
@@ -130,10 +147,6 @@ pub struct Functional {
     call_stack: Vec<usize>,
     cycles: f64,
     stats: FunctionalStats,
-    /// Which tier [`Functional::run`] drives: `false` is the per-op
-    /// reference loop, `true` the block-threaded superinstruction engine
-    /// over [`fused_plan_of`]. Both produce bit-identical results.
-    fused: bool,
 }
 
 impl std::fmt::Debug for Functional {
@@ -152,7 +165,7 @@ impl Functional {
     /// [`Machine::new`](crate::core::Machine::new)).
     pub fn new(program: impl Into<Arc<Program>>) -> Self {
         Self {
-            program: program.into(),
+            plan: plan_of(&program.into()),
             mem: SparseMemory::new(),
             hfi: HfiContext::new(),
             costs: CostModel::default(),
@@ -165,33 +178,17 @@ impl Functional {
             call_stack: Vec::new(),
             cycles: 0.0,
             stats: FunctionalStats::default(),
-            fused: false,
         }
     }
 
-    /// Creates a functional machine that runs the fused superinstruction
-    /// tier (block-threaded dispatch over [`fused_plan_of`]).
-    pub fn new_fused(program: impl Into<Arc<Program>>) -> Self {
-        let mut functional = Self::new(program);
-        functional.fused = true;
-        functional
-    }
-
-    /// Selects the executor tier: `true` drives the fused
-    /// superinstruction engine, `false` the per-op reference loop.
-    pub fn set_fused(&mut self, fused: bool) {
-        self.fused = fused;
-    }
-
-    /// Resets all per-tenant state, keeping the program, its shared
-    /// plan, and the tier selection: memory, HFI region context,
-    /// registers, call stack, cycles, counters, the signal handler, the
-    /// OS model, and any installed chaos hook all return to their
-    /// just-constructed values. This is the warm-pool teardown
-    /// primitive: a reused instance behaves bit-identically to a
-    /// freshly constructed one (`tests/warm_pool_safety.rs`), while the
-    /// expensive artifacts — the `Arc<Program>` and its memoized
-    /// decode/fusion plans — survive the reset.
+    /// Resets all per-tenant state, keeping the program and its shared
+    /// plan: memory, HFI region context, registers, call stack, cycles,
+    /// counters, the signal handler, the OS model, and any installed
+    /// chaos or fuel hook all return to their just-constructed values.
+    /// This is the warm-pool teardown primitive: a reused instance
+    /// behaves bit-identically to a freshly constructed one
+    /// (`tests/warm_pool_safety.rs`), while the expensive artifacts —
+    /// the `Arc<Program>` and its pre-decoded plan — survive the reset.
     pub fn reset(&mut self) {
         self.mem = SparseMemory::new();
         self.hfi = HfiContext::new();
@@ -207,18 +204,15 @@ impl Functional {
         self.stats = FunctionalStats::default();
     }
 
-    /// True when [`Functional::run`] drives the fused tier.
-    pub fn is_fused(&self) -> bool {
-        self.fused
-    }
-
     /// Replaces the OS model.
     pub fn set_os(&mut self, os: Box<dyn OsModel>) {
         self.os = os;
     }
 
     /// Installs a runtime fault-injection hook (see [`crate::chaos`]).
-    /// With no hook installed every site is a single predictable branch.
+    /// While a hook is installed every op takes the per-op path, so the
+    /// hook sees every site; with none installed every site is a single
+    /// predictable branch.
     pub fn set_chaos(&mut self, hook: Box<dyn ChaosHook>) {
         self.chaos = Some(hook);
     }
@@ -239,10 +233,9 @@ impl Functional {
     ///
     /// While a hook that never fires is installed, counters, cycles,
     /// registers, and the stop reason are bit-identical to an
-    /// uninstrumented run; the fused tier falls back to the per-op
-    /// reference path (like chaos observation), trading throughput for
-    /// a bounded cancellation latency. [`Functional::reset`] clears the
-    /// hook.
+    /// uninstrumented run; every op takes the per-op path (like chaos
+    /// observation), trading throughput for a bounded cancellation
+    /// latency. [`Functional::reset`] clears the hook.
     pub fn set_fuel(&mut self, period: u64, check: Box<dyn FnMut() -> bool + Send>) {
         let period = period.max(1);
         self.fuel = Some(Fuel {
@@ -327,10 +320,13 @@ impl Functional {
         }
     }
 
-    fn fault(&mut self, fault: HfiFault, pc_out: &mut usize) -> Option<Stop> {
+    /// Delivers a fault raised by the op at instruction index `at`: counts
+    /// it, charges the trap, and redirects to the handler's index — or
+    /// stops with the fault when no mapped handler takes it.
+    fn fault_exit(&mut self, fault: HfiFault, at: usize) -> StepExit {
         if self.chaos.is_some() {
-            let pc = if *pc_out < self.program.len() {
-                self.program.pc_of(*pc_out)
+            let pc = if at < self.plan.len() {
+                self.plan.pc(at)
             } else {
                 0
             };
@@ -345,605 +341,36 @@ impl Functional {
         };
         // Signal delivery is expensive (§3.3.2: OS delivers SIGSEGV).
         self.cycles += 3000.0;
-        match handler.and_then(|h| self.program.index_of_pc(h)) {
-            Some(idx) => {
-                *pc_out = idx;
-                None
-            }
-            None => Some(Stop::Fault(fault)),
+        match handler.and_then(|h| self.plan.program().index_of_pc(h)) {
+            Some(idx) => StepExit::Next(idx),
+            None => StepExit::Stop(Stop::Fault(fault)),
         }
     }
 
-    /// Delivers a fault raised at instruction index `at` and converts the
-    /// outcome into a [`StepExit`]: redirect to the handler's index, or
-    /// stop with the fault.
-    fn fault_exit(&mut self, fault: HfiFault, at: usize) -> StepExit {
-        let mut pc = at;
-        match self.fault(fault, &mut pc) {
-            Some(stop) => StepExit::Stop(stop),
-            None => StepExit::Next(pc),
-        }
-    }
-
-    /// Runs up to `max_insts` instructions on the selected tier.
+    /// Runs up to `max_insts` instructions.
     ///
-    /// The reference tier is direct-threaded over the shared pre-decoded
-    /// plan ([`plan_of`]): each step indexes a flat [`MicroOp`] and
-    /// dispatches on its dense class byte — no `Inst` match and no
-    /// operand `Option` walking — while the architectural semantics, the
-    /// cost model, and every counter are identical to interpreting the
-    /// `Inst` stream. Only the payload classes (`hfi_enter`,
-    /// `hfi_enter_child`, `hfi_set_region`) reach back into the program
-    /// for their full operands, off the hot path.
+    /// Both loops are direct-threaded over the shared pre-decoded plan
+    /// ([`plan_of`]): each op is a flat [`MicroOp`] dispatched on its
+    /// dense class byte — no `Inst` match and no operand `Option`
+    /// walking — while the architectural semantics, the cost model, and
+    /// every counter are identical to interpreting the `Inst` stream.
+    /// Only the payload classes (`hfi_enter`, `hfi_enter_child`,
+    /// `hfi_set_region`) reach back into the program for their full
+    /// operands, off the hot path.
     ///
-    /// The fused tier ([`Functional::set_fused`]) instead block-threads
-    /// over the superinstruction plan ([`fused_plan_of`]); results are
-    /// bit-identical (cycles, counters, registers, stop reason) — see
+    /// With no chaos or fuel hook installed the run is block-stepped:
+    /// fetch is checked once per basic block and the counters live in
+    /// locals. With either hook installed every op takes the per-op
+    /// path, so the hook sees each one. The results are bit-identical
+    /// (cycles, counters, registers, memory, stop reason) — see
     /// `tests/predecode_differential.rs`.
-    /// Statically large, dynamically short programs (see
-    /// [`FUSED_FALLBACK_MAX_OPS`](crate::FUSED_FALLBACK_MAX_OPS)) run
-    /// the reference loop even on the fused tier: block dispatch cannot
-    /// amortize over their low per-block reuse. [`ExecutorKind::Fused`]
-    /// reporting and all counters are unaffected — both loops are
-    /// bit-identical.
     pub fn run(&mut self, max_insts: u64) -> FunctionalResult {
-        if self.fused && !crate::plan::fused_fallback(&self.program) {
-            self.run_fused(max_insts)
+        let plan = Arc::clone(&self.plan);
+        let stop = if self.chaos.is_some() || self.fuel.is_some() {
+            self.run_per_op(&plan, max_insts)
         } else {
-            self.run_unfused(max_insts)
-        }
-    }
-
-    /// The per-op reference loop (the golden functional semantics).
-    fn run_unfused(&mut self, max_insts: u64) -> FunctionalResult {
-        let mut pc = 0usize;
-        let mut stop = Stop::CycleLimit;
-        let mut budget = max_insts;
-        let plan = plan_of(&self.program);
-        let program = Arc::clone(&self.program);
-        while budget > 0 {
-            budget -= 1;
-            if pc >= plan.len() {
-                stop = Stop::Halted;
-                break;
-            }
-            if self.fuel.is_some() && !self.poll_fuel() {
-                break; // cancelled: stop stays CycleLimit
-            }
-            match self.step(pc, &plan, &program) {
-                StepExit::Next(next) => pc = next,
-                StepExit::Stop(s) => {
-                    stop = s;
-                    break;
-                }
-            }
-        }
-        self.result_with(stop)
-    }
-
-    /// Executes exactly one micro-op at instruction index `pc` with full
-    /// reference semantics — fetch check, counters, chaos observation and
-    /// injection, cost accumulation, fault delivery — and reports where
-    /// control goes next. Every driver funnels through this routine:
-    /// `run_unfused` per-op, and `run_fused` for observed runs, mid-block
-    /// entries, and `Step`/`HfiSeq` superops — so the architectural
-    /// semantics live in exactly one place.
-    fn step(&mut self, pc: usize, plan: &DecodedProgram, program: &Arc<Program>) -> StepExit {
-        {
-            let byte_pc = plan.pc(pc);
-            let uop = plan.op(pc);
-            if self.hfi.enabled() {
-                self.stats.hfi_checks += 1;
-            }
-            if let Err(fault) = self.hfi.check_fetch(byte_pc, uop.len as u64) {
-                return self.fault_exit(fault, pc);
-            }
-            self.stats.retired += 1;
-            if self.chaos.is_some() {
-                let sandboxed = self.hfi.enabled();
-                self.chaos_observe(ArchEvent::Retire {
-                    pc: byte_pc,
-                    len: uop.len,
-                    sandboxed,
-                });
-            }
-            let mut next = pc + 1;
-            match uop.class {
-                OpClass::AluRR => {
-                    self.cycles += self.weight_of(uop.alu);
-                    self.regs[uop.dst as usize] =
-                        alu(uop.alu, self.slot(uop.srcs[0]), self.slot(uop.srcs[1]));
-                }
-                OpClass::AluRI => {
-                    self.cycles += self.weight_of(uop.alu);
-                    self.regs[uop.dst as usize] =
-                        alu(uop.alu, self.slot(uop.srcs[0]), uop.imm as u64);
-                }
-                OpClass::MovI => {
-                    self.cycles += self.weights.alu;
-                    self.regs[uop.dst as usize] = uop.imm as u64;
-                }
-                OpClass::Mov => {
-                    self.cycles += self.weights.alu;
-                    self.regs[uop.dst as usize] = self.slot(uop.srcs[0]);
-                }
-                OpClass::Rdtsc => {
-                    self.cycles += self.weights.alu;
-                    self.regs[uop.dst as usize] = self.cycles as u64;
-                }
-                OpClass::Load => {
-                    self.cycles += self.weights.mem;
-                    self.stats.mem_ops += 1;
-                    if self.hfi.enabled() {
-                        self.stats.hfi_checks += 1;
-                    }
-                    let mut addr = self.ea_of(uop);
-                    let mut skip = false;
-                    if let Some(hook) = self.chaos.as_deref_mut() {
-                        addr = hook.perturb_ea(byte_pc, addr);
-                        skip = hook.skip_guard(byte_pc);
-                    }
-                    if !skip {
-                        if let Err(f) = self.hfi.check_data(addr, uop.size as u64, Access::Read) {
-                            return self.fault_exit(f, pc);
-                        }
-                    }
-                    self.regs[uop.dst as usize] = self.mem.read(addr, uop.size);
-                    if self.chaos.is_some() {
-                        let sandboxed = self.hfi.enabled();
-                        self.chaos_observe(ArchEvent::Mem {
-                            pc: byte_pc,
-                            addr,
-                            size: uop.size,
-                            access: Access::Read,
-                            hmov: None,
-                            sandboxed,
-                        });
-                    }
-                }
-                OpClass::Store => {
-                    self.cycles += self.weights.mem;
-                    self.stats.mem_ops += 1;
-                    if self.hfi.enabled() {
-                        self.stats.hfi_checks += 1;
-                    }
-                    let mut addr = self.ea_of(uop);
-                    let mut skip = false;
-                    if let Some(hook) = self.chaos.as_deref_mut() {
-                        addr = hook.perturb_ea(byte_pc, addr);
-                        skip = hook.skip_guard(byte_pc);
-                    }
-                    if !skip {
-                        if let Err(f) = self.hfi.check_data(addr, uop.size as u64, Access::Write) {
-                            return self.fault_exit(f, pc);
-                        }
-                    }
-                    self.mem.write(addr, self.slot(uop.srcs[2]), uop.size);
-                    if self.chaos.is_some() {
-                        let sandboxed = self.hfi.enabled();
-                        self.chaos_observe(ArchEvent::Mem {
-                            pc: byte_pc,
-                            addr,
-                            size: uop.size,
-                            access: Access::Write,
-                            hmov: None,
-                            sandboxed,
-                        });
-                    }
-                }
-                OpClass::HmovLoad => {
-                    self.cycles += self.weights.mem;
-                    self.stats.mem_ops += 1;
-                    self.stats.hfi_checks += 1;
-                    let mut index = self.slot(uop.srcs[1]) as i64;
-                    let mut skip = false;
-                    if let Some(hook) = self.chaos.as_deref_mut() {
-                        // The flip lands in the address datapath upstream
-                        // of the §4.2 guard, which must still face it.
-                        index = hook.perturb_ea(byte_pc, index as u64) as i64;
-                        skip = hook.skip_guard(byte_pc);
-                    }
-                    let resolved = match self.hfi.hmov_check_access(
-                        uop.region,
-                        index,
-                        uop.scale as u64,
-                        uop.imm,
-                        uop.size as u64,
-                        Access::Read,
-                    ) {
-                        Ok(ea) => Ok(ea),
-                        // A dropped guard micro-op: the raw AGU address
-                        // proceeds unchecked (fault injection only).
-                        Err(f) => match self.hfi.hmov_unchecked_ea(
-                            uop.region,
-                            index,
-                            uop.scale as u64,
-                            uop.imm,
-                        ) {
-                            Some(ea) if skip => Ok(ea),
-                            _ => Err(f),
-                        },
-                    };
-                    match resolved {
-                        Ok(ea) => {
-                            self.regs[uop.dst as usize] = self.mem.read(ea, uop.size);
-                            if self.chaos.is_some() {
-                                let sandboxed = self.hfi.enabled();
-                                self.chaos_observe(ArchEvent::Mem {
-                                    pc: byte_pc,
-                                    addr: ea,
-                                    size: uop.size,
-                                    access: Access::Read,
-                                    hmov: Some(uop.region),
-                                    sandboxed,
-                                });
-                            }
-                        }
-                        Err(f) => return self.fault_exit(f, pc),
-                    }
-                }
-                OpClass::HmovStore => {
-                    self.cycles += self.weights.mem;
-                    self.stats.mem_ops += 1;
-                    self.stats.hfi_checks += 1;
-                    let mut index = self.slot(uop.srcs[1]) as i64;
-                    let mut skip = false;
-                    if let Some(hook) = self.chaos.as_deref_mut() {
-                        index = hook.perturb_ea(byte_pc, index as u64) as i64;
-                        skip = hook.skip_guard(byte_pc);
-                    }
-                    let resolved = match self.hfi.hmov_check_access(
-                        uop.region,
-                        index,
-                        uop.scale as u64,
-                        uop.imm,
-                        uop.size as u64,
-                        Access::Write,
-                    ) {
-                        Ok(ea) => Ok(ea),
-                        Err(f) => match self.hfi.hmov_unchecked_ea(
-                            uop.region,
-                            index,
-                            uop.scale as u64,
-                            uop.imm,
-                        ) {
-                            Some(ea) if skip => Ok(ea),
-                            _ => Err(f),
-                        },
-                    };
-                    match resolved {
-                        Ok(ea) => {
-                            self.mem.write(ea, self.slot(uop.srcs[2]), uop.size);
-                            if self.chaos.is_some() {
-                                let sandboxed = self.hfi.enabled();
-                                self.chaos_observe(ArchEvent::Mem {
-                                    pc: byte_pc,
-                                    addr: ea,
-                                    size: uop.size,
-                                    access: Access::Write,
-                                    hmov: Some(uop.region),
-                                    sandboxed,
-                                });
-                            }
-                        }
-                        Err(f) => return self.fault_exit(f, pc),
-                    }
-                }
-                OpClass::Branch => {
-                    self.cycles += self.weights.branch;
-                    self.stats.branches += 1;
-                    if uop
-                        .cond
-                        .eval(self.slot(uop.srcs[0]), self.slot(uop.srcs[1]))
-                    {
-                        next = uop.target as usize;
-                    }
-                }
-                OpClass::BranchI => {
-                    self.cycles += self.weights.branch;
-                    self.stats.branches += 1;
-                    if uop.cond.eval(self.slot(uop.srcs[0]), uop.imm as u64) {
-                        next = uop.target as usize;
-                    }
-                }
-                OpClass::Jump => {
-                    self.cycles += self.weights.control;
-                    next = uop.target as usize;
-                }
-                OpClass::JumpInd => {
-                    self.cycles += self.weights.control;
-                    self.stats.branches += 1;
-                    let target_pc = self.slot(uop.srcs[0]);
-                    next = match self.program.index_of_pc(target_pc) {
-                        Some(idx) => idx,
-                        None => {
-                            let fault = match self.hfi.check_fetch(target_pc, 1) {
-                                Err(fault) => fault,
-                                Ok(()) => HfiFault::Hardware { addr: target_pc },
-                            };
-                            return self.fault_exit(fault, pc);
-                        }
-                    };
-                }
-                OpClass::Call => {
-                    self.cycles += self.weights.control;
-                    self.call_stack.push(pc + 1);
-                    next = uop.target as usize;
-                }
-                OpClass::Ret => {
-                    self.cycles += self.weights.control;
-                    next = match self.call_stack.pop() {
-                        Some(idx) => idx,
-                        None => return StepExit::Stop(Stop::Halted),
-                    };
-                }
-                OpClass::Syscall => {
-                    let number = self.regs[0];
-                    self.cycles += self.costs.syscall_check_cycles as f64;
-                    match self.hfi.syscall(number, SyscallKind::Syscall) {
-                        SyscallDisposition::Redirect(handler) => {
-                            self.stats.syscalls_redirected += 1;
-                            if pc + 1 < self.program.len() {
-                                self.regs[14] = self.program.pc_of(pc + 1);
-                            }
-                            next = match self.program.index_of_pc(handler) {
-                                Some(idx) => idx,
-                                None => {
-                                    return StepExit::Stop(Stop::Fault(HfiFault::Hardware {
-                                        addr: handler,
-                                    }));
-                                }
-                            };
-                        }
-                        SyscallDisposition::Allow => {
-                            self.stats.syscalls_to_os += 1;
-                            let outcome: SyscallOutcome =
-                                self.os.syscall(number, &mut self.regs, &mut self.mem);
-                            self.cycles += self.costs.syscall_roundtrip_cycles as f64
-                                + outcome.extra_cycles as f64;
-                            self.regs[0] = outcome.ret;
-                            if outcome.exit {
-                                return StepExit::Stop(Stop::Exited { code: self.regs[1] });
-                            }
-                        }
-                        SyscallDisposition::Fault => {
-                            return self.fault_exit(HfiFault::PrivilegedInstruction, pc);
-                        }
-                    }
-                }
-                OpClass::Cpuid => {
-                    self.stats.serializations += 1;
-                    self.cycles += self.costs.serialize_cycles as f64;
-                }
-                OpClass::Fence => {
-                    self.cycles += 2.0;
-                }
-                OpClass::Flush => {
-                    self.cycles += 3.0;
-                }
-                OpClass::HfiEnter => {
-                    let Inst::HfiEnter { config } = program.inst(pc) else {
-                        unreachable!("plan class HfiEnter lowered from HfiEnter");
-                    };
-                    // Entry assertion: re-validate the springboard's
-                    // contract against the architectural register file
-                    // before the sandbox starts (free — the compares
-                    // overlap the enter microcode). This is the
-                    // fail-closed backstop for transition corruption.
-                    if let Some(contract) = program.contract() {
-                        let mut skip = false;
-                        if let Some(hook) = self.chaos.as_deref_mut() {
-                            skip = hook.skip_transition_check(byte_pc);
-                        }
-                        if !skip {
-                            if let Some(reg) = contract.first_violation(&self.regs) {
-                                return self.fault_exit(HfiFault::TransitionContract { reg }, pc);
-                            }
-                        }
-                    }
-                    self.cycles += self.costs.enter_exit_base_cycles as f64;
-                    match self.hfi.enter(*config) {
-                        Ok(effect) => {
-                            if effect == hfi_core::SerializationEffect::Serialize {
-                                self.stats.serializations += 1;
-                                self.cycles += self.costs.serialize_cycles as f64;
-                            }
-                        }
-                        Err(f) => return self.fault_exit(f, pc),
-                    }
-                }
-                OpClass::HfiEnterChild => {
-                    let Inst::HfiEnterChild { config, regions } = program.inst(pc) else {
-                        unreachable!("plan class HfiEnterChild lowered from HfiEnterChild");
-                    };
-                    self.cycles +=
-                        (self.costs.enter_exit_base_cycles + self.costs.set_region_cycles) as f64;
-                    match self.hfi.enter_child(*config, **regions) {
-                        Ok(effect) => {
-                            if effect == hfi_core::SerializationEffect::Serialize {
-                                self.stats.serializations += 1;
-                                self.cycles += self.costs.serialize_cycles as f64;
-                            }
-                        }
-                        Err(f) => return self.fault_exit(f, pc),
-                    }
-                }
-                OpClass::HfiExit => {
-                    self.cycles += self.costs.enter_exit_base_cycles as f64;
-                    match self.hfi.exit() {
-                        Ok((disposition, effect)) => {
-                            if effect == hfi_core::SerializationEffect::Serialize {
-                                self.stats.serializations += 1;
-                                self.cycles += self.costs.serialize_cycles as f64;
-                            }
-                            if let ExitDisposition::JumpToHandler(handler) = disposition {
-                                next = match self.program.index_of_pc(handler) {
-                                    Some(idx) => idx,
-                                    None => {
-                                        return StepExit::Stop(Stop::Fault(HfiFault::Hardware {
-                                            addr: handler,
-                                        }));
-                                    }
-                                };
-                            }
-                        }
-                        Err(f) => return self.fault_exit(f, pc),
-                    }
-                }
-                OpClass::HfiReenter => {
-                    self.cycles += self.costs.enter_exit_base_cycles as f64;
-                    if let Err(f) = self.hfi.reenter() {
-                        return self.fault_exit(f, pc);
-                    }
-                }
-                OpClass::HfiSetRegion => {
-                    let Inst::HfiSetRegion { slot, region } = program.inst(pc) else {
-                        unreachable!("plan class HfiSetRegion lowered from HfiSetRegion");
-                    };
-                    self.cycles += self.costs.set_region_cycles as f64;
-                    match self.hfi.set_region(*slot as usize, *region) {
-                        Ok(effect) => {
-                            if effect == hfi_core::SerializationEffect::Serialize {
-                                self.stats.serializations += 1;
-                                self.cycles += self.costs.serialize_cycles as f64;
-                            }
-                        }
-                        Err(f) => return self.fault_exit(f, pc),
-                    }
-                }
-                OpClass::HfiClearRegion => {
-                    self.cycles += 1.0;
-                    if let Err(f) = self.hfi.clear_region(uop.region as usize) {
-                        return self.fault_exit(f, pc);
-                    }
-                }
-                OpClass::HfiClearAllRegions => {
-                    self.cycles += 1.0;
-                    if let Err(f) = self.hfi.clear_all_regions() {
-                        return self.fault_exit(f, pc);
-                    }
-                }
-                OpClass::Nop => {
-                    self.cycles += self.weights.alu;
-                }
-                OpClass::Halt => return StepExit::Stop(Stop::Halted),
-            }
-            if self.chaos.is_some() {
-                if uop.dst != NO_REG {
-                    let value = self.regs[uop.dst as usize];
-                    if let Some(hook) = self.chaos.as_deref_mut() {
-                        self.regs[uop.dst as usize] = hook.perturb_result(byte_pc, value);
-                    }
-                    // Transition corruption: a springboard op whose
-                    // result never lands — the register keeps junk in
-                    // place of the zeroed/switched value. The entry
-                    // assertion at `hfi_enter` must catch it.
-                    if uop.has(MicroOp::TRANSITION) {
-                        if let Some(hook) = self.chaos.as_deref_mut() {
-                            if hook.corrupt_transition(byte_pc) {
-                                self.regs[uop.dst as usize] =
-                                    crate::chaos::transition_junk(byte_pc);
-                            }
-                        }
-                    }
-                }
-                // "Between instructions": the retired op's architectural
-                // effects are visible, the next fetch has not happened.
-                if let Some(hook) = self.chaos.as_deref_mut() {
-                    hook.corrupt_context(&mut self.hfi);
-                }
-            }
-            StepExit::Next(next)
-        }
-    }
-
-    /// The block-threaded engine over the fused superinstruction plan.
-    ///
-    /// Dispatches one [`SuperOp`] at a time instead of one micro-op at a
-    /// time: straight-line runs of same-category ops execute in tight
-    /// specialized loops (`sop_alu_run`, `sop_guarded_run`, …) that skip
-    /// per-op class dispatch. Three situations fall back to the reference
-    /// [`Functional::step`] routine so semantics stay bit-identical:
-    ///
-    /// * a chaos hook is attached (`corrupt_context` may rewrite the HFI
-    ///   context between *any* two ops, so every op must be observed);
-    /// * control enters a block mid-way (fault-handler redirects and
-    ///   indirect jumps can land inside a superop);
-    /// * the superop kind is `HfiSeq` or `Step` (cold / payload classes).
-    fn run_fused(&mut self, max_insts: u64) -> FunctionalResult {
-        let fused = fused_plan_of(&self.program);
-        let plan = Arc::clone(fused.base());
-        let program = Arc::clone(&self.program);
-        let observed = self.chaos.is_some() || self.fuel.is_some();
-        let mut pc = 0usize;
-        let mut stop = Stop::CycleLimit;
-        let mut budget = max_insts;
-        'outer: while budget > 0 {
-            if pc >= plan.len() {
-                stop = Stop::Halted;
-                break;
-            }
-            let b = plan.block_of(pc);
-            let bb = plan.blocks()[b];
-            if observed || pc != bb.start as usize {
-                // Reference path: per-op, fully observed.
-                budget -= 1;
-                if self.fuel.is_some() && !self.poll_fuel() {
-                    break; // cancelled: stop stays CycleLimit
-                }
-                match self.step(pc, &plan, &program) {
-                    StepExit::Next(next) => pc = next,
-                    StepExit::Stop(s) => {
-                        stop = s;
-                        break;
-                    }
-                }
-                continue;
-            }
-            // Fast path: thread the block's superops in order.
-            let fb = fused.block(b);
-            let mut s = fb.sop_start;
-            while s < fb.sop_end {
-                if budget == 0 {
-                    continue 'outer;
-                }
-                let sop = *fused.sop(s as usize);
-                let start = sop.start as usize;
-                let end = sop.end();
-                let exit = match sop.kind {
-                    SuperOpKind::AluRun => self.sop_alu_run(start, end, &mut budget, &plan),
-                    SuperOpKind::CmpBranch => self.sop_cmp_branch(start, &mut budget, &plan),
-                    SuperOpKind::GuardedAccess => {
-                        self.sop_guarded_run(start, end, &mut budget, &plan)
-                    }
-                    SuperOpKind::HmovChain => self.sop_hmov_run(start, end, &mut budget, &plan),
-                    SuperOpKind::HfiSeq | SuperOpKind::Step => {
-                        self.sop_step_run(start, end, &mut budget, &plan, &program)
-                    }
-                };
-                match exit {
-                    StepExit::Next(next) if next == end => {
-                        pc = next;
-                        s += 1;
-                    }
-                    StepExit::Next(next) => {
-                        // Divergence: taken branch, fault-handler redirect,
-                        // or budget exhaustion mid-superop. Re-enter the
-                        // outer dispatch from wherever control landed.
-                        pc = next;
-                        continue 'outer;
-                    }
-                    StepExit::Stop(s) => {
-                        stop = s;
-                        break 'outer;
-                    }
-                }
-            }
-        }
-        self.result_with(stop)
-    }
-
-    fn result_with(&self, stop: Stop) -> FunctionalResult {
+            self.run_blocks(&plan, max_insts)
+        };
         FunctionalResult {
             cycles: self.cycles,
             stop,
@@ -952,253 +379,575 @@ impl Functional {
         }
     }
 
-    /// Fetch-side HFI check for one instruction index, mirroring the head
-    /// of [`Functional::step`]. Only called when a check can actually
-    /// happen; when HFI is disabled `check_fetch` is a no-op with no
-    /// counter side effects, so the call is skipped entirely.
-    #[inline]
-    fn fetch_gate(&mut self, idx: usize, plan: &DecodedProgram) -> Result<(), StepExit> {
-        if self.hfi.enabled() {
-            self.stats.hfi_checks += 1;
-            if let Err(fault) = self.hfi.check_fetch(plan.pc(idx), plan.op(idx).len as u64) {
-                return Err(self.fault_exit(fault, idx));
+    /// The per-op loop: every op takes [`Functional::step`], and the fuel
+    /// hook, if any, is polled before each one.
+    fn run_per_op(&mut self, plan: &DecodedProgram, max_insts: u64) -> Stop {
+        let mut pc = 0usize;
+        let mut budget = max_insts;
+        while budget > 0 {
+            budget -= 1;
+            if pc >= plan.len() {
+                return Stop::Halted;
             }
+            if self.fuel.is_some() && !self.poll_fuel() {
+                return Stop::CycleLimit; // cancelled
+            }
+            match self.step(pc, plan) {
+                StepExit::Next(next) => pc = next,
+                StepExit::Stop(stop) => return stop,
+            }
+        }
+        Stop::CycleLimit
+    }
+
+    /// The block-stepped loop, for runs with no hook installed.
+    ///
+    /// Runs basic blocks back to back with the cycle sum, the counters
+    /// and the remaining budget in locals, written back whenever control
+    /// leaves the loop. HFI's implicit code-region check — the one the
+    /// hardware makes at decode (§4.1) — is made once per block entry
+    /// instead of once per op. An entry is a block leader, or a
+    /// mid-block op after a fault redirect or a per-op step; it goes on
+    /// only if the budget covers the ops up to the block's end and,
+    /// while HFI is enabled, the bytes from this op to the block's last
+    /// byte lie inside [`HfiContext::fetch_window`]. Every fetch of that
+    /// span would pass, so each op still counts its fetch check in
+    /// `hfi_checks`. Otherwise that one op takes [`Functional::step`].
+    ///
+    /// The window is read each time the loop is entered and needs no
+    /// invalidation: every op that can change the HFI context (`hfi_*`,
+    /// `syscall`, `cpuid`) leaves the loop, and so do faults, `rdtsc`
+    /// (it reads the cycle count), indirect jumps (the byte-PC lookup can
+    /// fault) and `halt`. Cycles are still summed one op at a time in
+    /// program order: an f64 sum depends on its order.
+    fn run_blocks(&mut self, plan: &DecodedProgram, max_insts: u64) -> Stop {
+        let ops = plan.ops();
+        let mut pc = 0usize;
+        let mut budget = max_insts;
+        loop {
+            let enabled = self.hfi.enabled();
+            let (lo, hi) = self.hfi.fetch_window().into_inner();
+            let mut cycles = self.cycles;
+            let mut stats = self.stats;
+            let left = 'blocks: loop {
+                if budget == 0 {
+                    break Flow::Stop(Stop::CycleLimit);
+                }
+                if pc >= ops.len() {
+                    break Flow::Stop(Stop::Halted);
+                }
+                let tail = plan.tail(pc);
+                let end = tail.end as usize;
+                // `first_byte <= last_byte` fails only for a block that
+                // runs past the top of the address space.
+                let fetch_ok = !enabled
+                    || (lo <= tail.first_byte
+                        && tail.first_byte <= tail.last_byte
+                        && tail.last_byte <= hi);
+                if budget < (end - pc) as u64 || !fetch_ok {
+                    break Flow::Leave;
+                }
+                for (idx, uop) in ops.iter().enumerate().take(end).skip(pc) {
+                    let flow = self.exec::<false>(idx, uop, plan, enabled, &mut cycles, &mut stats);
+                    if let Flow::Leave = flow {
+                        pc = idx;
+                        break 'blocks flow;
+                    }
+                    budget -= 1;
+                    stats.retired += 1;
+                    stats.hfi_checks += enabled as u64;
+                    match flow {
+                        Flow::Next(next) => pc = next,
+                        left => {
+                            pc = idx;
+                            break 'blocks left;
+                        }
+                    }
+                }
+            };
+            self.cycles = cycles;
+            self.stats = stats;
+            let exit = match left {
+                Flow::Fault(fault) => self.fault_exit(fault, pc),
+                Flow::Leave => {
+                    budget -= 1;
+                    self.step(pc, plan)
+                }
+                Flow::Stop(stop) => return stop,
+                Flow::Next(_) => unreachable!("the block loop leaves only to stop, fault or step"),
+            };
+            match exit {
+                StepExit::Next(next) => pc = next,
+                StepExit::Stop(stop) => return stop,
+            }
+        }
+    }
+
+    /// Executes exactly one micro-op at instruction index `pc` with full
+    /// reference semantics — fetch check, counters, chaos observation and
+    /// injection, cost accumulation, fault delivery — and reports where
+    /// control goes next. Hooked runs take it for every op; the block
+    /// loop takes it for each op it does not run inline.
+    fn step(&mut self, pc: usize, plan: &DecodedProgram) -> StepExit {
+        let byte_pc = plan.pc(pc);
+        let uop = plan.op(pc);
+        let enabled = self.hfi.enabled();
+        if enabled {
+            self.stats.hfi_checks += 1;
+        }
+        if let Err(fault) = self.hfi.check_fetch(byte_pc, uop.len as u64) {
+            return self.fault_exit(fault, pc);
+        }
+        self.stats.retired += 1;
+        if self.chaos.is_some() {
+            self.chaos_observe(ArchEvent::Retire {
+                pc: byte_pc,
+                len: uop.len,
+                sandboxed: enabled,
+            });
+        }
+        let (mut cycles, mut stats) = (self.cycles, self.stats);
+        let flow = self.exec::<true>(pc, uop, plan, enabled, &mut cycles, &mut stats);
+        self.cycles = cycles;
+        self.stats = stats;
+        let next = match flow {
+            Flow::Next(next) => next,
+            Flow::Fault(fault) => return self.fault_exit(fault, pc),
+            Flow::Stop(stop) => return StepExit::Stop(stop),
+            Flow::Leave => unreachable!("the observed instance runs every class"),
+        };
+        if self.chaos.is_some() {
+            if uop.dst != NO_REG {
+                let value = self.regs[uop.dst as usize];
+                if let Some(hook) = self.chaos.as_deref_mut() {
+                    self.regs[uop.dst as usize] = hook.perturb_result(byte_pc, value);
+                }
+                // Transition corruption: a springboard op whose
+                // result never lands — the register keeps junk in
+                // place of the zeroed/switched value. The entry
+                // assertion at `hfi_enter` must catch it.
+                if uop.has(MicroOp::TRANSITION) {
+                    if let Some(hook) = self.chaos.as_deref_mut() {
+                        if hook.corrupt_transition(byte_pc) {
+                            self.regs[uop.dst as usize] = crate::chaos::transition_junk(byte_pc);
+                        }
+                    }
+                }
+            }
+            // "Between instructions": the retired op's architectural
+            // effects are visible, the next fetch has not happened.
+            if let Some(hook) = self.chaos.as_deref_mut() {
+                hook.corrupt_context(&mut self.hfi);
+            }
+        }
+        StepExit::Next(next)
+    }
+
+    /// The architectural semantics of the op at instruction index `pc`,
+    /// after its fetch check: cost, counters, registers, memory, and
+    /// where control goes. `enabled` is whether HFI was enabled when the
+    /// op was fetched; `cycles` and `stats` are the caller's running
+    /// totals.
+    ///
+    /// Written once for both loops. [`Functional::step`] instantiates it
+    /// `OBSERVED`: the chaos sites are live and every class runs. The
+    /// block loop instantiates it unobserved: no hook can be installed,
+    /// and the classes it does not run inline return [`Flow::Leave`]
+    /// before touching any state.
+    #[inline(always)]
+    fn exec<const OBSERVED: bool>(
+        &mut self,
+        pc: usize,
+        uop: &MicroOp,
+        plan: &DecodedProgram,
+        enabled: bool,
+        cycles: &mut f64,
+        stats: &mut FunctionalStats,
+    ) -> Flow {
+        let mut next = pc + 1;
+        match uop.class {
+            OpClass::AluRR => {
+                *cycles += self.weight_of(uop.alu);
+                self.regs[uop.dst as usize] =
+                    alu(uop.alu, self.slot(uop.srcs[0]), self.slot(uop.srcs[1]));
+            }
+            OpClass::AluRI => {
+                *cycles += self.weight_of(uop.alu);
+                self.regs[uop.dst as usize] = alu(uop.alu, self.slot(uop.srcs[0]), uop.imm as u64);
+            }
+            OpClass::MovI => {
+                *cycles += self.weights.alu;
+                self.regs[uop.dst as usize] = uop.imm as u64;
+            }
+            OpClass::Mov => {
+                *cycles += self.weights.alu;
+                self.regs[uop.dst as usize] = self.slot(uop.srcs[0]);
+            }
+            OpClass::Load => {
+                if let Err(fault) = self.data_access::<OBSERVED>(
+                    pc,
+                    uop,
+                    plan,
+                    Access::Read,
+                    enabled,
+                    cycles,
+                    stats,
+                ) {
+                    return Flow::Fault(fault);
+                }
+            }
+            OpClass::Store => {
+                if let Err(fault) = self.data_access::<OBSERVED>(
+                    pc,
+                    uop,
+                    plan,
+                    Access::Write,
+                    enabled,
+                    cycles,
+                    stats,
+                ) {
+                    return Flow::Fault(fault);
+                }
+            }
+            OpClass::HmovLoad => {
+                if let Err(fault) = self.hmov_access::<OBSERVED>(
+                    pc,
+                    uop,
+                    plan,
+                    Access::Read,
+                    enabled,
+                    cycles,
+                    stats,
+                ) {
+                    return Flow::Fault(fault);
+                }
+            }
+            OpClass::HmovStore => {
+                if let Err(fault) = self.hmov_access::<OBSERVED>(
+                    pc,
+                    uop,
+                    plan,
+                    Access::Write,
+                    enabled,
+                    cycles,
+                    stats,
+                ) {
+                    return Flow::Fault(fault);
+                }
+            }
+            OpClass::Branch => {
+                *cycles += self.weights.branch;
+                stats.branches += 1;
+                if uop
+                    .cond
+                    .eval(self.slot(uop.srcs[0]), self.slot(uop.srcs[1]))
+                {
+                    next = uop.target as usize;
+                }
+            }
+            OpClass::BranchI => {
+                *cycles += self.weights.branch;
+                stats.branches += 1;
+                if uop.cond.eval(self.slot(uop.srcs[0]), uop.imm as u64) {
+                    next = uop.target as usize;
+                }
+            }
+            OpClass::Jump => {
+                *cycles += self.weights.control;
+                next = uop.target as usize;
+            }
+            OpClass::Call => {
+                *cycles += self.weights.control;
+                self.call_stack.push(pc + 1);
+                next = uop.target as usize;
+            }
+            OpClass::Ret => {
+                *cycles += self.weights.control;
+                next = match self.call_stack.pop() {
+                    Some(idx) => idx,
+                    None => return Flow::Stop(Stop::Halted),
+                };
+            }
+            OpClass::Fence => {
+                *cycles += 2.0;
+            }
+            OpClass::Flush => {
+                *cycles += 3.0;
+            }
+            OpClass::Nop => {
+                *cycles += self.weights.alu;
+            }
+            // Everything below can read the cycle count, change the HFI
+            // context, or redirect control through a byte-PC lookup.
+            _ if !OBSERVED => return Flow::Leave,
+            OpClass::Rdtsc => {
+                *cycles += self.weights.alu;
+                self.regs[uop.dst as usize] = *cycles as u64;
+            }
+            OpClass::JumpInd => {
+                *cycles += self.weights.control;
+                stats.branches += 1;
+                let target_pc = self.slot(uop.srcs[0]);
+                next = match plan.program().index_of_pc(target_pc) {
+                    Some(idx) => idx,
+                    None => {
+                        return Flow::Fault(match self.hfi.check_fetch(target_pc, 1) {
+                            Err(fault) => fault,
+                            Ok(()) => HfiFault::Hardware { addr: target_pc },
+                        });
+                    }
+                };
+            }
+            OpClass::Syscall => {
+                let number = self.regs[0];
+                *cycles += self.costs.syscall_check_cycles as f64;
+                match self.hfi.syscall(number, SyscallKind::Syscall) {
+                    SyscallDisposition::Redirect(handler) => {
+                        stats.syscalls_redirected += 1;
+                        if pc + 1 < plan.len() {
+                            self.regs[14] = plan.pc(pc + 1);
+                        }
+                        next = match plan.program().index_of_pc(handler) {
+                            Some(idx) => idx,
+                            None => {
+                                return Flow::Stop(Stop::Fault(HfiFault::Hardware {
+                                    addr: handler,
+                                }));
+                            }
+                        };
+                    }
+                    SyscallDisposition::Allow => {
+                        stats.syscalls_to_os += 1;
+                        let outcome: SyscallOutcome =
+                            self.os.syscall(number, &mut self.regs, &mut self.mem);
+                        *cycles += self.costs.syscall_roundtrip_cycles as f64
+                            + outcome.extra_cycles as f64;
+                        self.regs[0] = outcome.ret;
+                        if outcome.exit {
+                            return Flow::Stop(Stop::Exited { code: self.regs[1] });
+                        }
+                    }
+                    SyscallDisposition::Fault => {
+                        return Flow::Fault(HfiFault::PrivilegedInstruction)
+                    }
+                }
+            }
+            OpClass::Cpuid => {
+                stats.serializations += 1;
+                *cycles += self.costs.serialize_cycles as f64;
+            }
+            OpClass::HfiEnter => {
+                let Inst::HfiEnter { config } = plan.program().inst(pc) else {
+                    unreachable!("plan class HfiEnter lowered from HfiEnter");
+                };
+                // Entry assertion: re-validate the springboard's
+                // contract against the architectural register file
+                // before the sandbox starts (free — the compares
+                // overlap the enter microcode). This is the
+                // fail-closed backstop for transition corruption.
+                if let Some(contract) = plan.program().contract() {
+                    let mut skip = false;
+                    if let Some(hook) = self.chaos.as_deref_mut() {
+                        skip = hook.skip_transition_check(plan.pc(pc));
+                    }
+                    if !skip {
+                        if let Some(reg) = contract.first_violation(&self.regs) {
+                            return Flow::Fault(HfiFault::TransitionContract { reg });
+                        }
+                    }
+                }
+                *cycles += self.costs.enter_exit_base_cycles as f64;
+                match self.hfi.enter(*config) {
+                    Ok(effect) => self.count_serialize(effect, cycles, stats),
+                    Err(fault) => return Flow::Fault(fault),
+                }
+            }
+            OpClass::HfiEnterChild => {
+                let Inst::HfiEnterChild { config, regions } = plan.program().inst(pc) else {
+                    unreachable!("plan class HfiEnterChild lowered from HfiEnterChild");
+                };
+                *cycles +=
+                    (self.costs.enter_exit_base_cycles + self.costs.set_region_cycles) as f64;
+                match self.hfi.enter_child(*config, **regions) {
+                    Ok(effect) => self.count_serialize(effect, cycles, stats),
+                    Err(fault) => return Flow::Fault(fault),
+                }
+            }
+            OpClass::HfiExit => {
+                *cycles += self.costs.enter_exit_base_cycles as f64;
+                match self.hfi.exit() {
+                    Ok((disposition, effect)) => {
+                        self.count_serialize(effect, cycles, stats);
+                        if let ExitDisposition::JumpToHandler(handler) = disposition {
+                            next = match plan.program().index_of_pc(handler) {
+                                Some(idx) => idx,
+                                None => {
+                                    return Flow::Stop(Stop::Fault(HfiFault::Hardware {
+                                        addr: handler,
+                                    }));
+                                }
+                            };
+                        }
+                    }
+                    Err(fault) => return Flow::Fault(fault),
+                }
+            }
+            OpClass::HfiReenter => {
+                *cycles += self.costs.enter_exit_base_cycles as f64;
+                if let Err(fault) = self.hfi.reenter() {
+                    return Flow::Fault(fault);
+                }
+            }
+            OpClass::HfiSetRegion => {
+                let Inst::HfiSetRegion { slot, region } = plan.program().inst(pc) else {
+                    unreachable!("plan class HfiSetRegion lowered from HfiSetRegion");
+                };
+                *cycles += self.costs.set_region_cycles as f64;
+                match self.hfi.set_region(*slot as usize, *region) {
+                    Ok(effect) => self.count_serialize(effect, cycles, stats),
+                    Err(fault) => return Flow::Fault(fault),
+                }
+            }
+            OpClass::HfiClearRegion => {
+                *cycles += 1.0;
+                if let Err(fault) = self.hfi.clear_region(uop.region as usize) {
+                    return Flow::Fault(fault);
+                }
+            }
+            OpClass::HfiClearAllRegions => {
+                *cycles += 1.0;
+                if let Err(fault) = self.hfi.clear_all_regions() {
+                    return Flow::Fault(fault);
+                }
+            }
+            OpClass::Halt => return Flow::Stop(Stop::Halted),
+        }
+        Flow::Next(next)
+    }
+
+    /// Charges a serializing HFI instruction's drain, if it serialized.
+    fn count_serialize(
+        &self,
+        effect: SerializationEffect,
+        cycles: &mut f64,
+        stats: &mut FunctionalStats,
+    ) {
+        if effect == SerializationEffect::Serialize {
+            stats.serializations += 1;
+            *cycles += self.costs.serialize_cycles as f64;
+        }
+    }
+
+    /// A plain load or store through the implicit data regions (paper
+    /// §3.2): the op's cost, counters, chaos sites and the access itself.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn data_access<const OBSERVED: bool>(
+        &mut self,
+        pc: usize,
+        uop: &MicroOp,
+        plan: &DecodedProgram,
+        access: Access,
+        enabled: bool,
+        cycles: &mut f64,
+        stats: &mut FunctionalStats,
+    ) -> Result<(), HfiFault> {
+        *cycles += self.weights.mem;
+        stats.mem_ops += 1;
+        if enabled {
+            stats.hfi_checks += 1;
+        }
+        let mut addr = self.ea_of(uop);
+        let mut skip = false;
+        if OBSERVED {
+            if let Some(hook) = self.chaos.as_deref_mut() {
+                addr = hook.perturb_ea(plan.pc(pc), addr);
+                skip = hook.skip_guard(plan.pc(pc));
+            }
+        }
+        // A disabled context checks nothing.
+        if enabled && !skip {
+            self.hfi.check_data(addr, uop.size as u64, access)?;
+        }
+        match access {
+            Access::Write => self.mem.write(addr, self.slot(uop.srcs[2]), uop.size),
+            _ => self.regs[uop.dst as usize] = self.mem.read(addr, uop.size),
+        }
+        if OBSERVED && self.chaos.is_some() {
+            self.chaos_observe(ArchEvent::Mem {
+                pc: plan.pc(pc),
+                addr,
+                size: uop.size,
+                access,
+                hmov: None,
+                sandboxed: enabled,
+            });
         }
         Ok(())
     }
 
-    /// Executes one `Simple`-category op (ALU / moves / rdtsc / nop)
-    /// without the full class dispatch. Must stay cost- and
-    /// counter-identical to the matching arms in [`Functional::step`].
-    #[inline]
-    fn exec_simple(&mut self, uop: &MicroOp) {
-        match uop.class {
-            OpClass::AluRR => {
-                self.cycles += self.weight_of(uop.alu);
-                let a = self.slot(uop.srcs[0]);
-                let b = self.slot(uop.srcs[1]);
-                self.regs[uop.dst as usize] = alu(uop.alu, a, b);
-            }
-            OpClass::AluRI => {
-                self.cycles += self.weight_of(uop.alu);
-                let a = self.slot(uop.srcs[0]);
-                self.regs[uop.dst as usize] = alu(uop.alu, a, uop.imm as u64);
-            }
-            OpClass::MovI => {
-                self.cycles += self.weights.alu;
-                self.regs[uop.dst as usize] = uop.imm as u64;
-            }
-            OpClass::Mov => {
-                self.cycles += self.weights.alu;
-                self.regs[uop.dst as usize] = self.slot(uop.srcs[0]);
-            }
-            OpClass::Rdtsc => {
-                self.cycles += self.weights.alu;
-                self.regs[uop.dst as usize] = self.cycles as u64;
-            }
-            _ => {
-                // `Nop` is the only other Simple class.
-                self.cycles += self.weights.alu;
-            }
-        }
-    }
-
-    /// `AluRun` superop: a straight run of Simple ops.
-    fn sop_alu_run(
+    /// An `hmov` load or store through an explicit region (paper §3.2,
+    /// §4.2): the op's cost, counters, chaos sites and the access itself.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn hmov_access<const OBSERVED: bool>(
         &mut self,
-        start: usize,
-        end: usize,
-        budget: &mut u64,
+        pc: usize,
+        uop: &MicroOp,
         plan: &DecodedProgram,
-    ) -> StepExit {
-        // Straight-line fast path: with HFI disabled there is no fetch
-        // gate (a disabled `check_fetch` is a no-op with no counter side
-        // effects) and Simple ops cannot fault or redirect, so the whole
-        // run retires unconditionally. Batching the budget decrement and
-        // retired bump is exact: the reference loop's per-op `budget -= 1`
-        // totals the same subtraction, and budget is unobservable except
-        // through where execution stops — which this path never changes
-        // (it only enters when the budget covers the full run). Per-op
-        // cycle accumulation order is preserved inside `exec_simple`.
-        let count = (end - start) as u64;
-        if *budget >= count && !self.hfi.enabled() {
-            *budget -= count;
-            self.stats.retired += count;
-            for uop in &plan.ops()[start..end] {
-                let uop = *uop;
-                self.exec_simple(&uop);
+        access: Access,
+        enabled: bool,
+        cycles: &mut f64,
+        stats: &mut FunctionalStats,
+    ) -> Result<(), HfiFault> {
+        *cycles += self.weights.mem;
+        stats.mem_ops += 1;
+        stats.hfi_checks += 1;
+        let mut index = self.slot(uop.srcs[1]) as i64;
+        let mut skip = false;
+        if OBSERVED {
+            if let Some(hook) = self.chaos.as_deref_mut() {
+                // The flip lands in the address datapath upstream
+                // of the §4.2 guard, which must still face it.
+                index = hook.perturb_ea(plan.pc(pc), index as u64) as i64;
+                skip = hook.skip_guard(plan.pc(pc));
             }
-            return StepExit::Next(end);
         }
-        for idx in start..end {
-            if *budget == 0 {
-                return StepExit::Next(idx);
-            }
-            *budget -= 1;
-            if let Err(exit) = self.fetch_gate(idx, plan) {
-                return exit;
-            }
-            self.stats.retired += 1;
-            let uop = *plan.op(idx);
-            self.exec_simple(&uop);
-        }
-        StepExit::Next(end)
-    }
-
-    /// `CmpBranch` superop: one Simple op (the compare) immediately
-    /// followed by the block-terminating conditional branch.
-    fn sop_cmp_branch(
-        &mut self,
-        start: usize,
-        budget: &mut u64,
-        plan: &DecodedProgram,
-    ) -> StepExit {
-        *budget -= 1;
-        if let Err(exit) = self.fetch_gate(start, plan) {
-            return exit;
-        }
-        self.stats.retired += 1;
-        let cmp = *plan.op(start);
-        self.exec_simple(&cmp);
-        if *budget == 0 {
-            return StepExit::Next(start + 1);
-        }
-        *budget -= 1;
-        let br_idx = start + 1;
-        if let Err(exit) = self.fetch_gate(br_idx, plan) {
-            return exit;
-        }
-        self.stats.retired += 1;
-        let br = *plan.op(br_idx);
-        self.cycles += self.weights.branch;
-        self.stats.branches += 1;
-        let lhs = self.slot(br.srcs[0]);
-        let rhs = if br.class == OpClass::BranchI {
-            br.imm as u64
-        } else {
-            self.slot(br.srcs[1])
+        let scale = uop.scale as u64;
+        let ea = match self.hfi.hmov_check_access(
+            uop.region,
+            index,
+            scale,
+            uop.imm,
+            uop.size as u64,
+            access,
+        ) {
+            Ok(ea) => ea,
+            // A dropped guard micro-op: the raw AGU address proceeds
+            // unchecked (fault injection only).
+            Err(fault) => match self
+                .hfi
+                .hmov_unchecked_ea(uop.region, index, scale, uop.imm)
+            {
+                Some(ea) if skip => ea,
+                _ => return Err(fault),
+            },
         };
-        StepExit::Next(if br.cond.eval(lhs, rhs) {
-            br.target as usize
-        } else {
-            br_idx + 1
-        })
-    }
-
-    /// `GuardedAccess` superop: a run of implicitly-checked loads/stores.
-    fn sop_guarded_run(
-        &mut self,
-        start: usize,
-        end: usize,
-        budget: &mut u64,
-        plan: &DecodedProgram,
-    ) -> StepExit {
-        for idx in start..end {
-            if *budget == 0 {
-                return StepExit::Next(idx);
-            }
-            *budget -= 1;
-            if let Err(exit) = self.fetch_gate(idx, plan) {
-                return exit;
-            }
-            self.stats.retired += 1;
-            let uop = *plan.op(idx);
-            self.cycles += self.weights.mem;
-            self.stats.mem_ops += 1;
-            if self.hfi.enabled() {
-                self.stats.hfi_checks += 1;
-            }
-            let addr = self.ea_of(&uop);
-            if uop.has(MicroOp::IS_STORE) {
-                if let Err(f) = self.hfi.check_data(addr, uop.size as u64, Access::Write) {
-                    return self.fault_exit(f, idx);
-                }
-                self.mem.write(addr, self.slot(uop.srcs[2]), uop.size);
-            } else {
-                if let Err(f) = self.hfi.check_data(addr, uop.size as u64, Access::Read) {
-                    return self.fault_exit(f, idx);
-                }
-                self.regs[uop.dst as usize] = self.mem.read(addr, uop.size);
-            }
+        match access {
+            Access::Write => self.mem.write(ea, self.slot(uop.srcs[2]), uop.size),
+            _ => self.regs[uop.dst as usize] = self.mem.read(ea, uop.size),
         }
-        StepExit::Next(end)
-    }
-
-    /// `HmovChain` superop: a run of explicitly-checked hmov accesses.
-    ///
-    /// The `hmov_unchecked_ea` fallback in the reference path is only
-    /// reachable when a chaos hook forces `skip_guard` — and chaos runs
-    /// never reach the fast handlers — so it is omitted here.
-    fn sop_hmov_run(
-        &mut self,
-        start: usize,
-        end: usize,
-        budget: &mut u64,
-        plan: &DecodedProgram,
-    ) -> StepExit {
-        for idx in start..end {
-            if *budget == 0 {
-                return StepExit::Next(idx);
-            }
-            *budget -= 1;
-            if let Err(exit) = self.fetch_gate(idx, plan) {
-                return exit;
-            }
-            self.stats.retired += 1;
-            let uop = *plan.op(idx);
-            self.cycles += self.weights.mem;
-            self.stats.mem_ops += 1;
-            self.stats.hfi_checks += 1;
-            let index = self.slot(uop.srcs[1]) as i64;
-            let access = if uop.has(MicroOp::IS_STORE) {
-                Access::Write
-            } else {
-                Access::Read
-            };
-            match self.hfi.hmov_check_access(
-                uop.region,
-                index,
-                uop.scale as u64,
-                uop.imm,
-                uop.size as u64,
+        if OBSERVED && self.chaos.is_some() {
+            self.chaos_observe(ArchEvent::Mem {
+                pc: plan.pc(pc),
+                addr: ea,
+                size: uop.size,
                 access,
-            ) {
-                Ok(ea) => {
-                    if access == Access::Write {
-                        self.mem.write(ea, self.slot(uop.srcs[2]), uop.size);
-                    } else {
-                        self.regs[uop.dst as usize] = self.mem.read(ea, uop.size);
-                    }
-                }
-                Err(f) => return self.fault_exit(f, idx),
-            }
+                hmov: Some(uop.region),
+                sandboxed: enabled,
+            });
         }
-        StepExit::Next(end)
-    }
-
-    /// `HfiSeq` / `Step` superop: drive the reference [`Functional::step`]
-    /// routine op by op. A step that redirects control (branch, fault
-    /// handler) exits the run early and the caller re-dispatches.
-    fn sop_step_run(
-        &mut self,
-        start: usize,
-        end: usize,
-        budget: &mut u64,
-        plan: &DecodedProgram,
-        program: &Arc<Program>,
-    ) -> StepExit {
-        let mut pc = start;
-        while pc < end {
-            if *budget == 0 {
-                return StepExit::Next(pc);
-            }
-            *budget -= 1;
-            match self.step(pc, plan, program) {
-                StepExit::Next(next) if next == pc + 1 => pc = next,
-                other => return other,
-            }
-        }
-        StepExit::Next(end)
+        Ok(())
     }
 
     fn weight_of(&self, op: AluOp) -> f64 {
@@ -1278,45 +1027,37 @@ mod tests {
     }
 
     #[test]
-    fn fuel_hook_cancels_a_runaway_loop_on_both_tiers() {
+    fn fuel_hook_cancels_a_runaway_loop() {
         // An infinite loop: without fuel it runs to the budget; with a
         // tripped fuel predicate it stops early, still as CycleLimit.
-        let looped = {
-            let mut asm = ProgramBuilder::new(0x1000);
-            asm.movi(Reg(0), 0);
-            let top = asm.label();
-            asm.place(top);
-            asm.alu_ri(AluOp::Add, Reg(0), Reg(0), 1);
-            asm.jump(top);
-            asm.halt();
-            Arc::new(asm.finish())
-        };
-        for fused in [false, true] {
-            let mut f = if fused {
-                Functional::new_fused(Arc::clone(&looped))
-            } else {
-                Functional::new(Arc::clone(&looped))
-            };
-            let mut polls = 0u64;
-            f.set_fuel(
-                64,
-                Box::new(move || {
-                    polls += 1;
-                    polls < 4
-                }),
-            );
-            let result = f.run(1_000_000);
-            assert_eq!(result.stop, Stop::CycleLimit, "fused={fused}");
-            assert!(
-                result.stats.retired < 1_000_000,
-                "fused={fused}: cancellation must beat the budget (retired {})",
-                result.stats.retired
-            );
-        }
+        let mut asm = ProgramBuilder::new(0x1000);
+        asm.movi(Reg(0), 0);
+        let top = asm.label();
+        asm.place(top);
+        asm.alu_ri(AluOp::Add, Reg(0), Reg(0), 1);
+        asm.jump(top);
+        asm.halt();
+        let mut f = Functional::new(asm.finish());
+        let mut polls = 0u64;
+        f.set_fuel(
+            64,
+            Box::new(move || {
+                polls += 1;
+                polls < 4
+            }),
+        );
+        let result = f.run(1_000_000);
+        assert_eq!(result.stop, Stop::CycleLimit);
+        assert!(
+            result.stats.retired < 1_000_000,
+            "cancellation must beat the budget (retired {})",
+            result.stats.retired
+        );
     }
 
     #[test]
     fn unfired_fuel_hook_is_invisible_in_the_counters() {
+        // The hook moves the run from the block loop to the per-op path.
         let program = {
             let mut asm = ProgramBuilder::new(0x1000);
             asm.movi(Reg(0), 6);
@@ -1325,22 +1066,10 @@ mod tests {
             asm.halt();
             Arc::new(asm.finish())
         };
-        for fused in [false, true] {
-            let mut plain = if fused {
-                Functional::new_fused(Arc::clone(&program))
-            } else {
-                Functional::new(Arc::clone(&program))
-            };
-            let baseline = plain.run(1000);
-            let mut fueled = if fused {
-                Functional::new_fused(Arc::clone(&program))
-            } else {
-                Functional::new(Arc::clone(&program))
-            };
-            fueled.set_fuel(1, Box::new(|| true));
-            let observed = fueled.run(1000);
-            assert_eq!(baseline, observed, "fused={fused}");
-        }
+        let baseline = Functional::new(Arc::clone(&program)).run(1000);
+        let mut fueled = Functional::new(program);
+        fueled.set_fuel(1, Box::new(|| true));
+        assert_eq!(baseline, fueled.run(1000));
     }
 
     #[test]

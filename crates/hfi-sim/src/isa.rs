@@ -438,9 +438,7 @@ pub struct Program {
     contract: Option<TransitionContract>,
     /// Instruction indices of the springboard's own ops (zeroing
     /// moves, the stack switch, fences, the entry canary). The plan
-    /// lowering flags these so the fusion pass folds the whole
-    /// enter/exit sequence into one `HfiSeq` superop and the chaos
-    /// engine can target them.
+    /// lowering flags these so the chaos engine can target them.
     transition_ops: Vec<u32>,
 }
 

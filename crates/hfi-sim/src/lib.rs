@@ -47,8 +47,4 @@ pub use exec::{Emulated, Executor, ExecutorKind, RunRecord};
 pub use functional::{Functional, FunctionalCosts, FunctionalResult, FunctionalStats};
 pub use isa::{AluOp, Cond, HmovOperand, Inst, MemOperand, Program, Reg};
 pub use mem::SparseMemory;
-pub use plan::{
-    fused_fallback, fused_plan_of, plan_of, BasicBlock, DecodedProgram, EaTemplate, FusedBlock,
-    FusedProgram, MicroOp, OpClass, PlanVariant, SerializeClass, SuperOp, SuperOpKind,
-    FUSED_FALLBACK_MAX_OPS,
-};
+pub use plan::{plan_of, BasicBlock, DecodedProgram, EaTemplate, MicroOp, OpClass, SerializeClass};

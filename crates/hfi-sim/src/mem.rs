@@ -5,6 +5,8 @@ use std::collections::HashMap;
 
 const PAGE_BITS: u32 = 12;
 const PAGE_SIZE: u64 = 1 << PAGE_BITS;
+/// Entries of the page-translation cache (a power of two).
+const CACHE_ENTRIES: usize = 16;
 
 /// A sparse 64-bit byte-addressable memory.
 ///
@@ -12,17 +14,21 @@ const PAGE_SIZE: u64 = 1 << PAGE_BITS;
 /// memory return zero, like anonymous mmap.
 ///
 /// The page table maps page number to a slot in flat page storage, with
-/// a one-entry translation cache in front: workload accesses are heavily
-/// page-local, so most reads and writes skip the `HashMap` entirely, and
-/// a non-page-crossing access touches its page once instead of once per
-/// byte.
+/// a 16-entry direct-mapped translation cache in front, indexed by the
+/// low bits of the page number: a kernel that streams through a few
+/// buffers keeps each buffer's current page resident, so most reads and
+/// writes skip the `HashMap`, and a non-page-crossing access touches its
+/// page once instead of once per byte.
 #[derive(Debug, Default, Clone)]
 pub struct SparseMemory {
     page_table: HashMap<u64, u32>,
     storage: Vec<Box<[u8]>>,
-    /// Most recently resolved (page number, storage slot). Slots are
-    /// stable (pages are never freed), so the entry never goes stale.
-    last: Cell<Option<(u64, u32)>>,
+    /// The translation cache, entry `page number % CACHE_ENTRIES`: the
+    /// cached page number plus one (zero marks an empty entry; page
+    /// numbers are below 2^52) and its storage slot. Slots are stable
+    /// (pages are never freed), so an entry never goes stale.
+    tags: [Cell<u64>; CACHE_ENTRIES],
+    slots: [Cell<u32>; CACHE_ENTRIES],
 }
 
 impl SparseMemory {
@@ -31,24 +37,34 @@ impl SparseMemory {
         Self::default()
     }
 
+    /// The cached slot of `page_no`, if its entry holds it.
+    #[inline]
+    fn cached(&self, page_no: u64) -> Option<u32> {
+        let entry = page_no as usize % CACHE_ENTRIES;
+        (self.tags[entry].get() == page_no + 1).then(|| self.slots[entry].get())
+    }
+
+    #[inline]
+    fn remember(&self, page_no: u64, slot: u32) {
+        let entry = page_no as usize % CACHE_ENTRIES;
+        self.tags[entry].set(page_no + 1);
+        self.slots[entry].set(slot);
+    }
+
     #[inline]
     fn slot_of(&self, page_no: u64) -> Option<u32> {
-        if let Some((cached_no, slot)) = self.last.get() {
-            if cached_no == page_no {
-                return Some(slot);
-            }
+        if let Some(slot) = self.cached(page_no) {
+            return Some(slot);
         }
         let slot = *self.page_table.get(&page_no)?;
-        self.last.set(Some((page_no, slot)));
+        self.remember(page_no, slot);
         Some(slot)
     }
 
     #[inline]
     fn slot_mut(&mut self, page_no: u64) -> u32 {
-        if let Some((cached_no, slot)) = self.last.get() {
-            if cached_no == page_no {
-                return slot;
-            }
+        if let Some(slot) = self.cached(page_no) {
+            return slot;
         }
         let slot = match self.page_table.get(&page_no) {
             Some(&slot) => slot,
@@ -60,7 +76,7 @@ impl SparseMemory {
                 slot
             }
         };
-        self.last.set(Some((page_no, slot)));
+        self.remember(page_no, slot);
         slot
     }
 
@@ -114,16 +130,36 @@ impl SparseMemory {
         }
     }
 
-    /// Bulk-initializes memory from a byte slice.
+    /// Bulk-initializes memory from a byte slice, one page-sized copy
+    /// per page it touches.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(addr + i as u64, b);
+        let mut addr = addr;
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let offset = (addr & (PAGE_SIZE - 1)) as usize;
+            let (chunk, tail) = rest.split_at(rest.len().min(PAGE_SIZE as usize - offset));
+            let slot = self.slot_mut(addr >> PAGE_BITS);
+            self.storage[slot as usize][offset..offset + chunk.len()].copy_from_slice(chunk);
+            addr = addr.wrapping_add(chunk.len() as u64);
+            rest = tail;
         }
     }
 
-    /// Reads `len` bytes into a vector.
+    /// Reads `len` bytes into a vector, one page-sized copy per page.
     pub fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
-        (0..len as u64).map(|i| self.read_u8(addr + i)).collect()
+        let mut out = vec![0u8; len];
+        let mut addr = addr;
+        let mut rest = &mut out[..];
+        while !rest.is_empty() {
+            let offset = (addr & (PAGE_SIZE - 1)) as usize;
+            let (chunk, tail) = rest.split_at_mut(rest.len().min(PAGE_SIZE as usize - offset));
+            if let Some(slot) = self.slot_of(addr >> PAGE_BITS) {
+                chunk.copy_from_slice(&self.storage[slot as usize][offset..offset + chunk.len()]);
+            }
+            addr = addr.wrapping_add(chunk.len() as u64);
+            rest = tail;
+        }
+        out
     }
 
     /// Number of materialized 4 KiB pages.
@@ -165,5 +201,56 @@ mod tests {
         let mut mem = SparseMemory::new();
         mem.write_bytes(0x2000, b"hello");
         assert_eq!(mem.read_bytes(0x2000, 5), b"hello");
+    }
+
+    #[test]
+    fn bulk_bytes_cross_one_and_two_page_boundaries() {
+        // Starts 5 bytes before a page boundary: the short image
+        // crosses one boundary, the long one two.
+        for len in [10, PAGE_SIZE as usize + 10] {
+            let mut mem = SparseMemory::new();
+            let base = 3 * PAGE_SIZE - 5;
+            let image: Vec<u8> = (0..len).map(|i| (i * 7 + 1) as u8).collect();
+            mem.write_bytes(base, &image);
+            assert_eq!(mem.read_bytes(base, len), image, "len {len}");
+            assert_eq!(mem.touched_pages(), 2 + len / PAGE_SIZE as usize);
+            for (i, &b) in image.iter().enumerate() {
+                assert_eq!(mem.read_u8(base + i as u64), b, "byte {i}");
+            }
+            // The neighbours stay zero, and reads through untouched
+            // pages fill zeros around the written bytes.
+            assert_eq!(mem.read_u8(base - 1), 0);
+            assert_eq!(mem.read_u8(base + len as u64), 0);
+            let around = mem.read_bytes(base - PAGE_SIZE, len + 2 * PAGE_SIZE as usize);
+            assert_eq!(
+                &around[PAGE_SIZE as usize..PAGE_SIZE as usize + len],
+                &image[..]
+            );
+            assert!(around[..PAGE_SIZE as usize].iter().all(|&b| b == 0));
+        }
+    }
+
+    #[test]
+    fn pages_that_alias_in_the_cache_keep_their_own_bytes() {
+        // 40 pages whose numbers share their low bits, so each evicts
+        // the last from the same cache entry, interleaved with a page
+        // that maps elsewhere.
+        let mut mem = SparseMemory::new();
+        let stride = CACHE_ENTRIES as u64 * PAGE_SIZE;
+        for round in 0..3u64 {
+            for i in 0..40u64 {
+                let addr = 0x10_0000 + i * stride + 8 * round;
+                mem.write(addr, (i << 8) | round, 8);
+                mem.write(0x1000 + 8 * i, i, 8);
+            }
+        }
+        for round in 0..3u64 {
+            for i in 0..40u64 {
+                let addr = 0x10_0000 + i * stride + 8 * round;
+                assert_eq!(mem.read(addr, 8), (i << 8) | round);
+                assert_eq!(mem.read(0x1000 + 8 * i, 8), i);
+            }
+        }
+        assert_eq!(mem.touched_pages(), 41);
     }
 }

@@ -212,8 +212,7 @@ impl MicroOp {
     /// move, the stack switch, a serializing fence, or the entry
     /// canary. Set from [`Program::transition_ops`] at plan build (the
     /// per-[`Inst`] lowering cannot see program metadata). Transition
-    /// ops fuse into the enter/exit `HfiSeq` superop and are the sites
-    /// the transition-skip chaos class targets.
+    /// ops are the sites the transition-corruption chaos class targets.
     pub const TRANSITION: u8 = 1 << 7;
 
     /// True if `flag` (one of the associated constants) is set.
@@ -260,6 +259,20 @@ pub struct BasicBlock {
     pub taken: u32,
 }
 
+/// The straight-line rest of a basic block, seen from one of its
+/// instructions: what the functional interpreter's block loop checks
+/// when it enters the block there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct BlockTail {
+    /// Byte PC of the instruction.
+    pub(crate) first_byte: u64,
+    /// Address of the block's last byte. Wraps below `first_byte` only if
+    /// the block runs past the top of the address space.
+    pub(crate) last_byte: u64,
+    /// One past the block's last instruction index.
+    pub(crate) end: u32,
+}
+
 /// A program lowered to its static execution plan: flat micro-ops, byte
 /// PCs, and the basic-block table. Built once per program allocation and
 /// shared (`Arc`) by every executor; see [`plan_of`].
@@ -270,6 +283,7 @@ pub struct DecodedProgram {
     pcs: Vec<u64>,
     blocks: Vec<BasicBlock>,
     block_of: Vec<u32>,
+    tails: Vec<BlockTail>,
 }
 
 impl DecodedProgram {
@@ -286,18 +300,30 @@ impl DecodedProgram {
         );
         let mut ops: Vec<MicroOp> = program.iter().map(lower).collect();
         // Springboard metadata lives on the program, not the encoding:
-        // flag the marked ops so fusion and the executors see them.
+        // flag the marked ops so the executors see them.
         for &idx in program.transition_ops() {
             ops[idx as usize].flags |= MicroOp::TRANSITION;
         }
         let pcs: Vec<u64> = (0..program.len()).map(|i| program.pc_of(i)).collect();
         let (blocks, block_of) = build_blocks(&ops);
+        let tails = (0..ops.len())
+            .map(|i| {
+                let end = blocks[block_of[i] as usize].end;
+                let last = end as usize - 1;
+                BlockTail {
+                    first_byte: pcs[i],
+                    last_byte: pcs[last].wrapping_add(ops[last].len as u64 - 1),
+                    end,
+                }
+            })
+            .collect();
         Self {
             program,
             ops,
             pcs,
             blocks,
             block_of,
+            tails,
         }
     }
 
@@ -345,6 +371,12 @@ impl DecodedProgram {
     /// instruction `index`.
     pub fn block_of(&self, index: usize) -> usize {
         self.block_of[index] as usize
+    }
+
+    /// The rest of instruction `index`'s block, from `index` on.
+    #[inline(always)]
+    pub(crate) fn tail(&self, index: usize) -> BlockTail {
+        self.tails[index]
     }
 }
 
@@ -615,394 +647,48 @@ fn build_blocks(ops: &[MicroOp]) -> (Vec<BasicBlock>, Vec<u32>) {
     (blocks, block_of)
 }
 
-/// Dispatch class of one superinstruction: which fused execution routine
-/// the block-threaded driver runs for it.
-///
-/// Fusion never crosses a basic-block boundary, so every kind describes a
-/// straight-line run inside one block. The guard+access idiom of the
-/// bounds-check compiler (`branch GeU idx, bound, trap` *then* the
-/// access) spans two blocks by construction — the guard branch is a block
-/// terminator — and is covered by block threading itself: the compare
-/// fuses into [`SuperOpKind::CmpBranch`] and the fall-through block opens
-/// with the [`SuperOpKind::GuardedAccess`] run it protects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum SuperOpKind {
-    /// A run (≥ 1) of simple register ops: `AluRR`/`AluRI`/`Mov`/`MovI`/
-    /// `Rdtsc`/`Nop`. No memory, no control, no HFI state.
-    AluRun,
-    /// A simple producer immediately feeding the block's conditional
-    /// branch terminator (cmp+branch macro-fusion). Always 2 ops.
-    CmpBranch,
-    /// A run (≥ 1) of plain loads/stores: each op carries its implicit
-    /// HFI data-region guard, fused with the access it protects.
-    GuardedAccess,
-    /// A run (≥ 1) of explicit-region `hmov` accesses (a checked-hmov
-    /// chain: every constituent keeps its §3.2 hardware bounds check).
-    HmovChain,
-    /// A run (≥ 1) of HFI state transitions (`hfi_set_region`×k +
-    /// `hfi_enter` prologues, exit epilogues). Executed op-at-a-time:
-    /// every constituent can fault or redirect control.
-    HfiSeq,
-    /// Any other single op (control flow, syscalls, fences, flushes),
-    /// executed through the reference step routine.
-    Step,
-}
-
-/// One superinstruction: `count` consecutive micro-ops starting at
-/// instruction index `start`, executed by the `kind` routine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SuperOp {
-    /// First constituent instruction index.
-    pub start: u32,
-    /// Number of constituent micro-ops (≥ 1).
-    pub count: u32,
-    /// Dispatch class.
-    pub kind: SuperOpKind,
-}
-
-impl SuperOp {
-    /// One past the last constituent instruction index.
-    #[inline(always)]
-    pub fn end(&self) -> usize {
-        (self.start + self.count) as usize
-    }
-}
-
-/// The superinstruction range of one basic block: the per-block dispatch
-/// table entry. Parallel to [`DecodedProgram::blocks`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FusedBlock {
-    /// First superop index of the block (into [`FusedProgram::sops`]).
-    pub sop_start: u32,
-    /// One past the last superop index of the block.
-    pub sop_end: u32,
-}
-
-/// Fusion category of one micro-op: which superop runs it may join.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FuseCat {
-    /// Simple register op — joins an `AluRun` (or seeds a `CmpBranch`).
-    Simple,
-    /// Plain guarded load/store — joins a `GuardedAccess` run.
-    Mem,
-    /// Explicit-region `hmov` — joins an `HmovChain`.
-    Hmov,
-    /// HFI state transition — joins an `HfiSeq`.
-    Hfi,
-    /// Everything else — always a lone `Step`.
-    Single,
-}
-
-fn fuse_cat(op: &MicroOp) -> FuseCat {
-    // Springboard ops travel with the HFI transition they belong to:
-    // categorizing them `Hfi` folds the whole zeroing/stack-switch/
-    // fence/enter...exit sequence into one `HfiSeq` superop, which the
-    // fused tier runs through the reference `step()` routine — so the
-    // entry-contract check and every chaos site stay observable.
-    if op.has(MicroOp::TRANSITION) {
-        return FuseCat::Hfi;
-    }
-    match op.class {
-        OpClass::AluRR
-        | OpClass::AluRI
-        | OpClass::MovI
-        | OpClass::Mov
-        | OpClass::Rdtsc
-        | OpClass::Nop => FuseCat::Simple,
-        OpClass::Load | OpClass::Store => FuseCat::Mem,
-        OpClass::HmovLoad | OpClass::HmovStore => FuseCat::Hmov,
-        OpClass::HfiEnter
-        | OpClass::HfiEnterChild
-        | OpClass::HfiExit
-        | OpClass::HfiReenter
-        | OpClass::HfiSetRegion
-        | OpClass::HfiClearRegion
-        | OpClass::HfiClearAllRegions => FuseCat::Hfi,
-        _ => FuseCat::Single,
-    }
-}
-
-/// Static plan-size ceiling for the fused tier's block dispatch.
-///
-/// Programs whose per-op plan exceeds this many micro-ops are marked as
-/// *fallback* plans: [`Functional::run`](crate::Functional) routes them
-/// through the per-op reference loop even when the fused tier is
-/// selected. The cutoff targets statically large, dynamically short
-/// programs — unrolled code like the `445.gobmk-like` kernel lowers to
-/// ~1.5-2.4k micro-ops across ~450 tiny blocks but commits only ~7-12k
-/// instructions per run, so each block executes a handful of times:
-/// block-dispatch overhead and the one-time fusion-pass build can never
-/// amortize, and the fused tier measured 25-30% *slower* than the
-/// reference loop on those cells. Every other Fig. 3 kernel sits at
-/// ≤120 micro-ops with millions of committed instructions, far below
-/// the cutoff. The overlay is still built and structurally validated
-/// for fallback programs (`verify_fusion` checks every direct target),
-/// it just never drives dispatch.
-pub const FUSED_FALLBACK_MAX_OPS: usize = 512;
-
-/// True when `program`'s fused tier falls back to the per-op reference
-/// loop (see [`FUSED_FALLBACK_MAX_OPS`]).
-///
-/// Decided from the base plan alone so callers (and the fused run loop
-/// itself) can consult it without paying the fusion-pass build for a
-/// plan that would never be dispatched.
-pub fn fused_fallback(program: &Arc<Program>) -> bool {
-    plan_of(program).len() > FUSED_FALLBACK_MAX_OPS
-}
-
-/// A [`DecodedProgram`] overlaid with its superinstruction plan: the
-/// fusion pass output plus the per-block dispatch table.
-///
-/// The overlay is *purely structural*: it groups the base plan's
-/// micro-ops into superinstructions without rewriting, reordering, or
-/// dropping a single one, so any per-op consumer (the cycle core, the
-/// `hfi-verify` dataflow pass, the chaos shadow monitor) keeps operating
-/// on `base` unchanged. The block-threaded functional driver
-/// (`Functional::run` with the fused tier selected) is the only consumer
-/// of the grouping — and its fused routines preserve the reference
-/// interpreter's per-op semantics exactly (checks, counters, f64 cycle
-/// accumulation order, fault delivery); `FusedProgram::validate` plus the
-/// fused-vs-unfused differential tests are the enforcement.
-#[derive(Debug)]
-pub struct FusedProgram {
-    base: Arc<DecodedProgram>,
-    sops: Vec<SuperOp>,
-    blocks: Vec<FusedBlock>,
-    fallback: bool,
-}
-
-impl FusedProgram {
-    /// Runs the fusion pass over `base`.
-    ///
-    /// Each basic block is segmented greedily into maximal same-category
-    /// runs; the last simple op before a conditional branch terminator is
-    /// peeled into a [`SuperOpKind::CmpBranch`] pair. Superops never span
-    /// blocks, so every branch target is a superop boundary.
-    pub fn build(base: Arc<DecodedProgram>) -> Self {
-        let ops = base.ops();
-        let mut sops: Vec<SuperOp> = Vec::new();
-        let mut blocks: Vec<FusedBlock> = Vec::with_capacity(base.blocks().len());
-        for bb in base.blocks() {
-            let sop_start = sops.len() as u32;
-            let mut i = bb.start as usize;
-            let end = bb.end as usize;
-            while i < end {
-                let cat = fuse_cat(&ops[i]);
-                let mut j = i + 1;
-                while j < end && cat != FuseCat::Single && fuse_cat(&ops[j]) == cat {
-                    j += 1;
-                }
-                let kind = match cat {
-                    FuseCat::Simple => {
-                        if j < end && matches!(ops[j].class, OpClass::Branch | OpClass::BranchI) {
-                            // Macro-fuse the producer with the branch it
-                            // feeds; any earlier simples stay an AluRun.
-                            if j - i > 1 {
-                                sops.push(SuperOp {
-                                    start: i as u32,
-                                    count: (j - 1 - i) as u32,
-                                    kind: SuperOpKind::AluRun,
-                                });
-                            }
-                            sops.push(SuperOp {
-                                start: (j - 1) as u32,
-                                count: 2,
-                                kind: SuperOpKind::CmpBranch,
-                            });
-                            i = j + 1;
-                            continue;
-                        }
-                        SuperOpKind::AluRun
-                    }
-                    FuseCat::Mem => SuperOpKind::GuardedAccess,
-                    FuseCat::Hmov => SuperOpKind::HmovChain,
-                    FuseCat::Hfi => SuperOpKind::HfiSeq,
-                    FuseCat::Single => SuperOpKind::Step,
-                };
-                sops.push(SuperOp {
-                    start: i as u32,
-                    count: (j - i) as u32,
-                    kind,
-                });
-                i = j;
-            }
-            blocks.push(FusedBlock {
-                sop_start,
-                sop_end: sops.len() as u32,
-            });
-        }
-        let fallback = ops.len() > FUSED_FALLBACK_MAX_OPS;
-        let fused = Self {
-            base,
-            sops,
-            blocks,
-            fallback,
-        };
-        debug_assert_eq!(fused.validate(), Ok(()), "fusion pass broke an invariant");
-        fused
-    }
-
-    /// True when this plan exceeds [`FUSED_FALLBACK_MAX_OPS`] and the
-    /// fused tier runs the per-op reference loop instead of dispatching
-    /// through the overlay. Agrees with [`fused_fallback`] by
-    /// construction (both compare the base plan's length).
-    #[inline(always)]
-    pub fn fallback(&self) -> bool {
-        self.fallback
-    }
-
-    /// The underlying per-op plan (shared with [`plan_of`]'s memo entry).
-    #[inline(always)]
-    pub fn base(&self) -> &Arc<DecodedProgram> {
-        &self.base
-    }
-
-    /// All superops, in program order.
-    #[inline(always)]
-    pub fn sops(&self) -> &[SuperOp] {
-        &self.sops
-    }
-
-    /// The superop at index `s`.
-    #[inline(always)]
-    pub fn sop(&self, s: usize) -> &SuperOp {
-        &self.sops[s]
-    }
-
-    /// The per-block dispatch table, parallel to
-    /// [`DecodedProgram::blocks`].
-    #[inline(always)]
-    pub fn blocks(&self) -> &[FusedBlock] {
-        &self.blocks
-    }
-
-    /// The dispatch-table entry of block `b`.
-    #[inline(always)]
-    pub fn block(&self, b: usize) -> FusedBlock {
-        self.blocks[b]
-    }
-
-    /// Translation validation of the fusion pass: proves the overlay is a
-    /// faithful regrouping of the base plan, block by block.
-    ///
-    /// Checks, for every basic block: its superops tile exactly
-    /// `[start, end)` in order with no gap, overlap, or spill into a
-    /// neighbouring block; every superop's constituents match its kind's
-    /// op-class contract; and no control-flow op hides anywhere but a
-    /// block's final instruction. Together with the kind contracts this
-    /// implies every micro-op of the program — every guard, every chaos
-    /// injection site — appears in exactly one superop.
-    pub fn validate(&self) -> Result<(), String> {
-        let ops = self.base.ops();
-        let bbs = self.base.blocks();
-        if self.blocks.len() != bbs.len() {
-            return Err(format!(
-                "dispatch table has {} entries for {} blocks",
-                self.blocks.len(),
-                bbs.len()
-            ));
-        }
-        let mut expect_sop = 0u32;
-        for (b, (bb, fb)) in bbs.iter().zip(&self.blocks).enumerate() {
-            if fb.sop_start != expect_sop {
-                return Err(format!(
-                    "block {b}: superop range starts at {} expected {expect_sop}",
-                    fb.sop_start
-                ));
-            }
-            if fb.sop_end < fb.sop_start || fb.sop_end as usize > self.sops.len() {
-                return Err(format!("block {b}: bad superop range"));
-            }
-            expect_sop = fb.sop_end;
-            let mut expect_op = bb.start;
-            for s in fb.sop_start..fb.sop_end {
-                let sop = &self.sops[s as usize];
-                if sop.start != expect_op || sop.count == 0 || sop.end() > bb.end as usize {
-                    return Err(format!(
-                        "block {b} superop {s}: [{}, {}) does not tile at {expect_op}",
-                        sop.start,
-                        sop.end()
-                    ));
-                }
-                expect_op = sop.end() as u32;
-                let body = &ops[sop.start as usize..sop.end()];
-                let kind_ok = match sop.kind {
-                    SuperOpKind::AluRun => body.iter().all(|o| fuse_cat(o) == FuseCat::Simple),
-                    SuperOpKind::CmpBranch => {
-                        sop.count == 2
-                            && fuse_cat(&body[0]) == FuseCat::Simple
-                            && matches!(body[1].class, OpClass::Branch | OpClass::BranchI)
-                    }
-                    SuperOpKind::GuardedAccess => body.iter().all(|o| fuse_cat(o) == FuseCat::Mem),
-                    SuperOpKind::HmovChain => body.iter().all(|o| fuse_cat(o) == FuseCat::Hmov),
-                    SuperOpKind::HfiSeq => body.iter().all(|o| fuse_cat(o) == FuseCat::Hfi),
-                    SuperOpKind::Step => sop.count == 1,
-                };
-                if !kind_ok {
-                    return Err(format!(
-                        "block {b} superop {s}: constituents violate {:?}",
-                        sop.kind
-                    ));
-                }
-                for (k, o) in body.iter().enumerate() {
-                    let idx = sop.start as usize + k;
-                    if o.has(MicroOp::CONTROL) && idx != bb.end as usize - 1 {
-                        return Err(format!("block {b}: control op {idx} not at block end"));
-                    }
-                }
-            }
-            if expect_op != bb.end {
-                return Err(format!(
-                    "block {b}: superops cover [{}, {expect_op}) of [{}, {})",
-                    bb.start, bb.start, bb.end
-                ));
-            }
-        }
-        if expect_sop as usize != self.sops.len() {
-            return Err(format!(
-                "{} superops but block ranges cover {expect_sop}",
-                self.sops.len()
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// Global plan memo: one cached lowering per live program allocation
-/// *per variant* — the per-op [`DecodedProgram`] and the
-/// [`FusedProgram`] overlay are distinct entries for the same `Arc`.
-///
-/// Keyed by the `Arc`'s pointer plus the [`PlanVariant`], with a `Weak`
-/// liveness witness: if the allocation died and the address was reused by
-/// a different program, the stale entry fails the `ptr_eq` upgrade check
-/// and is replaced. Dead entries are purged on every lookup, so the memo
-/// stays bounded by the number of *live* programs. Arc identity alone is
-/// **not** a sufficient key: requesting both variants for one program
-/// must never alias or evict the other (see
-/// `tests::fused_and_unfused_memo_entries_never_alias`).
 /// Entry list of an identity-keyed memo: `(Arc address, liveness
 /// witness, cached value)`. Shared with the `emulate_arc` memo.
 pub(crate) type MemoEntries<T> = Vec<(usize, Weak<Program>, Arc<T>)>;
 
-/// Which lowering of a program a plan-memo entry caches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PlanVariant {
-    /// The flat per-op [`DecodedProgram`] ([`plan_of`]).
-    Unfused,
-    /// The [`FusedProgram`] superinstruction overlay ([`fused_plan_of`]).
-    Fused,
+/// The value `memo` caches for `program`, building it with `build` on
+/// first sight.
+///
+/// Keyed by the `Arc`'s pointer, with a `Weak` liveness witness: if the
+/// allocation died and the address was reused by a different program,
+/// the stale entry fails the `ptr_eq` upgrade check and is replaced.
+/// Every lookup purges the entries whose program has no owner left
+/// outside the memo: `own_refs` is how many strong references to its
+/// program a cached value holds itself (a plan holds one), and those do
+/// not count. A memo so stays bounded by the number of *live* programs;
+/// a purged value lives on in whoever still holds it.
+pub(crate) fn memoized<T>(
+    memo: &OnceLock<Mutex<MemoEntries<T>>>,
+    program: &Arc<Program>,
+    own_refs: usize,
+    build: impl FnOnce() -> T,
+) -> Arc<T> {
+    let memo = memo.get_or_init(|| Mutex::new(Vec::new()));
+    let key = Arc::as_ptr(program) as usize;
+    let mut entries = memo.lock().expect("memo unpoisoned");
+    entries.retain(|(_, witness, _)| witness.strong_count() > own_refs);
+    for (entry_key, witness, value) in entries.iter() {
+        if *entry_key == key {
+            if let Some(alive) = witness.upgrade() {
+                if Arc::ptr_eq(&alive, program) {
+                    return Arc::clone(value);
+                }
+            }
+        }
+    }
+    let value = Arc::new(build());
+    entries.retain(|(entry_key, _, _)| *entry_key != key);
+    entries.push((key, Arc::downgrade(program), Arc::clone(&value)));
+    value
 }
 
-/// One cached plan of either variant.
-enum PlanEntry {
-    Unfused(Arc<DecodedProgram>),
-    Fused(Arc<FusedProgram>),
-}
-
-type PlanMemo = Vec<(usize, PlanVariant, Weak<Program>, PlanEntry)>;
-
-static PLAN_MEMO: OnceLock<Mutex<PlanMemo>> = OnceLock::new();
+/// Global plan memo: one cached lowering per live program allocation.
+static PLAN_MEMO: OnceLock<Mutex<MemoEntries<DecodedProgram>>> = OnceLock::new();
 
 /// The shared plan for `program`, building it on first sight.
 ///
@@ -1010,69 +696,10 @@ static PLAN_MEMO: OnceLock<Mutex<PlanMemo>> = OnceLock::new();
 /// one `Arc<Program>` across many machines (and many grid threads) pay
 /// for exactly one lowering per kernel × isolation.
 pub fn plan_of(program: &Arc<Program>) -> Arc<DecodedProgram> {
-    let memo = PLAN_MEMO.get_or_init(|| Mutex::new(Vec::new()));
-    let key = Arc::as_ptr(program) as usize;
-    let mut entries = memo.lock().expect("plan memo unpoisoned");
-    entries.retain(|(_, _, witness, _)| witness.strong_count() > 0);
-    for (entry_key, variant, witness, entry) in entries.iter() {
-        if *entry_key == key && *variant == PlanVariant::Unfused {
-            if let Some(alive) = witness.upgrade() {
-                if Arc::ptr_eq(&alive, program) {
-                    let PlanEntry::Unfused(plan) = entry else {
-                        unreachable!("unfused memo entry holds a DecodedProgram");
-                    };
-                    return Arc::clone(plan);
-                }
-            }
-        }
-    }
-    let plan = Arc::new(DecodedProgram::build(Arc::clone(program)));
-    entries.retain(|(k, v, _, _)| !(*k == key && *v == PlanVariant::Unfused));
-    entries.push((
-        key,
-        PlanVariant::Unfused,
-        Arc::downgrade(program),
-        PlanEntry::Unfused(Arc::clone(&plan)),
-    ));
-    plan
-}
-
-/// The shared *fused* plan for `program`, building it (and, if needed,
-/// its base plan) on first sight.
-///
-/// The overlay embeds the same `Arc<DecodedProgram>` that [`plan_of`]
-/// memoizes, so requesting both variants costs one lowering plus one
-/// fusion pass — and the two memo entries coexist under the
-/// variant-qualified key.
-pub fn fused_plan_of(program: &Arc<Program>) -> Arc<FusedProgram> {
-    // Resolve the base plan before taking the memo lock: plan_of locks
-    // the same mutex, and the overlay must share its allocation.
-    let base = plan_of(program);
-    let memo = PLAN_MEMO.get_or_init(|| Mutex::new(Vec::new()));
-    let key = Arc::as_ptr(program) as usize;
-    let mut entries = memo.lock().expect("plan memo unpoisoned");
-    entries.retain(|(_, _, witness, _)| witness.strong_count() > 0);
-    for (entry_key, variant, witness, entry) in entries.iter() {
-        if *entry_key == key && *variant == PlanVariant::Fused {
-            if let Some(alive) = witness.upgrade() {
-                if Arc::ptr_eq(&alive, program) {
-                    let PlanEntry::Fused(fused) = entry else {
-                        unreachable!("fused memo entry holds a FusedProgram");
-                    };
-                    return Arc::clone(fused);
-                }
-            }
-        }
-    }
-    let fused = Arc::new(FusedProgram::build(base));
-    entries.retain(|(k, v, _, _)| !(*k == key && *v == PlanVariant::Fused));
-    entries.push((
-        key,
-        PlanVariant::Fused,
-        Arc::downgrade(program),
-        PlanEntry::Fused(Arc::clone(&fused)),
-    ));
-    fused
+    // A plan holds its program: one reference of the program's own.
+    memoized(&PLAN_MEMO, program, 1, || {
+        DecodedProgram::build(Arc::clone(program))
+    })
 }
 
 #[cfg(test)]
@@ -1264,124 +891,16 @@ mod tests {
     }
 
     #[test]
-    fn fused_and_unfused_memo_entries_never_alias() {
-        // Satellite regression: the memo key is (Arc pointer, variant) —
-        // requesting both plans for one Arc<Program> must never alias,
-        // evict, or rebuild the other variant's entry.
+    fn plan_memo_lets_go_of_unreachable_programs() {
+        // The plan holds its program, so the memo must not count that
+        // reference as an owner: once the caller drops the program and
+        // the plan, the next lookup frees both.
         let program = Arc::new(sample_program());
-        let unfused = plan_of(&program);
-        let fused = fused_plan_of(&program);
-        assert!(
-            Arc::ptr_eq(fused.base(), &unfused),
-            "the overlay must share the memoized base plan"
-        );
-        // Neither request clobbered the other's entry.
-        assert!(Arc::ptr_eq(&plan_of(&program), &unfused));
-        assert!(Arc::ptr_eq(&fused_plan_of(&program), &fused));
-        assert!(Arc::ptr_eq(&plan_of(&program), &unfused));
-        // Fused-first order on a fresh allocation behaves identically.
-        let other = Arc::new(sample_program());
-        let f2 = fused_plan_of(&other);
-        let u2 = plan_of(&other);
-        assert!(Arc::ptr_eq(f2.base(), &u2));
-        assert!(Arc::ptr_eq(&fused_plan_of(&other), &f2));
-        assert!(Arc::ptr_eq(&plan_of(&other), &u2));
-        assert!(!Arc::ptr_eq(&f2, &fused));
-    }
-
-    #[test]
-    fn fusion_pass_tiles_blocks_and_validates() {
-        let program = Arc::new(sample_program());
-        let fused = FusedProgram::build(plan_of(&program));
-        assert_eq!(fused.validate(), Ok(()));
-        assert_eq!(fused.blocks().len(), fused.base().blocks().len());
-        // Every instruction is covered exactly once, in order.
-        let mut covered = 0usize;
-        for sop in fused.sops() {
-            assert_eq!(sop.start as usize, covered);
-            covered = sop.end();
-        }
-        assert_eq!(covered, fused.base().len());
-    }
-
-    #[test]
-    fn fusion_recognizes_the_idiom_superops() {
-        use crate::isa::{HmovOperand, MemOperand, Reg};
-        use hfi_core::SandboxConfig;
-        let insts = vec![
-            // Block 0: alu run feeding a conditional branch.
-            Inst::MovI {
-                dst: Reg(0),
-                imm: 4,
-            },
-            Inst::AluRI {
-                op: AluOp::Add,
-                dst: Reg(1),
-                a: Reg(0),
-                imm: 1,
-            },
-            Inst::BranchI {
-                cond: Cond::GeU,
-                a: Reg(1),
-                imm: 100,
-                target: 8,
-            },
-            // Block 1: a guarded-access run, then an hmov chain.
-            Inst::Load {
-                dst: Reg(2),
-                mem: MemOperand::base_disp(Reg(1), 0),
-                size: 8,
-            },
-            Inst::Store {
-                src: Reg(2),
-                mem: MemOperand::base_disp(Reg(1), 8),
-                size: 8,
-            },
-            Inst::HmovLoad {
-                region: 6,
-                dst: Reg(3),
-                mem: HmovOperand::disp(0),
-                size: 8,
-            },
-            Inst::HmovStore {
-                region: 6,
-                src: Reg(3),
-                mem: HmovOperand::disp(8),
-                size: 8,
-            },
-            Inst::Jump { target: 8 },
-            // Block 2: an hfi prologue run, then halt.
-            Inst::HfiSetRegion {
-                slot: 0,
-                region: hfi_core::Region::Code(
-                    hfi_core::region::ImplicitCodeRegion::new(0x1000, 0xFFF, true).unwrap(),
-                ),
-            },
-            Inst::HfiEnter {
-                config: SandboxConfig::hybrid(),
-            },
-            Inst::HfiExit,
-            Inst::Halt,
-        ];
-        let program = Arc::new(Program::new(insts, 0x1000));
-        let fused = fused_plan_of(&program);
-        assert_eq!(fused.validate(), Ok(()));
-        let kinds: Vec<(SuperOpKind, u32, u32)> = fused
-            .sops()
-            .iter()
-            .map(|s| (s.kind, s.start, s.count))
-            .collect();
-        assert_eq!(
-            kinds,
-            vec![
-                (SuperOpKind::AluRun, 0, 1),
-                (SuperOpKind::CmpBranch, 1, 2),
-                (SuperOpKind::GuardedAccess, 3, 2),
-                (SuperOpKind::HmovChain, 5, 2),
-                (SuperOpKind::Step, 7, 1),
-                (SuperOpKind::HfiSeq, 8, 3),
-                (SuperOpKind::Step, 11, 1),
-            ]
-        );
+        let witness = Arc::downgrade(&program);
+        let plan = plan_of(&program);
+        assert!(Arc::ptr_eq(&plan_of(&program), &plan));
+        drop((program, plan));
+        plan_of(&Arc::new(sample_program()));
+        assert!(witness.upgrade().is_none(), "the memo leaked the program");
     }
 }

@@ -5,7 +5,7 @@
 //! abstract interpretation is deterministic over (instruction stream,
 //! spec, pass versions). This module memoizes successful [`Proof`]s the
 //! same way `hfi_sim::plan` memoizes decoded plans: entries are keyed on
-//! the program's **Arc identity** plus the [`PlanVariant`] being proven,
+//! the program's **Arc identity**,
 //! held alive by a [`Weak`] witness so a dropped program cannot pin its
 //! proof (or alias a recycled allocation), and verified against
 //! [`Arc::ptr_eq`] on the upgraded witness before a hit is declared.
@@ -28,11 +28,10 @@ use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
-use hfi_sim::plan::PlanVariant;
 use hfi_sim::Program;
 
 use crate::spec::SandboxSpec;
-use crate::verify::{emulation_correspondence, verify_fusion, verify_program, Proof, Violation};
+use crate::verify::{emulation_correspondence, verify_program, Proof, Violation};
 
 /// The verifier's pass roster, versioned. Bumping a version (or
 /// reordering the roster) changes every [`ProofDigest`], invalidating
@@ -168,9 +167,6 @@ impl fmt::Display for ProofDigest {
 struct Entry {
     /// `Arc::as_ptr` of the program at insertion.
     key: usize,
-    /// Which plan the proof covers (unfused analysis vs. fused overlay
-    /// validation).
-    variant: PlanVariant,
     /// Spec the proof holds against.
     spec_hash: u64,
     /// Liveness witness: a dead program's entry is pruned (counted as
@@ -247,7 +243,6 @@ pub fn reset_proof_cache() {
 fn cached(
     program: &Arc<Program>,
     spec: &SandboxSpec,
-    variant: PlanVariant,
     build: impl FnOnce() -> Result<Proof, Vec<Violation>>,
 ) -> Result<Arc<Proof>, Vec<Violation>> {
     let key = Arc::as_ptr(program) as usize;
@@ -261,7 +256,7 @@ fn cached(
         // First level: Arc identity, guarded against allocator reuse by
         // the upgraded-witness pointer check.
         for e in entries.iter() {
-            if e.key == key && e.variant == variant && e.spec_hash == shash {
+            if e.key == key && e.spec_hash == shash {
                 if let Some(live) = e.witness.upgrade() {
                     if Arc::ptr_eq(&live, program) {
                         HITS_IDENTITY.fetch_add(1, Ordering::Relaxed);
@@ -275,16 +270,15 @@ fn cached(
         let digest = ProofDigest::compute(program, spec);
         if let Some(proof) = entries
             .iter()
-            .find(|e| e.variant == variant && e.spec_hash == shash && e.digest == digest)
+            .find(|e| e.spec_hash == shash && e.digest == digest)
             .map(|e| Arc::clone(&e.proof))
         {
             HITS_DIGEST.fetch_add(1, Ordering::Relaxed);
             let stale = entries.len();
-            entries.retain(|e| !(e.key == key && e.variant == variant && e.spec_hash == shash));
+            entries.retain(|e| !(e.key == key && e.spec_hash == shash));
             INVALIDATIONS.fetch_add((stale - entries.len()) as u64, Ordering::Relaxed);
             entries.push(Entry {
                 key,
-                variant,
                 spec_hash: shash,
                 witness: Arc::downgrade(program),
                 digest,
@@ -302,11 +296,10 @@ fn cached(
     debug_assert!(proof.digest.is_set(), "verify must stamp the digest");
     let mut entries = lock();
     let stale = entries.len();
-    entries.retain(|e| !(e.key == key && e.variant == variant && e.spec_hash == shash));
+    entries.retain(|e| !(e.key == key && e.spec_hash == shash));
     INVALIDATIONS.fetch_add((stale - entries.len()) as u64, Ordering::Relaxed);
     entries.push(Entry {
         key,
-        variant,
         spec_hash: shash,
         witness: Arc::downgrade(program),
         digest: proof.digest,
@@ -320,21 +313,7 @@ pub fn verify_program_cached(
     program: &Arc<Program>,
     spec: &SandboxSpec,
 ) -> Result<Arc<Proof>, Vec<Violation>> {
-    cached(program, spec, PlanVariant::Unfused, || {
-        verify_program(program, spec)
-    })
-}
-
-/// [`verify_fusion`][crate::verify::verify_fusion] through the proof
-/// cache (cached under the fused variant: the overlay validation is
-/// part of the verdict).
-pub fn verify_fusion_cached(
-    program: &Arc<Program>,
-    spec: &SandboxSpec,
-) -> Result<Arc<Proof>, Vec<Violation>> {
-    cached(program, spec, PlanVariant::Fused, || {
-        verify_fusion(program, spec)
-    })
+    cached(program, spec, || verify_program(program, spec))
 }
 
 /// [`verify_emulation`][crate::verify::verify_emulation] with the

@@ -39,13 +39,12 @@ pub mod verify;
 
 pub use cache::{
     passes_hash, program_hash, proof_cache_stats, reset_proof_cache, spec_hash,
-    verify_emulation_cached, verify_fusion_cached, verify_program_cached, ProofCacheStats,
-    ProofDigest, PASS_VERSIONS,
+    verify_emulation_cached, verify_program_cached, ProofCacheStats, ProofDigest, PASS_VERSIONS,
 };
 pub use lattice::{AbsVal, NO_DEF};
 pub use mutate::{direct_mutants, emulation_mutants, Mutant, MutationClass};
 pub use spec::{DataWindow, SandboxSpec};
 pub use verify::{
-    block_successors, verify_emulation, verify_fusion, verify_plan, verify_program, ElisionProof,
-    GuardKind, GuardSite, Proof, Reason, TransitionEvidence, Violation,
+    block_successors, verify_emulation, verify_plan, verify_program, ElisionProof, GuardKind,
+    GuardSite, Proof, Reason, TransitionEvidence, Violation,
 };

@@ -109,13 +109,6 @@ pub enum Reason {
         /// Emulated instruction count.
         emulated: usize,
     },
-    /// The fused superinstruction overlay is not a faithful retiling of
-    /// the verified plan (bad tiling, a superop spanning blocks, or an op
-    /// filed under the wrong fusion category).
-    FusionInvalid {
-        /// What the structural check rejected.
-        detail: String,
-    },
     /// At an `hfi_enter`, a contract-declared register is not statically
     /// in its promised entry state (zeroed, or holding the declared
     /// stack top).
@@ -179,7 +172,6 @@ impl std::fmt::Display for Reason {
             Reason::EmulationLengthMismatch { original, emulated } => {
                 write!(f, "emulation length {emulated} != original {original}")
             }
-            Reason::FusionInvalid { detail } => write!(f, "fusion invalid: {detail}"),
             Reason::TransitionContractViolated { reg } => {
                 write!(f, "r{reg} is not provably in its contracted entry state")
             }
@@ -1479,38 +1471,6 @@ pub(crate) fn emulation_correspondence(original: &Program, emulated: &Program) -
         }
     }
     violations
-}
-
-/// Translation validation of the superinstruction fusion overlay: proves
-/// the *unfused* plan safe under `spec` (fusion is a pure execution
-/// overlay — the micro-ops the safety argument ranges over are exactly
-/// the ops the fused tier retires), then structurally validates the
-/// overlay itself: every block's superops must tile its ops exactly
-/// with no gaps, overlaps, or block-spanning runs, and every op must be
-/// filed under a fusion category whose fast handler implements its
-/// class. A violation here means the fused engine would dispatch an op
-/// through the wrong handler — the one way fusion could change
-/// semantics without the differential tests' random programs noticing.
-///
-/// The semantic half of the preservation argument is dynamic and lives
-/// in `tests/predecode_differential.rs` and `tests/golden_counters.rs`
-/// (fused-vs-unfused exit state, counters, memory, and event traces on
-/// random programs and the whole verifyset); this check is the static
-/// half, and the mutation sweep corrupts the verified plan's guards to
-/// prove the combination still bites.
-pub fn verify_fusion(program: &Arc<Program>, spec: &SandboxSpec) -> Result<Proof, Vec<Violation>> {
-    let proof = verify_program(program, spec)?;
-    let fused = hfi_sim::fused_plan_of(program);
-    if let Err(detail) = fused.validate() {
-        return Err(vec![Violation {
-            op: 0,
-            pc: program.base(),
-            reg: None,
-            state: None,
-            reason: Reason::FusionInvalid { detail },
-        }]);
-    }
-    Ok(proof)
 }
 
 /// The correspondence rules of the A.2 transform, restated independently

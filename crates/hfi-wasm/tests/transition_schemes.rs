@@ -79,7 +79,8 @@ fn schemes_agree_across_all_three_tiers() {
     let kernel = sum_kernel(24);
     let expected = expected_sum(24);
     for scheme in TransitionScheme::ALL {
-        let compiled = compile(&kernel, &CompileOptions::hfi_with_scheme(scheme));
+        let opts = CompileOptions::hfi_with_scheme(scheme);
+        let compiled = compile(&kernel, &opts);
 
         let mut cycle = Machine::new(compiled.program.clone());
         let r = cycle.run(10_000_000);
@@ -94,10 +95,13 @@ fn schemes_agree_across_all_three_tiers() {
             "{scheme:?} functional"
         );
 
-        let mut fused = Functional::new_fused(compiled.program.clone());
-        let r = fused.run(10_000_000);
-        assert_eq!(r.stop, Stop::Halted, "{scheme:?} fused tier did not halt");
-        assert_eq!(r.regs[RESULT_REG.0 as usize], expected, "{scheme:?} fused");
+        // The per-op path, forced by a fuel hook that never fires, must
+        // match the block-stepped run exactly: result, counters, memory.
+        let mut per_op = Functional::new(compiled.program.clone());
+        per_op.set_fuel(1, Box::new(|| true));
+        assert_eq!(per_op.run(10_000_000), r, "{scheme:?} per-op path");
+        let heap = |f: &Functional| f.mem.read_bytes(opts.heap_base, 0x1000);
+        assert_eq!(heap(&per_op), heap(&func), "{scheme:?} per-op memory");
     }
 }
 

@@ -1,21 +1,22 @@
-//! Chaos reachability under superinstruction fusion.
+//! Chaos reachability on the functional tier's hooked path.
 //!
-//! Fusing micro-op runs into superinstructions must not optimize away a
-//! single fault-injection site: the chaos seam's contract is that any
-//! installed [`ChaosHook`](hfi_sim::ChaosHook) forces the fused engine
-//! back onto the fully-observed per-op reference path, so every
-//! perturbable site (EA computations, result writebacks, guard
-//! micro-ops, instruction boundaries) is visited exactly as on the
-//! unfused tier. These tests prove that contract from the outside:
+//! A run with no hook installed is block-stepped: it checks fetch once
+//! per block and keeps its counters in locals, so none of its ops is an
+//! injection site. The chaos seam's contract is that any installed
+//! [`ChaosHook`](hfi_sim::ChaosHook) moves every op onto the fully
+//! observed per-op path, where every perturbable site (EA computations,
+//! result writebacks, guard micro-ops, instruction boundaries) is
+//! visited. These tests prove that contract from the outside, on a
+//! sandboxed workload whose hot loop is made of the straight-line runs
+//! the block loop runs inline:
 //!
-//! * the sandboxed workload really does fuse (its plan contains
-//!   multi-op `GuardedAccess` and `HmovChain` superinstructions), so
-//!   the sites below genuinely live *inside* fused sequences;
-//! * site counts are identical across tiers for every site kind;
-//! * every functional-tier [`FaultClass`] still fires on the fused
-//!   tier and never produces an escape;
-//! * the deliberately-weakened build still produces a *visible* escape
-//!   on the fused tier — the oracle did not go blind under fusion.
+//! * every functional-tier [`FaultClass`] fires and never produces an
+//!   escape;
+//! * the deliberately-weakened build still produces a *visible*
+//!   escape — the oracle is not blind.
+//!
+//! The file and test names come from the block-dispatch ("fused") tier
+//! whose hooked path these tests first covered.
 
 use std::sync::Arc;
 
@@ -25,27 +26,23 @@ use hfi_chaos::{
 use hfi_core::region::{ExplicitDataRegion, ImplicitCodeRegion, ImplicitDataRegion};
 use hfi_core::{Region, SandboxConfig};
 use hfi_sim::isa::MemOperand;
-use hfi_sim::{
-    fused_plan_of, AluOp, Cond, Functional, HmovOperand, Program, ProgramBuilder, Reg, Stop,
-    SuperOpKind,
-};
+use hfi_sim::{AluOp, Cond, Functional, HmovOperand, Program, ProgramBuilder, Reg, Stop};
 use hfi_verify::SandboxSpec;
 
 const CODE_BASE: u64 = 0x40_0000;
 const DATA_BASE: u64 = 0x10_0000;
 const HEAP_BASE: u64 = 0x100_0000;
 
-/// A sandboxed workload whose hot loop is built from fusable runs:
-/// back-to-back implicitly-checked stores/loads (a `GuardedAccess` run),
-/// back-to-back `hmov` accesses (an `HmovChain`), ALU traffic, and a
-/// compare+branch loop tail.
-fn fused_workload() -> Arc<Program> {
+/// A sandboxed workload whose hot loop is built from straight-line runs:
+/// back-to-back implicitly-checked stores/loads, back-to-back `hmov`
+/// accesses, ALU traffic, and a compare+branch loop tail.
+fn workload() -> Arc<Program> {
     let mut asm = ProgramBuilder::new(CODE_BASE);
     let code = ImplicitCodeRegion::new(CODE_BASE, 0xFFFF, true).unwrap();
     let data = ImplicitDataRegion::new(DATA_BASE, 0xFFFF, true, true).unwrap();
     let heap = ExplicitDataRegion::large(HEAP_BASE, 1 << 16, true, true).unwrap();
     // Springboard: marked zeroing ops feeding a declared entry contract,
-    // so transition-corrupt sites live inside the fused `HfiSeq` prologue.
+    // so the prologue carries transition-corrupt sites.
     for r in [6u8, 7, 8] {
         asm.movi(Reg(r), 0);
         asm.mark_last_transition();
@@ -80,7 +77,7 @@ fn fused_workload() -> Arc<Program> {
 }
 
 fn spec() -> SandboxSpec {
-    SandboxSpec::new("fused-chaos")
+    SandboxSpec::new("functional-chaos")
         .window("data", DATA_BASE, 0x1_0000)
         .window("heap", HEAP_BASE, 1 << 16)
         .slot(
@@ -89,9 +86,8 @@ fn spec() -> SandboxSpec {
         )
 }
 
-fn run_tier(fused: bool, hook: Box<dyn hfi_sim::ChaosHook>) -> Stop {
-    let mut functional = Functional::new(fused_workload());
-    functional.set_fused(fused);
+fn run_hooked(hook: Box<dyn hfi_sim::ChaosHook>) -> Stop {
+    let mut functional = Functional::new(workload());
     functional.set_chaos(hook);
     functional.run(1_000_000).stop
 }
@@ -107,65 +103,13 @@ const FUNCTIONAL_CLASSES: [FaultClass; 5] = [
 ];
 
 #[test]
-fn workload_actually_fuses_its_injection_sites() {
-    let program = fused_workload();
-    let fused = fused_plan_of(&program);
-    let mut guarded_run = 0u32;
-    let mut hmov_chain = 0u32;
-    let mut alu_run = 0u32;
-    let mut hfi_seq = 0u32;
-    for sop in fused.sops() {
-        match sop.kind {
-            SuperOpKind::GuardedAccess if sop.count > 1 => guarded_run += 1,
-            SuperOpKind::HmovChain if sop.count > 1 => hmov_chain += 1,
-            SuperOpKind::AluRun if sop.count > 1 => alu_run += 1,
-            SuperOpKind::HfiSeq if sop.count > 1 => hfi_seq += 1,
-            _ => {}
-        }
-    }
-    assert!(guarded_run > 0, "no multi-op GuardedAccess superop");
-    assert!(hmov_chain > 0, "no multi-op HmovChain superop");
-    assert!(alu_run > 0, "no multi-op AluRun superop");
-    assert!(
-        hfi_seq > 0,
-        "springboard + enter did not fuse into a multi-op HfiSeq"
-    );
-}
-
-#[test]
-fn every_injection_site_survives_fusion() {
-    let count_sites = |fused: bool| {
-        let counter = SiteCounter::new();
-        let monitor = ShadowMonitor::from_spec(&spec());
-        let stop = run_tier(fused, Box::new(Rig::new(counter.clone(), monitor.clone())));
-        assert_eq!(stop, Stop::Halted);
-        assert!(monitor.report().clean());
-        counter.counts()
-    };
-    let unfused = count_sites(false);
-    let fused = count_sites(true);
-    assert_eq!(
-        unfused, fused,
-        "fusion changed the set of reachable injection sites"
-    );
-    assert!(unfused.ea > 0, "no EA sites in the workload");
-    assert!(unfused.result > 0, "no writeback sites in the workload");
-    assert!(unfused.guard > 0, "no guard sites in the workload");
-    assert!(unfused.context > 0, "no boundary sites in the workload");
-    assert!(
-        unfused.transition > 0,
-        "no transition sites in the workload"
-    );
-}
-
-#[test]
 fn every_functional_fault_class_still_fires_and_never_escapes_when_fused() {
-    // Site counts per class, measured once on the fused tier.
+    // Site counts per class, measured once.
     let counter = SiteCounter::new();
-    run_tier(
-        true,
-        Box::new(Rig::new(counter.clone(), ShadowMonitor::from_spec(&spec()))),
-    );
+    let monitor = ShadowMonitor::from_spec(&spec());
+    let stop = run_hooked(Box::new(Rig::new(counter.clone(), monitor.clone())));
+    assert_eq!(stop, Stop::Halted);
+    assert!(monitor.report().clean());
     let counts = counter.counts();
     for class in FUNCTIONAL_CLASSES {
         let sites = counts.for_class(class);
@@ -180,59 +124,28 @@ fn every_functional_fault_class_still_fires_and_never_escapes_when_fused() {
                 trigger,
             });
             let monitor = ShadowMonitor::from_spec(&spec());
-            run_tier(true, Box::new(Rig::new(engine.clone(), monitor.clone())));
+            run_hooked(Box::new(Rig::new(engine.clone(), monitor.clone())));
             if engine.fired().is_some() {
                 fired += 1;
             }
             let verdict = classify(&monitor.report(), false);
             assert!(
                 !verdict.is_escape(),
-                "{class} trigger {trigger}: ESCAPE on the fused tier after {:?}",
+                "{class} trigger {trigger}: ESCAPE after {:?}",
                 engine.fired()
             );
         }
-        assert!(fired > 0, "{class}: no injection ever fired under fusion");
-    }
-}
-
-#[test]
-fn injected_verdicts_are_identical_across_tiers() {
-    let counter = SiteCounter::new();
-    run_tier(
-        false,
-        Box::new(Rig::new(counter.clone(), ShadowMonitor::from_spec(&spec()))),
-    );
-    let counts = counter.counts();
-    for class in FUNCTIONAL_CLASSES {
-        let sites = counts.for_class(class);
-        let step = (sites / 6).max(1);
-        for trigger in (0..sites).step_by(step as usize) {
-            let verdict_of = |fused: bool| {
-                let engine = ChaosEngine::new(ChaosPlan {
-                    seed: 0xD1FF ^ trigger,
-                    class,
-                    trigger,
-                });
-                let monitor = ShadowMonitor::from_spec(&spec());
-                run_tier(fused, Box::new(Rig::new(engine, monitor.clone())));
-                classify(&monitor.report(), false)
-            };
-            assert_eq!(
-                verdict_of(false),
-                verdict_of(true),
-                "{class} trigger {trigger}: tiers disagree on the verdict"
-            );
-        }
+        assert!(fired > 0, "{class}: no injection ever fired");
     }
 }
 
 #[test]
 fn weakened_build_still_escapes_on_the_fused_tier() {
     let counter = SiteCounter::new();
-    run_tier(
-        true,
-        Box::new(Rig::new(counter.clone(), ShadowMonitor::from_spec(&spec()))),
-    );
+    run_hooked(Box::new(Rig::new(
+        counter.clone(),
+        ShadowMonitor::from_spec(&spec()),
+    )));
     let sites = counter.counts().ea;
     let mut escaped = false;
     'search: for seed in 0..64u64 {
@@ -244,7 +157,7 @@ fn weakened_build_still_escapes_on_the_fused_tier() {
             });
             let weakened = WeakenedEngine::new(engine);
             let monitor = ShadowMonitor::from_spec(&spec());
-            run_tier(true, Box::new(Rig::new(weakened, monitor.clone())));
+            run_hooked(Box::new(Rig::new(weakened, monitor.clone())));
             if classify(&monitor.report(), false).is_escape() {
                 escaped = true;
                 break 'search;
@@ -253,6 +166,6 @@ fn weakened_build_still_escapes_on_the_fused_tier() {
     }
     assert!(
         escaped,
-        "the oracle never reported an escape on the weakened fused tier"
+        "the oracle never reported an escape on the weakened build"
     );
 }

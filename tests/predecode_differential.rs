@@ -11,6 +11,16 @@
 //! table's structural invariants, then run random halting programs on
 //! both executors. Cases come from the vendored deterministic PRNG, so
 //! every failure reproduces exactly.
+//!
+//! The functional interpreter itself has two paths over the plan: the
+//! block-stepped loop a run takes when no hook is installed, and the
+//! per-op step every op takes under a chaos or fuel hook. The
+//! `fused_and_unfused_*` tests (named for the block-dispatch tier the
+//! block-stepped loop replaced) and the `block_loop_*` tests force the
+//! per-op path with a fuel hook that never fires and demand identical
+//! results, registers and memory from both: on random programs, at
+//! mid-block entries, when the budget or the code region ends inside a
+//! block, and on every verifyset kernel.
 
 use std::sync::Arc;
 
@@ -531,16 +541,29 @@ fn random_guarded_runnable(rng: &mut Rng) -> Arc<Program> {
     Arc::new(Program::new(insts, CODE_BASE as u64))
 }
 
-/// Runs `program` on the requested functional tier with a deterministic
-/// setup and returns the full result plus the final contents of every
-/// memory window the program can touch.
-fn run_tier(program: &Arc<Program>, fused: bool, limit: u64) -> (FunctionalResult, Vec<u8>) {
+/// A functional machine for `program`, on the per-op path when
+/// `per_op` (a fuel hook that never fires forces it), block-stepped
+/// otherwise.
+fn machine_on(program: &Arc<Program>, per_op: bool) -> Functional {
     let mut functional = Functional::new(Arc::clone(program));
-    functional.set_fused(fused);
+    if per_op {
+        functional.set_fuel(1, Box::new(|| true));
+    }
+    functional
+}
+
+/// Runs `functional` and returns the full result plus the final
+/// contents of every memory window the random programs can touch.
+fn run_capture(mut functional: Functional, limit: u64) -> (FunctionalResult, Vec<u8>) {
     let result = functional.run(limit);
     let mut image = functional.mem.read_bytes(0x2_0000, 0x1_0000);
     image.extend(functional.mem.read_bytes(0x10_0000, 0x1_0000));
     (result, image)
+}
+
+/// Runs `program` on the requested path with a deterministic setup.
+fn run_path(program: &Arc<Program>, per_op: bool, limit: u64) -> (FunctionalResult, Vec<u8>) {
+    run_capture(machine_on(program, per_op), limit)
 }
 
 #[test]
@@ -548,10 +571,10 @@ fn fused_and_unfused_agree_on_random_runnable_programs() {
     let mut rng = Rng::new(0xF05ED);
     for case in 0..48 {
         let program = random_runnable(&mut rng);
-        let (unfused, mem_unfused) = run_tier(&program, false, 50_000_000);
-        let (fused, mem_fused) = run_tier(&program, true, 50_000_000);
-        assert_eq!(unfused, fused, "case {case}: results diverged");
-        assert_eq!(mem_unfused, mem_fused, "case {case}: memory diverged");
+        let (per_op, mem_per_op) = run_path(&program, true, 50_000_000);
+        let (blocks, mem_blocks) = run_path(&program, false, 50_000_000);
+        assert_eq!(per_op, blocks, "case {case}: results diverged");
+        assert_eq!(mem_per_op, mem_blocks, "case {case}: memory diverged");
     }
 }
 
@@ -562,11 +585,11 @@ fn fused_and_unfused_agree_on_random_guarded_programs() {
     let mut halted = 0u32;
     for case in 0..96 {
         let program = random_guarded_runnable(&mut rng);
-        let (unfused, mem_unfused) = run_tier(&program, false, 200_000);
-        let (fused, mem_fused) = run_tier(&program, true, 200_000);
-        assert_eq!(unfused, fused, "case {case}: results diverged");
-        assert_eq!(mem_unfused, mem_fused, "case {case}: memory diverged");
-        match unfused.stop {
+        let (per_op, mem_per_op) = run_path(&program, true, 200_000);
+        let (blocks, mem_blocks) = run_path(&program, false, 200_000);
+        assert_eq!(per_op, blocks, "case {case}: results diverged");
+        assert_eq!(mem_per_op, mem_blocks, "case {case}: memory diverged");
+        match per_op.stop {
             Stop::Fault(_) => faulted += 1,
             Stop::Halted => halted += 1,
             _ => {}
@@ -578,10 +601,10 @@ fn fused_and_unfused_agree_on_random_guarded_programs() {
     assert!(faulted > 0, "no guarded program faulted");
 }
 
-/// Tier-crossing fault redirects: with a signal handler installed, a
-/// fault re-enters the program at the handler's instruction index — which
-/// is rarely a block leader, so the fused engine must take its mid-block
-/// entry path. Both tiers must agree on everything that follows.
+/// Fault redirects: with a signal handler installed, a fault re-enters
+/// the program at the handler's instruction index — which is rarely a
+/// block leader, so the block loop must take its mid-block entry. Both
+/// paths must agree on everything that follows.
 #[test]
 fn fused_and_unfused_agree_under_fault_handler_redirects() {
     let mut rng = Rng::new(0x51663);
@@ -590,64 +613,60 @@ fn fused_and_unfused_agree_under_fault_handler_redirects() {
         let program = random_guarded_runnable(&mut rng);
         let handler_idx = rng.below(program.len() as u64) as usize;
         let handler = program.pc_of(handler_idx);
-        let run = |fused: bool| {
-            let mut functional = Functional::new(Arc::clone(&program));
-            functional.set_fused(fused);
+        let run = |per_op: bool| {
+            let mut functional = machine_on(&program, per_op);
             functional.signal_handler = Some(handler);
-            let result = functional.run(100_000);
-            let mut image = functional.mem.read_bytes(0x2_0000, 0x1_0000);
-            image.extend(functional.mem.read_bytes(0x10_0000, 0x1_0000));
-            (result, image)
+            run_capture(functional, 100_000)
         };
-        let (unfused, mem_unfused) = run(false);
-        let (fused, mem_fused) = run(true);
-        assert_eq!(unfused, fused, "case {case}: results diverged");
-        assert_eq!(mem_unfused, mem_fused, "case {case}: memory diverged");
-        if unfused.stats.faults > 0 {
+        let (per_op, mem_per_op) = run(true);
+        let (blocks, mem_blocks) = run(false);
+        assert_eq!(per_op, blocks, "case {case}: results diverged");
+        assert_eq!(mem_per_op, mem_blocks, "case {case}: memory diverged");
+        if per_op.stats.faults > 0 {
             redirected += 1;
         }
     }
     assert!(redirected > 0, "no run ever took the handler redirect");
 }
 
-/// Every verifyset kernel, under every Fig. 3 isolation scheme, must
-/// produce an identical architectural record on the fused tier: same
-/// exit state, same counters (retired, memory accesses, checks, faults),
-/// same modelled cycles. `RunRecord` equality ignores only the host-side
-/// throughput fields; the executor tag is normalized by hand.
+/// Every verifyset kernel, under every Fig. 3 isolation scheme, plus the
+/// FaaS suite: the block-stepped loop must produce the per-op path's
+/// architectural record — same exit state, same counters (retired,
+/// memory accesses, checks, faults), same modelled cycles — and the
+/// same registers and heap. `RunRecord` equality ignores only the
+/// host-side throughput fields.
 #[test]
 fn fused_and_unfused_agree_on_every_verifyset_kernel() {
-    use hfi_repro::hfi_bench::{run_functional_record, run_fused_record, FIG3_SCHEMES};
-    use hfi_repro::hfi_sim::ExecutorKind;
-    use hfi_repro::hfi_wasm::kernels::{sightglass, speclike};
+    use hfi_repro::hfi_bench::{compile_cached, run_cell, FIG3_SCHEMES};
+    use hfi_repro::hfi_wasm::compiler::CompileOptions;
+    use hfi_repro::hfi_wasm::kernels::{faas, sightglass, speclike};
 
     let mut kernels = sightglass::suite(1);
     kernels.extend(speclike::suite(1));
+    kernels.extend(faas::suite(1));
     for kernel in &kernels {
         for iso in FIG3_SCHEMES {
-            let unfused = run_functional_record(kernel, iso);
-            let mut fused = run_fused_record(kernel, iso);
-            assert_eq!(
-                fused.executor,
-                ExecutorKind::Fused,
-                "{}: fused record must be tagged fused",
-                kernel.name
-            );
-            fused.executor = unfused.executor;
-            assert_eq!(
-                unfused, fused,
-                "{} under {iso:?}: records diverged",
+            let opts = CompileOptions::new(iso);
+            let compiled = compile_cached(kernel, &opts);
+            let run = |per_op: bool| {
+                let mut functional = machine_on(&compiled.program, per_op);
+                let record = run_cell(&mut functional, kernel, opts.heap_base);
+                let heap = functional.mem.read_bytes(opts.heap_base, 1 << 16);
+                (record, functional.regs(), heap)
+            };
+            assert!(
+                run(true) == run(false),
+                "{} under {iso:?}: records, registers or heap diverged",
                 kernel.name
             );
         }
     }
 }
 
-/// The chaos seam under fusion: with any hook installed the fused engine
-/// must fall back to fully observed per-op execution, so a passive
-/// recording hook sees the *identical* retired-access event stream on
-/// both tiers (same retires, same memory accesses, same faults, in the
-/// same order).
+/// The chaos seam: with any hook installed every op takes the per-op
+/// path, so a passive recording hook sees one retire event per retired
+/// op — and its presence changes nothing: the observed run's result and
+/// memory equal the unhooked block-stepped run's.
 #[test]
 fn fused_and_unfused_emit_identical_event_traces_when_observed() {
     use hfi_repro::hfi_sim::{ArchEvent, ChaosHook};
@@ -663,33 +682,174 @@ fn fused_and_unfused_emit_identical_event_traces_when_observed() {
     let mut rng = Rng::new(0x7ACE);
     for case in 0..24 {
         let program = random_guarded_runnable(&mut rng);
-        let trace_of = |fused: bool| {
-            let events = SyncArc::new(Mutex::new(Vec::new()));
-            let mut functional = Functional::new(Arc::clone(&program));
-            functional.set_fused(fused);
-            functional.set_chaos(Box::new(Recorder(SyncArc::clone(&events))));
-            let result = functional.run(100_000);
-            drop(functional);
-            (
-                result,
-                SyncArc::try_unwrap(events)
-                    .expect("sole owner")
-                    .into_inner()
-                    .expect("recorder unpoisoned"),
-            )
-        };
-        let (unfused, trace_unfused) = trace_of(false);
-        let (fused, trace_fused) = trace_of(true);
-        assert_eq!(unfused, fused, "case {case}: observed results diverged");
+        let events = SyncArc::new(Mutex::new(Vec::new()));
+        let mut observed = Functional::new(Arc::clone(&program));
+        observed.set_chaos(Box::new(Recorder(SyncArc::clone(&events))));
+        let (observed, mem_observed) = run_capture(observed, 100_000);
+        let (blocks, mem_blocks) = run_path(&program, false, 100_000);
+        assert_eq!(observed, blocks, "case {case}: observed results diverged");
+        assert_eq!(mem_observed, mem_blocks, "case {case}: memory diverged");
+        let trace = events.lock().expect("recorder unpoisoned");
+        let retires = trace
+            .iter()
+            .filter(|e| matches!(e, ArchEvent::Retire { .. }))
+            .count() as u64;
         assert_eq!(
-            trace_unfused, trace_fused,
-            "case {case}: retired-access traces diverged"
-        );
-        assert!(
-            !trace_unfused.is_empty(),
-            "case {case}: empty trace proves nothing"
+            retires, observed.stats.retired,
+            "case {case}: the hook must see every retired op"
         );
     }
+}
+
+/// Budgets that run out inside a block: the block loop must hand the
+/// block's tail to the per-op path op by op and stop exactly where the
+/// per-op path stops.
+#[test]
+fn block_loop_matches_per_op_path_when_the_budget_ends_mid_block() {
+    let mut rng = Rng::new(0xB0D6E7);
+    let mut mid_block = 0u32;
+    for case in 0..32 {
+        let program = if case % 2 == 0 {
+            random_runnable(&mut rng)
+        } else {
+            random_guarded_runnable(&mut rng)
+        };
+        let full = run_path(&program, true, 200_000).0.stats.retired;
+        for _ in 0..8 {
+            let limit = rng.range_u64(1, full.max(1) + 2);
+            let (per_op, mem_per_op) = run_path(&program, true, limit);
+            let (blocks, mem_blocks) = run_path(&program, false, limit);
+            assert_eq!(
+                per_op, blocks,
+                "case {case} limit {limit}: results diverged"
+            );
+            assert_eq!(mem_per_op, mem_blocks, "case {case} limit {limit}: memory");
+            mid_block += u32::from(per_op.stop == Stop::CycleLimit);
+        }
+    }
+    assert!(mid_block > 0, "no budget ever ran out");
+}
+
+/// Handler redirects aimed at mid-block ops only, with faults that
+/// recur: every redirect is a mid-block entry for the block loop.
+#[test]
+fn block_loop_matches_per_op_path_at_mid_block_handler_entries() {
+    let mut rng = Rng::new(0x3A1D);
+    let mut entered = 0u32;
+    for case in 0..48 {
+        let program = random_guarded_runnable(&mut rng);
+        let plan = plan_of(&program);
+        let mid: Vec<usize> = (0..plan.len())
+            .filter(|&i| plan.blocks()[plan.block_of(i)].start as usize != i)
+            .collect();
+        let Some(&handler_idx) = mid.get(rng.below(mid.len().max(1) as u64) as usize) else {
+            continue;
+        };
+        let run = |per_op: bool| {
+            let mut functional = machine_on(&program, per_op);
+            functional.signal_handler = Some(program.pc_of(handler_idx));
+            run_capture(functional, 50_000)
+        };
+        let (per_op, mem_per_op) = run(true);
+        let (blocks, mem_blocks) = run(false);
+        assert_eq!(per_op, blocks, "case {case}: results diverged");
+        assert_eq!(mem_per_op, mem_blocks, "case {case}: memory diverged");
+        entered += u32::from(per_op.stats.faults > 0);
+    }
+    assert!(entered > 0, "no fault ever redirected to a mid-block op");
+}
+
+/// A code region that ends inside a block: the straight-line block
+/// straddles the region's last byte at every offset in turn, so the
+/// fetch fault lands on a different op each time, sometimes on an op
+/// that starts inside the region and ends outside it. The block loop
+/// must fault at that exact op with the per-op path's counters.
+#[test]
+fn block_loop_faults_at_the_exact_op_where_the_code_region_ends() {
+    use hfi_repro::hfi_core::region::ImplicitCodeRegion;
+    use hfi_repro::hfi_core::HfiFault;
+    use hfi_repro::hfi_sim::ProgramBuilder;
+
+    const CODE_BASE: u64 = 0x40_0000;
+    let mut faulted_mid_block = 0u32;
+    for pad in 0..48 {
+        let mut asm = ProgramBuilder::new(CODE_BASE);
+        let code = ImplicitCodeRegion::new(CODE_BASE, 0xFF, true).expect("code");
+        asm.hfi_set_region(0, Region::Code(code));
+        asm.hfi_enter(SandboxConfig::hybrid());
+        asm.movi(Reg(1), 1);
+        for _ in 0..pad {
+            asm.nop();
+        }
+        let top = asm.label_here("top");
+        // 60 four-byte ops: the block outlasts the region at every pad.
+        for i in 0..60 {
+            asm.alu_ri(AluOp::Add, Reg(2 + i % 4), Reg(1), i as i64);
+        }
+        asm.alu_ri(AluOp::Sub, Reg(1), Reg(1), 1);
+        asm.branch_i(Cond::Ne, Reg(1), 0, top);
+        asm.halt();
+        let program = Arc::new(asm.finish());
+        let (per_op, _) = run_path(&program, true, 10_000);
+        let (blocks, _) = run_path(&program, false, 10_000);
+        assert_eq!(per_op, blocks, "pad {pad}: results diverged");
+        let Stop::Fault(HfiFault::CodeBounds { pc }) = per_op.stop else {
+            panic!("pad {pad}: expected a fetch fault, got {:?}", per_op.stop);
+        };
+        let idx = program.index_of_pc(pc).expect("faulting op");
+        let plan = plan_of(&program);
+        // The faulting op is the one holding the region's first
+        // outside byte: every earlier op fits in the region.
+        let len = program.inst(idx).encoded_len();
+        let first_outside = CODE_BASE + 0x100;
+        assert!(
+            pc <= first_outside && first_outside < pc + len,
+            "pad {pad}: faulted at {pc:#x}+{len}, not at the region's end"
+        );
+        faulted_mid_block += u32::from(plan.blocks()[plan.block_of(idx)].start as usize != idx);
+    }
+    assert!(faulted_mid_block > 0, "the region never ended mid-block");
+}
+
+/// More pages than the memory's page-translation cache has entries,
+/// all mapping to the same entry: every access evicts the last, and
+/// both paths must still read back what they wrote.
+#[test]
+fn block_loop_matches_per_op_path_over_pages_that_alias_in_the_page_cache() {
+    use hfi_repro::hfi_sim::ProgramBuilder;
+
+    const PAGES: i64 = 40;
+    const STRIDE: i64 = 16 * 4096;
+    let mut asm = ProgramBuilder::new(0x1000);
+    asm.movi(Reg(1), 0x100_0000);
+    asm.movi(Reg(2), PAGES);
+    asm.movi(Reg(3), 0);
+    let fill = asm.label_here("fill");
+    asm.store(Reg(2), MemOperand::base_disp(Reg(1), 8), 8);
+    asm.alu_ri(AluOp::Add, Reg(1), Reg(1), STRIDE);
+    asm.alu_ri(AluOp::Sub, Reg(2), Reg(2), 1);
+    asm.branch_i(Cond::Ne, Reg(2), 0, fill);
+    asm.movi(Reg(1), 0x100_0000);
+    asm.movi(Reg(2), PAGES);
+    let sum = asm.label_here("sum");
+    asm.load(Reg(4), MemOperand::base_disp(Reg(1), 8), 8);
+    asm.alu(AluOp::Add, Reg(3), Reg(3), Reg(4));
+    asm.alu_ri(AluOp::Add, Reg(1), Reg(1), STRIDE);
+    asm.alu_ri(AluOp::Sub, Reg(2), Reg(2), 1);
+    asm.branch_i(Cond::Ne, Reg(2), 0, sum);
+    asm.halt();
+    let program = Arc::new(asm.finish());
+    let run = |per_op: bool| {
+        let mut functional = machine_on(&program, per_op);
+        let result = functional.run(100_000);
+        let pages = functional.mem.touched_pages();
+        (result, pages)
+    };
+    let (per_op, pages) = run(true);
+    assert_eq!(per_op.stop, Stop::Halted);
+    assert_eq!(per_op.regs[3], (1..=PAGES as u64).sum::<u64>());
+    assert_eq!(pages, PAGES as usize);
+    assert_eq!(run(false), (per_op, pages));
 }
 
 #[test]

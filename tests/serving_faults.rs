@@ -1,14 +1,19 @@
 //! Serving-outcome taxonomy: every fault-containment [`Outcome`]
 //! variant is reachable through a deterministic scenario, and the
-//! classification is identical on the plain functional and the fused
-//! executor tiers.
+//! classification is identical on both ways the functional tier
+//! interprets a run.
 //!
 //! This is the serving-tier sibling of
 //! `crates/hfi-sim/tests/fault_taxonomy.rs` (which pins the
-//! *architectural* fault taxonomy). A fault class that only classifies
-//! correctly on one tier would make chaos campaigns and degradation
-//! gates tier-dependent — so each scenario here runs twice, once per
-//! tier, and asserts the same outcome shape.
+//! *architectural* fault taxonomy). With no hook installed a served
+//! run is block-stepped; a request deadline installs the executor's
+//! fuel hook, which puts every op on the per-op path. A fault class
+//! that only classified correctly on one path would make chaos
+//! campaigns and degradation gates path-dependent — so each scenario
+//! whose request has neither a deadline nor a chaos hook of its own
+//! runs twice, once per path ([`PATHS`]), and asserts the same
+//! outcome shape. A scenario built on a deadline or a hook runs on the
+//! per-op path only.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -41,13 +46,13 @@ fn runaway_program() -> Arc<Program> {
     Arc::new(asm.finish())
 }
 
-fn pools_with(program: Arc<Program>, verdict: VerifyVerdict, tier: Tier) -> Arc<WarmPools> {
+fn pools_with(program: Arc<Program>, verdict: VerifyVerdict) -> Arc<WarmPools> {
     let tenants = vec![TenantSpec::from_program(
         "t0".to_string(),
         program,
         verdict,
         Isolation::Hfi,
-        tier,
+        Tier::Functional,
         HEAP_BASE,
         Vec::new(),
         None,
@@ -70,55 +75,54 @@ fn request(limit: u64, deadline: Option<Duration>) -> Request {
     }
 }
 
-const TIERS: [Tier; 2] = [Tier::Functional, Tier::Fused];
+/// The request deadline that picks each interpreter path: none (the
+/// block-stepped loop), or one far enough out never to fire (the fuel
+/// hook it installs moves every op to the per-op path).
+const PATHS: [Option<Duration>; 2] = [None, Some(Duration::from_secs(600))];
 
 #[test]
 fn zero_deadline_classifies_as_queue_expiry_on_both_tiers() {
-    for tier in TIERS {
-        let pools = pools_with(tiny_program(7), VerifyVerdict::Unchecked, tier);
-        let scheduler = Scheduler::new(Arc::clone(&pools), 1);
-        scheduler.submit(request(1_000, Some(Duration::ZERO)));
-        let completions = scheduler.finish();
-        assert_eq!(completions.len(), 1, "{tier:?}");
-        assert_eq!(
-            completions[0].outcome,
-            Outcome::DeadlineExceeded { ran: false },
-            "{tier:?}: a zero budget must expire in queue"
-        );
-        assert_eq!(
-            pools.stats().cold_builds,
-            0,
-            "{tier:?}: an expired request must not pay for a checkout"
-        );
-    }
+    let pools = pools_with(tiny_program(7), VerifyVerdict::Unchecked);
+    let scheduler = Scheduler::new(Arc::clone(&pools), 1);
+    scheduler.submit(request(1_000, Some(Duration::ZERO)));
+    let completions = scheduler.finish();
+    assert_eq!(completions.len(), 1);
+    assert_eq!(
+        completions[0].outcome,
+        Outcome::DeadlineExceeded { ran: false },
+        "a zero budget must expire in queue"
+    );
+    assert_eq!(
+        pools.stats().cold_builds,
+        0,
+        "an expired request must not pay for a checkout"
+    );
 }
 
 #[test]
 fn runaway_kernels_are_cancelled_mid_run_on_both_tiers() {
-    for tier in TIERS {
-        let pools = pools_with(runaway_program(), VerifyVerdict::Unchecked, tier);
-        let scheduler = Scheduler::new(pools, 1);
-        let started = Instant::now();
-        scheduler.submit(request(u64::MAX, Some(Duration::from_millis(20))));
-        let completions = scheduler.finish();
-        assert_eq!(completions.len(), 1, "{tier:?}");
-        assert_eq!(
-            completions[0].outcome,
-            Outcome::DeadlineExceeded { ran: true },
-            "{tier:?}: the fuel hook must cancel the runaway mid-run"
-        );
-        assert!(
-            started.elapsed() < Duration::from_secs(20),
-            "{tier:?}: cancellation must come from the deadline, not budget exhaustion"
-        );
-    }
+    let pools = pools_with(runaway_program(), VerifyVerdict::Unchecked);
+    let scheduler = Scheduler::new(pools, 1);
+    let started = Instant::now();
+    scheduler.submit(request(u64::MAX, Some(Duration::from_millis(20))));
+    let completions = scheduler.finish();
+    assert_eq!(completions.len(), 1);
+    assert_eq!(
+        completions[0].outcome,
+        Outcome::DeadlineExceeded { ran: true },
+        "the fuel hook must cancel the runaway mid-run"
+    );
+    assert!(
+        started.elapsed() < Duration::from_secs(20),
+        "cancellation must come from the deadline, not budget exhaustion"
+    );
 }
 
 #[test]
 fn panics_quarantine_then_trip_the_breaker_identically_on_both_tiers() {
     hfi_chaos::silence_injected_panics();
-    for tier in TIERS {
-        let pools = pools_with(tiny_program(7), VerifyVerdict::Unchecked, tier);
+    for deadline in PATHS {
+        let pools = pools_with(tiny_program(7), VerifyVerdict::Unchecked);
         let config = ServeConfig {
             breaker_threshold: 2,
             breaker_cooldown: Duration::from_secs(300),
@@ -128,7 +132,7 @@ fn panics_quarantine_then_trip_the_breaker_identically_on_both_tiers() {
         for _ in 0..3 {
             scheduler.submit(Request {
                 chaos: Some(Box::new(PanicHook::new(0))),
-                ..request(1_000, None)
+                ..request(1_000, deadline)
             });
         }
         let mut completions = scheduler.finish();
@@ -138,36 +142,36 @@ fn panics_quarantine_then_trip_the_breaker_identically_on_both_tiers() {
             .map(|c| match &c.outcome {
                 Outcome::Panicked { .. } => "panicked",
                 Outcome::CircuitOpen => "circuit-open",
-                other => panic!("{tier:?}: unexpected outcome {other:?}"),
+                other => panic!("{deadline:?}: unexpected outcome {other:?}"),
             })
             .collect();
         assert_eq!(
             labels,
             vec!["panicked", "panicked", "circuit-open"],
-            "{tier:?}: two panics open the breaker, the third sheds"
+            "{deadline:?}: two panics open the breaker, the third sheds"
         );
         assert_eq!(
             pools.stats().quarantined,
             2,
-            "{tier:?}: each panicked lease is quarantined"
+            "{deadline:?}: each panicked lease is quarantined"
         );
     }
 }
 
 #[test]
 fn admission_rejections_classify_identically_on_both_tiers() {
-    for tier in TIERS {
-        let pools = pools_with(tiny_program(7), VerifyVerdict::Rejected(Vec::new()), tier);
+    for deadline in PATHS {
+        let pools = pools_with(tiny_program(7), VerifyVerdict::Rejected(Vec::new()));
         let scheduler = Scheduler::new(pools, 1);
-        scheduler.submit(request(1_000, None));
+        scheduler.submit(request(1_000, deadline));
         let completions = scheduler.finish();
-        assert_eq!(completions.len(), 1, "{tier:?}");
+        assert_eq!(completions.len(), 1, "{deadline:?}");
         assert!(
             matches!(
                 completions[0].outcome,
                 Outcome::Rejected { stale: false, .. }
             ),
-            "{tier:?}: got {:?}",
+            "{deadline:?}: got {:?}",
             completions[0].outcome
         );
     }
@@ -175,25 +179,25 @@ fn admission_rejections_classify_identically_on_both_tiers() {
 
 #[test]
 fn zero_capacity_queues_shed_deterministically_on_both_tiers() {
-    for tier in TIERS {
-        let pools = pools_with(tiny_program(7), VerifyVerdict::Unchecked, tier);
+    for deadline in PATHS {
+        let pools = pools_with(tiny_program(7), VerifyVerdict::Unchecked);
         let config = ServeConfig {
             queue_cap: 0,
             ..ServeConfig::default()
         };
         let scheduler = Scheduler::with_config(pools, 1, config);
         for _ in 0..4 {
-            scheduler.submit(request(1_000, None));
+            scheduler.submit(request(1_000, deadline));
         }
         let completions = scheduler.finish();
         assert_eq!(
             completions.len(),
             4,
-            "{tier:?}: shed requests still complete"
+            "{deadline:?}: shed requests still complete"
         );
         for completion in &completions {
-            assert_eq!(completion.outcome, Outcome::Shed, "{tier:?}");
-            assert_eq!(completion.service_ns, 0, "{tier:?}");
+            assert_eq!(completion.outcome, Outcome::Shed, "{deadline:?}");
+            assert_eq!(completion.service_ns, 0, "{deadline:?}");
         }
     }
 }
@@ -202,28 +206,25 @@ fn zero_capacity_queues_shed_deterministically_on_both_tiers() {
 fn healthy_requests_complete_bit_identically_across_tiers() {
     // The containment plumbing (fuel polling, catch_unwind, breakers)
     // must be invisible to a healthy run: same Stop, same result, and
-    // the RunRecord counter surface identical between tiers.
+    // the RunRecord counter surface identical between the block-stepped
+    // run and the per-op one under a deadline that never fires.
     let mut records = Vec::new();
-    for tier in TIERS {
-        let pools = pools_with(tiny_program(42), VerifyVerdict::Unchecked, tier);
+    for deadline in PATHS {
+        let pools = pools_with(tiny_program(42), VerifyVerdict::Unchecked);
         let scheduler = Scheduler::new(pools, 1);
-        // A generous deadline exercises the fuel path without firing.
-        scheduler.submit(request(1_000, Some(Duration::from_secs(60))));
+        scheduler.submit(request(1_000, deadline));
         let completions = scheduler.finish();
         match &completions[0].outcome {
             Outcome::Done { stop, record, r0 } => {
-                assert_eq!(*stop, Stop::Halted, "{tier:?}");
-                assert_eq!(*r0, 42, "{tier:?}");
+                assert_eq!(*stop, Stop::Halted, "{deadline:?}");
+                assert_eq!(*r0, 42, "{deadline:?}");
                 records.push(record.clone());
             }
-            other => panic!("{tier:?}: unexpected outcome {other:?}"),
+            other => panic!("{deadline:?}: unexpected outcome {other:?}"),
         }
     }
-    // Identical up to the executor's own name tag.
-    let mut fused = records[1].clone();
-    fused.executor = records[0].executor;
     assert_eq!(
-        *records[0], *fused,
-        "functional and fused tiers must retire identical counter surfaces"
+        records[0], records[1],
+        "both paths must retire identical counter surfaces"
     );
 }

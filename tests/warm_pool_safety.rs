@@ -4,13 +4,15 @@
 //! The serving tier's whole economy rests on reuse — `release` resets
 //! the executor and re-prepares the heap image instead of tearing the
 //! sandbox down (`crates/hfi-serve/src/pool.rs`). If any guest state
-//! survived that reset (registers, sparse memory, chaos hooks, fused
-//! dispatch state), a tenant could observe — or be corrupted by — a
-//! previous run. This property test drives a seeded random checkout
-//! sequence over the full HFI kernel suite, on both functional tiers,
-//! and demands that every run's `RunRecord`, result register, and
-//! final heap window are byte-identical to a single-use reference
-//! instance of the same kernel.
+//! survived that reset (registers, sparse memory, the page-translation
+//! cache, chaos and fuel hooks), a tenant could observe — or be
+//! corrupted by — a previous run. This property test drives a seeded
+//! random checkout sequence over the full HFI kernel suite and demands
+//! that every run's `RunRecord`, result register, and final heap window
+//! are byte-identical to a single-use reference instance of the same
+//! kernel. Leased runs are block-stepped; every other kernel's
+//! reference runs on the per-op path instead (under a fuel hook that
+//! never fires), so the comparison also spans both interpreter paths.
 
 use std::sync::Arc;
 
@@ -38,14 +40,14 @@ struct Reference {
 
 fn fresh_reference(
     program: &Arc<Program>,
-    tier: Tier,
+    per_op: bool,
     heap_base: u64,
     heap_init: &[(u32, Vec<u8>)],
 ) -> Reference {
-    let mut functional = match tier {
-        Tier::Fused => Functional::new_fused(Arc::clone(program)),
-        _ => Functional::new(Arc::clone(program)),
-    };
+    let mut functional = Functional::new(Arc::clone(program));
+    if per_op {
+        functional.set_fuel(1, Box::new(|| true));
+    }
     for (off, bytes) in heap_init {
         Executor::prepare(&mut functional, heap_base + *off as u64, bytes);
     }
@@ -77,7 +79,7 @@ fn run_and_check(lease: &mut Lease, reference: &Reference, heap_base: u64, name:
     let functional = lease
         .instance
         .functional_mut()
-        .expect("suite tenants run on the functional tiers");
+        .expect("suite tenants run on the functional tier");
     let heap = functional.mem.read_bytes(heap_base, MEM_WINDOW);
     assert!(
         heap == reference.heap,
@@ -92,20 +94,13 @@ fn warm_reuse_is_indistinguishable_from_fresh_instances() {
     let opts = CompileOptions::new(Isolation::Hfi);
     let heap_base = opts.heap_base;
 
-    // Alternate tiers across the table so both the plain and the fused
-    // functional engines go through the reuse path.
     let mut references = Vec::with_capacity(kernels.len());
     let mut tenants = Vec::with_capacity(kernels.len());
     for (i, kernel) in kernels.iter().enumerate() {
         let compiled = compile_cached(kernel, &opts);
-        let tier = if i % 2 == 0 {
-            Tier::Fused
-        } else {
-            Tier::Functional
-        };
         references.push(fresh_reference(
             &compiled.program,
-            tier,
+            i % 2 == 0,
             heap_base,
             &kernel.heap_init,
         ));
@@ -119,7 +114,7 @@ fn warm_reuse_is_indistinguishable_from_fresh_instances() {
             compiled.program.clone(),
             compiled.verdict.clone(),
             Isolation::Hfi,
-            tier,
+            Tier::Functional,
             heap_base,
             kernel
                 .heap_init
@@ -207,14 +202,9 @@ fn quarantined_instances_never_return_and_reuse_stays_pristine() {
     let mut tenants = Vec::with_capacity(kernels.len());
     for (i, kernel) in kernels.iter().enumerate() {
         let compiled = compile_cached(kernel, &opts);
-        let tier = if i % 2 == 0 {
-            Tier::Fused
-        } else {
-            Tier::Functional
-        };
         references.push(fresh_reference(
             &compiled.program,
-            tier,
+            i % 2 == 0,
             heap_base,
             &kernel.heap_init,
         ));
@@ -223,7 +213,7 @@ fn quarantined_instances_never_return_and_reuse_stays_pristine() {
             compiled.program.clone(),
             compiled.verdict.clone(),
             Isolation::Hfi,
-            tier,
+            Tier::Functional,
             heap_base,
             kernel
                 .heap_init
