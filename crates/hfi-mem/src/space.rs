@@ -128,6 +128,11 @@ pub struct AddressSpace {
     threads: u32,
     /// Lowest address handed out (we skip the canonical null/low region).
     floor: u64,
+    /// Smallest length for which a complete first-fit search failed
+    /// since the last `munmap` (`u64::MAX`: none). Inserts and splits
+    /// only shrink or divide gaps, so every request at least this long
+    /// still fails until a VMA is removed.
+    no_gap_from: u64,
 }
 
 impl AddressSpace {
@@ -152,6 +157,7 @@ impl AddressSpace {
             stats: OsStats::default(),
             threads: 1,
             floor: 0x1_0000,
+            no_gap_from: u64::MAX,
         }
     }
 
@@ -219,11 +225,29 @@ impl AddressSpace {
     }
 
     /// Finds a free gap of `len` bytes. Fast path: bump-allocate past the
-    /// highest live mapping (O(log n)); only when the top of the address
-    /// space is exhausted does it fall back to a first-fit scan of the
-    /// gaps left by unmapping (O(n)). This keeps the §6.3.2 experiment —
-    /// hundreds of thousands of reservations — linear overall.
-    fn find_gap(&self, len: u64) -> Option<u64> {
+    /// highest live mapping (O(log n)), so filling a fresh space costs
+    /// O(n log n). Only when the top of the address space is exhausted
+    /// does it fall back to a first-fit scan of the gaps left by
+    /// unmapping, O(n) per call. A scan that fails is remembered: until
+    /// an `munmap` frees space, any request at least that long is refused
+    /// in O(1), so a full space answers the repeated same-size requests
+    /// of a serving loop at capacity (§6.3.2) without rescanning. A
+    /// failure at a new, smaller size, or the first after an `munmap`,
+    /// scans again.
+    fn find_gap(&mut self, len: u64) -> Option<u64> {
+        if len >= self.no_gap_from {
+            return None;
+        }
+        let gap = self.first_fit(len);
+        if gap.is_none() {
+            self.no_gap_from = len;
+        }
+        gap
+    }
+
+    /// The full search behind [`find_gap`](Self::find_gap): bump past
+    /// the top mapping, else the lowest gap that fits.
+    fn first_fit(&self, len: u64) -> Option<u64> {
         let top = self
             .vmas
             .iter()
@@ -475,6 +499,7 @@ impl AddressSpace {
         self.charge_syscall();
         self.stats.munmaps += 1;
         self.split_at(addr, len)?;
+        self.no_gap_from = u64::MAX;
         self.charge(self.vma_maintenance_ns());
         let end = addr + len;
         let starts: Vec<u64> = self.vmas.range(addr..end).map(|(&s, _)| s).collect();
@@ -648,6 +673,165 @@ mod tests {
         assert_eq!(
             space.mmap_fixed(0x100_0000 + (1 << 19), 1 << 20, Prot::NONE),
             Err(MemError::Overlap)
+        );
+    }
+
+    /// The first-fit search as it stood before the failed-gap memo,
+    /// verbatim: the reference the memoized `find_gap` must agree with.
+    fn reference_gap(space: &AddressSpace, len: u64) -> Option<u64> {
+        let top = space
+            .vmas
+            .iter()
+            .next_back()
+            .map(|(&start, vma)| start + vma.len)
+            .unwrap_or(space.floor)
+            .max(space.floor);
+        if space.va_size() > top && space.va_size() - top >= len {
+            return Some(top);
+        }
+        let mut cursor = space.floor;
+        for (&start, vma) in &space.vmas {
+            if start >= cursor && start - cursor >= len {
+                return Some(cursor);
+            }
+            cursor = cursor.max(start + vma.len);
+        }
+        if space.va_size() > cursor && space.va_size() - cursor >= len {
+            Some(cursor)
+        } else {
+            None
+        }
+    }
+
+    #[test]
+    fn gap_memo_agrees_with_a_full_scan_on_random_op_sequences() {
+        // A 1 GiB space and reservations of 4 KiB to 64 MiB: the space
+        // fills again and again, so failures at many sizes mix with
+        // frees, partial unmaps, fixed placements and splits.
+        // `scanning` runs the same ops with its memo cleared before each
+        // one, so every mmap there is a complete first-fit search.
+        let mut remembered = 0;
+        for seed in 0..24 {
+            let mut rng = hfi_util::Rng::new(seed);
+            let mut space = AddressSpace::new(30);
+            let mut scanning = AddressSpace::new(30);
+            let mut reservations: Vec<(u64, u64)> = Vec::new();
+            let mut refused = 0;
+            for step in 0..1500 {
+                // Log-uniform page counts: failures at many distinct
+                // sizes, including sizes one page apart.
+                let magnitude = 1 << rng.below(15);
+                let len = (magnitude - rng.below(magnitude.max(2) / 2)) * PAGE_SIZE;
+                scanning.no_gap_from = u64::MAX;
+                let picked = (!reservations.is_empty())
+                    .then(|| rng.below(reservations.len() as u64) as usize);
+                match (rng.below(8), picked) {
+                    (0..=3, _) | (_, None) => {
+                        let expected =
+                            reference_gap(&space, len).ok_or(MemError::OutOfAddressSpace);
+                        if len >= space.no_gap_from {
+                            remembered += 1;
+                        }
+                        assert_eq!(
+                            space.mmap(len, Prot::NONE),
+                            expected,
+                            "seed {seed} step {step}"
+                        );
+                        assert_eq!(scanning.mmap(len, Prot::NONE), expected);
+                        match expected {
+                            Ok(addr) => reservations.push((addr, len)),
+                            Err(_) => refused += 1,
+                        }
+                    }
+                    (4, _) => {
+                        let addr = rng.below(space.va_size() / PAGE_SIZE) * PAGE_SIZE;
+                        let got = space.mmap_fixed(addr, len, Prot::READ_WRITE);
+                        assert_eq!(scanning.mmap_fixed(addr, len, Prot::READ_WRITE), got);
+                        if got.is_ok() {
+                            reservations.push((addr, len));
+                        }
+                    }
+                    (5, Some(i)) => {
+                        let (base, len) = reservations[i];
+                        let off = rng.below(len / PAGE_SIZE) * PAGE_SIZE;
+                        let sub = (1 + rng.below((len - off) / PAGE_SIZE)) * PAGE_SIZE;
+                        let prot = *rng.pick(&[Prot::NONE, Prot::READ, Prot::READ_WRITE]);
+                        let got = space.mprotect(base + off, sub, prot);
+                        assert_eq!(scanning.mprotect(base + off, sub, prot), got);
+                    }
+                    (_, Some(i)) => {
+                        // Half the time free the whole reservation, else
+                        // punch a hole (later ops on it may see NotMapped).
+                        let (base, len) = reservations[i];
+                        let (off, sub) = if rng.bool() {
+                            reservations.swap_remove(i);
+                            (0, len)
+                        } else {
+                            let off = rng.below(len / PAGE_SIZE) * PAGE_SIZE;
+                            (off, (1 + rng.below((len - off) / PAGE_SIZE)) * PAGE_SIZE)
+                        };
+                        let got = space.munmap(base + off, sub);
+                        assert_eq!(scanning.munmap(base + off, sub), got);
+                    }
+                }
+                assert_eq!(space.vmas, scanning.vmas, "seed {seed} step {step}");
+                assert_eq!(space.stats(), scanning.stats(), "seed {seed} step {step}");
+                assert_eq!(
+                    space.elapsed_ns().to_bits(),
+                    scanning.elapsed_ns().to_bits(),
+                    "seed {seed} step {step}"
+                );
+            }
+            assert!(refused > 0, "seed {seed}: the space never filled");
+        }
+        assert!(
+            remembered > 100,
+            "the memo answered only {remembered} mmaps"
+        );
+    }
+
+    #[test]
+    fn a_full_space_refuses_until_munmap_frees_an_interior_gap() {
+        let slot = 64 << 20;
+        let mut space = AddressSpace::new(30);
+        let mut bases = Vec::new();
+        while let Ok(base) = space.mmap(slot, Prot::NONE) {
+            bases.push(base);
+        }
+        assert!(bases.len() >= 3, "{bases:?}");
+
+        // A remembered failure still costs its syscall and counts.
+        let (stats, clock) = (space.stats(), space.elapsed_ns());
+        assert_eq!(
+            space.mmap(slot, Prot::NONE),
+            Err(MemError::OutOfAddressSpace)
+        );
+        assert_eq!(space.stats().mmaps, stats.mmaps + 1);
+        assert_eq!(space.stats().syscalls, stats.syscalls + 1);
+        assert_eq!(space.elapsed_ns(), clock + space.costs.syscall_base_ns);
+
+        let freed = bases[bases.len() / 2];
+        space.munmap(freed, slot).unwrap();
+        assert_eq!(
+            space.mmap(2 * slot, Prot::NONE),
+            Err(MemError::OutOfAddressSpace)
+        );
+        assert_eq!(space.mmap(slot, Prot::NONE), Ok(freed));
+        assert_eq!(
+            space.mmap(slot, Prot::NONE),
+            Err(MemError::OutOfAddressSpace)
+        );
+
+        // A gap one page short of a remembered failure still serves a
+        // request that fits it.
+        space.munmap(freed + PAGE_SIZE, slot - PAGE_SIZE).unwrap();
+        assert_eq!(
+            space.mmap(slot, Prot::NONE),
+            Err(MemError::OutOfAddressSpace)
+        );
+        assert_eq!(
+            space.mmap(slot - PAGE_SIZE, Prot::NONE),
+            Ok(freed + PAGE_SIZE)
         );
     }
 

@@ -38,7 +38,6 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use hfi_sim::{Executor, Functional, Machine, Program};
-use hfi_verify::program_hash;
 use hfi_wasm::compiler::{CompileOptions, CompiledKernel, Isolation, VerifyVerdict};
 use hfi_wasm::kernels::Kernel;
 use hfi_wasm::runtime::{SandboxId, SandboxRuntime};
@@ -156,7 +155,7 @@ impl AdmitPolicy {
                 } else {
                     AdmitDecision::DeniedStaleProof {
                         expected: proof.digest.program_hash,
-                        actual: program_hash(program),
+                        actual: program.content_digest(),
                     }
                 }
             }
@@ -504,12 +503,13 @@ impl WarmPools {
 
     /// Live instances (idle + leased) across all schemes.
     pub fn resident(&self) -> u64 {
-        let state = self.state.lock().expect("pool unpoisoned");
-        state
-            .spaces
-            .values()
-            .map(|s| s.live_count() as u64)
-            .sum::<u64>()
+        Self::live_total(&self.state.lock().expect("pool unpoisoned"))
+    }
+
+    /// Live sandboxes summed over the per-scheme runtimes: one counter
+    /// read per scheme, independent of how many slots each holds.
+    fn live_total(state: &PoolsState) -> u64 {
+        state.spaces.values().map(|s| s.live_count() as u64).sum()
     }
 
     /// Resolves a tenant's program and verifier verdict (compiling via
@@ -563,11 +563,7 @@ impl WarmPools {
         });
         match space.create_sandbox(16) {
             Ok(id) => {
-                let resident: u64 = state
-                    .spaces
-                    .values()
-                    .map(|s| s.live_count() as u64)
-                    .sum::<u64>();
+                let resident = Self::live_total(state);
                 state.stats.peak_resident = state.stats.peak_resident.max(resident);
                 Ok((id, false))
             }
@@ -608,9 +604,9 @@ impl WarmPools {
         }
         // Cold path: compile/resolve and verify-admit outside the lock
         // (the compile function memoizes process-wide, and the digest
-        // check hashes the program), then reserve address space under
-        // the lock, then build the executor and load the heap image
-        // outside it again.
+        // check reads the program's memoized content digest), then
+        // reserve address space under the lock, then build the executor
+        // and load the heap image outside it again.
         let spec = &self.tenants[tenant];
         let (program, verdict) = self.resolve(spec);
         match self.admit.decide(&verdict, &program) {
@@ -921,7 +917,7 @@ mod tests {
                 VerifyVerdict::Proven(p) => p.digest.program_hash,
                 _ => unreachable!(),
             };
-            let actual = program_hash(&program_b);
+            let actual = program_b.content_digest();
             assert_ne!(expected, actual, "distinct programs must hash apart");
             let spec = TenantSpec::from_program(
                 "stale".to_string(),

@@ -739,7 +739,7 @@ impl Machine {
     // Front end: fetch + decode + rename + dispatch.
     // ------------------------------------------------------------------
 
-    fn frontend(&mut self) {
+    fn frontend(&mut self, plan: &DecodedProgram) {
         if self.cycle < self.fetch_stall_until {
             return;
         }
@@ -748,9 +748,7 @@ impl Machine {
             return;
         }
         // Fetch reads the shared pre-decoded plan: every static fact is a
-        // flat-array load, no `Inst` match and no clone (the `Arc` bump is
-        // once per fetch group).
-        let plan = Arc::clone(&self.plan);
+        // flat-array load, no `Inst` match and no clone.
         for _ in 0..self.config.decode_width {
             if self.rob.len() >= self.config.rob_size {
                 break;
@@ -1069,7 +1067,7 @@ impl Machine {
     // Execute.
     // ------------------------------------------------------------------
 
-    fn execute(&mut self) {
+    fn execute(&mut self, plan: &DecodedProgram) {
         self.mem_ops_this_cycle = 0;
         self.alu_ops_this_cycle = 0;
 
@@ -1108,7 +1106,6 @@ impl Machine {
         // scan walks only the queued entries, compacting in place, and
         // every static fact comes from the pre-decoded plan: no `Inst`
         // match, no allocation, no clone.
-        let plan = Arc::clone(&self.plan);
         // Seq of the entry that took the last memory port, if any did.
         let mut mem_full_at = u64::MAX;
         let mut redirect: Option<(usize, usize)> = None; // (rob index, correct next)
@@ -1669,8 +1666,7 @@ impl Machine {
     // Commit.
     // ------------------------------------------------------------------
 
-    fn commit(&mut self) {
-        let plan = Arc::clone(&self.plan);
+    fn commit(&mut self, plan: &DecodedProgram) {
         for _ in 0..self.config.commit_width {
             let Some(entry) = self.rob.front() else {
                 return;
@@ -1870,6 +1866,9 @@ impl Machine {
 
     /// Runs until halt, unhandled fault, or `max_cycles`.
     pub fn run(&mut self, max_cycles: u64) -> RunResult {
+        // One `Arc` bump per call: the stages borrow the plan while they
+        // mutate the rest of the machine.
+        let plan = Arc::clone(&self.plan);
         while self.halted.is_none() && self.cycle < max_cycles {
             // Stall fast-forward: with the ROB empty and the front end
             // stalled (kernel round trip, signal delivery, serialization
@@ -1880,12 +1879,12 @@ impl Machine {
                 self.cycle = self.fetch_stall_until.min(max_cycles);
                 continue;
             }
-            self.commit();
+            self.commit(&plan);
             if self.halted.is_some() {
                 break;
             }
-            self.execute();
-            self.frontend();
+            self.execute(&plan);
+            self.frontend(&plan);
             self.cycle += 1;
 
             // Deadlock safety: nothing in flight and nothing to fetch.

@@ -11,6 +11,9 @@
 //! makes the paper's 445.gobmk observation (longer `hmov` encodings
 //! pressuring the i-cache, §6.1) reproducible.
 
+use std::fmt::Write as _;
+use std::sync::OnceLock;
+
 use hfi_core::{Region, SandboxConfig, TransitionContract};
 
 /// One of 16 general-purpose registers, `r0`–`r15`.
@@ -422,8 +425,44 @@ impl Inst {
     }
 }
 
+/// FNV-1a over everything written into it. Content digests hash `Debug`
+/// renderings of `#[derive(Debug)]` types with explicit-width integer
+/// fields, so a digest is stable across platforms and runs.
+#[derive(Debug)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    const PRIME: u64 = 0x100_0000_01b3;
+
+    /// Folds `bytes` into the hash.
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(Self::PRIME);
+        }
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+/// A hasher at the FNV-1a offset basis.
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write_bytes(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// An assembled program: instructions plus their byte-PC layout.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct Program {
     insts: Vec<Inst>,
     /// Byte PC of each instruction.
@@ -440,6 +479,26 @@ pub struct Program {
     /// moves, the stack switch, fences, the entry canary). The plan
     /// lowering flags these so the chaos engine can target them.
     transition_ops: Vec<u32>,
+    /// [`Program::content_digest`], computed on first read. Every field
+    /// above is private and fixed once the value exists (the one
+    /// mutator, `with_transition_meta`, consumes `self` and clears
+    /// this), so the memo always equals a recomputation.
+    digest: OnceLock<u64>,
+}
+
+/// The `#[derive(Debug)]` rendering minus the digest memo, which caches
+/// the other fields and is not content of its own.
+impl std::fmt::Debug for Program {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Program")
+            .field("insts", &self.insts)
+            .field("pcs", &self.pcs)
+            .field("code_len", &self.code_len)
+            .field("base", &self.base)
+            .field("contract", &self.contract)
+            .field("transition_ops", &self.transition_ops)
+            .finish()
+    }
 }
 
 impl Program {
@@ -458,6 +517,7 @@ impl Program {
             base,
             contract: None,
             transition_ops: Vec::new(),
+            digest: OnceLock::new(),
         }
     }
 
@@ -480,7 +540,29 @@ impl Program {
         );
         self.contract = contract;
         self.transition_ops = transition_ops;
+        self.digest = OnceLock::new();
         self
+    }
+
+    /// Content hash: FNV-1a over the base address, the `Debug` rendering
+    /// of every instruction, and the transition metadata (contract and
+    /// springboard op set) — exactly the inputs the decoded plan, and
+    /// therefore a verifier verdict, depends on. Computed once per
+    /// program object; later reads (and clones) return the memo.
+    pub fn content_digest(&self) -> u64 {
+        *self.digest.get_or_init(|| {
+            let mut w = Fnv1a::default();
+            let _ = write!(w, "base={:#x};", self.base);
+            for inst in &self.insts {
+                let _ = write!(w, "{inst:?};");
+            }
+            let _ = write!(
+                w,
+                "contract={:?};ops={:?}",
+                self.contract, self.transition_ops
+            );
+            w.finish()
+        })
     }
 
     /// The springboard entry contract, if one was declared.
@@ -593,6 +675,60 @@ mod tests {
         assert_eq!(prog.code_len(), 7);
         assert_eq!(prog.index_of_pc(0x1001), Some(1));
         assert_eq!(prog.index_of_pc(0x1002), None);
+    }
+
+    fn meta_program() -> Program {
+        Program::new(
+            vec![
+                Inst::MovI {
+                    dst: Reg(0),
+                    imm: 1,
+                },
+                Inst::Halt,
+            ],
+            0x1000,
+        )
+    }
+
+    #[test]
+    fn digest_memo_is_cleared_by_transition_meta() {
+        let program = meta_program();
+        let bare = program.content_digest();
+        let with_meta = program.with_transition_meta(None, vec![0]);
+        assert_ne!(with_meta.content_digest(), bare, "a stale memo survived");
+        assert_eq!(
+            with_meta.content_digest(),
+            meta_program()
+                .with_transition_meta(None, vec![0])
+                .content_digest(),
+            "the memo must equal a fresh computation"
+        );
+    }
+
+    #[test]
+    fn clones_and_relayouts_digest_their_own_content() {
+        let program = meta_program();
+        let digest = program.content_digest();
+        assert_eq!(program.clone().content_digest(), digest);
+
+        let relaid = program.with_insts(vec![Inst::Halt]);
+        assert!(relaid.digest.get().is_none(), "with_insts starts cold");
+        assert_ne!(relaid.content_digest(), digest);
+        assert_eq!(
+            program
+                .with_insts(program.insts().to_vec())
+                .content_digest(),
+            digest
+        );
+    }
+
+    #[test]
+    fn debug_rendering_leaves_out_the_digest_memo() {
+        let program = meta_program();
+        let cold = format!("{program:?}");
+        program.content_digest();
+        assert_eq!(format!("{program:?}"), cold);
+        assert!(!cold.contains("digest"), "{cold}");
     }
 
     #[test]

@@ -45,6 +45,6 @@ pub use emulation::{
 };
 pub use exec::{Emulated, Executor, ExecutorKind, RunRecord};
 pub use functional::{Functional, FunctionalCosts, FunctionalResult, FunctionalStats};
-pub use isa::{AluOp, Cond, HmovOperand, Inst, MemOperand, Program, Reg};
+pub use isa::{AluOp, Cond, Fnv1a, HmovOperand, Inst, MemOperand, Program, Reg};
 pub use mem::SparseMemory;
 pub use plan::{plan_of, BasicBlock, DecodedProgram, EaTemplate, MicroOp, OpClass, SerializeClass};

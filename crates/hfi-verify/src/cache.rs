@@ -28,7 +28,7 @@ use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
-use hfi_sim::Program;
+use hfi_sim::{Fnv1a, Program};
 
 use crate::spec::SandboxSpec;
 use crate::verify::{emulation_correspondence, verify_program, Proof, Violation};
@@ -45,57 +45,22 @@ pub const PASS_VERSIONS: &[(&str, u32)] = &[
     ("elision", 1),
 ];
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-/// FNV-1a over everything `write!`-ed into it; stable across platforms
-/// because it only ever sees `Debug` renderings of `#[derive(Debug)]`
-/// types with explicit-width integer fields.
-struct FnvWriter(u64);
-
-impl fmt::Write for FnvWriter {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        for &b in s.as_bytes() {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        Ok(())
-    }
-}
-
 /// Content hash of a spec: its full `Debug` rendering (every field of
 /// [`SandboxSpec`] derives `Debug`, and the builder has no hidden
 /// state).
 pub fn spec_hash(spec: &SandboxSpec) -> u64 {
-    let mut w = FnvWriter(FNV_OFFSET);
+    let mut w = Fnv1a::default();
     let _ = write!(w, "{spec:?}");
-    w.0
-}
-
-/// Content hash of a program: base address, the instruction stream, and
-/// the transition metadata (contract + springboard op set) — exactly
-/// the inputs the decoded plan, and therefore the verdict, depends on.
-pub fn program_hash(program: &Program) -> u64 {
-    let mut w = FnvWriter(FNV_OFFSET);
-    let _ = write!(w, "base={:#x};", program.base());
-    for inst in program.insts() {
-        let _ = write!(w, "{inst:?};");
-    }
-    let _ = write!(
-        w,
-        "contract={:?};ops={:?}",
-        program.contract(),
-        program.transition_ops()
-    );
-    w.0
+    w.finish()
 }
 
 /// Hash of [`PASS_VERSIONS`]: names and versions, in roster order.
 pub fn passes_hash() -> u64 {
-    let mut w = FnvWriter(FNV_OFFSET);
+    let mut w = Fnv1a::default();
     for (name, version) in PASS_VERSIONS {
         let _ = write!(w, "{name}={version};");
     }
-    w.0
+    w.finish()
 }
 
 /// The identity of a proof: what was proven (`program_hash`), against
@@ -107,7 +72,8 @@ pub fn passes_hash() -> u64 {
 pub struct ProofDigest {
     /// FNV-1a of the [`SandboxSpec`] the proof holds against.
     pub spec_hash: u64,
-    /// FNV-1a of the instruction stream the proof covers.
+    /// FNV-1a of the instruction stream the proof covers
+    /// ([`Program::content_digest`]).
     pub program_hash: u64,
     /// FNV-1a of the verifier pass roster that produced the proof.
     pub passes_hash: u64,
@@ -119,7 +85,7 @@ impl ProofDigest {
     pub fn compute(program: &Program, spec: &SandboxSpec) -> Self {
         ProofDigest {
             spec_hash: spec_hash(spec),
-            program_hash: program_hash(program),
+            program_hash: program.content_digest(),
             passes_hash: passes_hash(),
         }
     }
@@ -136,20 +102,20 @@ impl ProofDigest {
         if !self.is_set() {
             return 0;
         }
-        let mut h = FNV_OFFSET;
+        let mut h = Fnv1a::default();
         for part in [self.spec_hash, self.program_hash, self.passes_hash] {
-            for b in part.to_le_bytes() {
-                h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-            }
+            h.write_bytes(&part.to_le_bytes());
         }
-        h
+        h.finish()
     }
 
     /// Does this proof cover exactly `program`'s current instruction
     /// stream? The proof-carrying admission check: a caller pairing a
     /// proof with a different (or since-rebuilt) program fails here.
+    /// The program's digest is memoized per object, so repeating the
+    /// check on every cold build costs a load, not a re-render.
     pub fn matches_program(&self, program: &Program) -> bool {
-        self.is_set() && self.program_hash == program_hash(program)
+        self.is_set() && self.program_hash == program.content_digest()
     }
 }
 

@@ -38,8 +38,8 @@ pub mod spec;
 pub mod verify;
 
 pub use cache::{
-    passes_hash, program_hash, proof_cache_stats, reset_proof_cache, spec_hash,
-    verify_emulation_cached, verify_program_cached, ProofCacheStats, ProofDigest, PASS_VERSIONS,
+    passes_hash, proof_cache_stats, reset_proof_cache, spec_hash, verify_emulation_cached,
+    verify_program_cached, ProofCacheStats, ProofDigest, PASS_VERSIONS,
 };
 pub use lattice::{AbsVal, NO_DEF};
 pub use mutate::{direct_mutants, emulation_mutants, Mutant, MutationClass};

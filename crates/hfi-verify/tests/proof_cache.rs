@@ -217,6 +217,32 @@ fn verify_plan_stamps_the_digest() {
     assert_eq!(proof.digest, ProofDigest::compute(&program, &spec));
 }
 
+#[test]
+fn memoized_program_digests_equal_a_fresh_computation() {
+    // `Program` memoizes its content digest on first read; every way of
+    // deriving a program from another must leave a memo equal to what a
+    // program built from scratch would compute.
+    let program = guarded_program();
+    let spec = spec("proof-cache-memo");
+    let proof = verify_program(&program, &spec).expect("verifies");
+
+    let clone = Program::clone(&program);
+    assert!(proof.digest.matches_program(&clone));
+    let relaid = program.with_insts(program.insts().to_vec());
+    assert!(proof.digest.matches_program(&relaid));
+
+    // The proof's digest was read above; new transition metadata must
+    // not inherit it.
+    let remeta = Program::clone(&program).with_transition_meta(None, vec![2]);
+    assert!(!proof.digest.matches_program(&remeta));
+    let fresh =
+        Program::new(program.insts().to_vec(), program.base()).with_transition_meta(None, vec![2]);
+    assert_eq!(
+        ProofDigest::compute(&remeta, &spec),
+        ProofDigest::compute(&fresh, &spec)
+    );
+}
+
 /// Golden pin of the digest scheme. These exact values are part of the
 /// proof-identity contract: `RunRecord`s stamp them, `hfi-serve`
 /// admission compares them, and journals persist them across sessions —

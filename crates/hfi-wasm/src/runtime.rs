@@ -88,6 +88,9 @@ pub struct SandboxRuntime {
     isolation: Isolation,
     space: AddressSpace,
     slots: Vec<Slot>,
+    /// Slots with `live` set, kept at create and teardown so residency
+    /// queries never walk `slots`.
+    live: usize,
     costs: CostModel,
     /// HFI register state used for region updates (one active sandbox at
     /// a time, multiplexed — HFI keeps on-chip state constant, §3).
@@ -110,6 +113,7 @@ impl SandboxRuntime {
             isolation,
             space: AddressSpace::new(va_bits),
             slots: Vec::new(),
+            live: 0,
             costs: CostModel::default(),
             hfi: HfiContext::new(),
             hfi_ns: 0.0,
@@ -190,6 +194,7 @@ impl SandboxRuntime {
             live: true,
             pending_discard: false,
         });
+        self.live += 1;
         Ok(id)
     }
 
@@ -270,6 +275,7 @@ impl SandboxRuntime {
         self.space
             .madvise_dontneed(slot.base, (slot.pages * WASM_PAGE).max(WASM_PAGE))?;
         self.slots[id.0].live = false;
+        self.live -= 1;
         Ok(())
     }
 
@@ -283,6 +289,7 @@ impl SandboxRuntime {
         self.slot(id)?;
         self.slots[id.0].live = false;
         self.slots[id.0].pending_discard = true;
+        self.live -= 1;
         Ok(())
     }
 
@@ -331,7 +338,7 @@ impl SandboxRuntime {
 
     /// Number of live sandboxes.
     pub fn live_count(&self) -> usize {
-        self.slots.iter().filter(|slot| slot.live).count()
+        self.live
     }
 }
 
@@ -437,6 +444,45 @@ mod tests {
         let id = rt.create_sandbox(1).expect("create");
         assert!(rt.grow(id, 1).is_ok());
         assert_eq!(rt.grow(id, 1), Err(RuntimeError::HeapLimit));
+    }
+
+    #[test]
+    fn live_count_matches_a_recount_of_live_slots() {
+        // A 36-bit space holds eight guard reservations, so creates
+        // fail once the space fills (reservations are never returned);
+        // a failed create must not count, and both teardown paths must.
+        let mut rng = hfi_util::Rng::new(0x11fe);
+        for isolation in [Isolation::GuardPages, Isolation::Hfi] {
+            let mut rt = SandboxRuntime::new(isolation, 36);
+            rt.set_max_heap(4 << 30);
+            let mut ids = Vec::new();
+            for _ in 0..400 {
+                match rng.below(4) {
+                    0 | 1 => {
+                        if let Ok(id) = rt.create_sandbox(1 + rng.below(4)) {
+                            ids.push(id);
+                        }
+                    }
+                    choice => {
+                        if ids.is_empty() {
+                            continue;
+                        }
+                        let id = ids[rng.below(ids.len() as u64) as usize];
+                        // A dead id is refused and must not count twice.
+                        let _ = if choice == 2 {
+                            rt.teardown(id)
+                        } else {
+                            rt.teardown_deferred(id)
+                        };
+                    }
+                }
+                let recount = rt.slots.iter().filter(|slot| slot.live).count();
+                assert_eq!(rt.live_count(), recount, "{isolation:?}");
+            }
+            rt.flush_teardowns().expect("flush");
+            let recount = rt.slots.iter().filter(|slot| slot.live).count();
+            assert_eq!(rt.live_count(), recount, "{isolation:?}");
+        }
     }
 
     #[test]
