@@ -6,9 +6,11 @@
 //! [`Outcome::Shed`]); each worker drains its own shard FIFO (front)
 //! and, when empty, steals from the *back* of sibling shards — FIFO
 //! for the owner preserves arrival order per shard, LIFO stealing
-//! takes the work least likely to be cache-warm on the victim. All of
-//! it is hand-rolled on `std` primitives (`Mutex<VecDeque>`, atomics,
-//! mpsc), keeping the workspace's `forbid(unsafe_code)` posture.
+//! takes the work least likely to be cache-warm on the victim. A
+//! worker with nothing to pop parks its thread, and `submit` unparks
+//! the shard's owner. All of it is hand-rolled on `std` primitives
+//! (`Mutex<VecDeque>`, atomics, mpsc, thread park/unpark), keeping the
+//! workspace's `forbid(unsafe_code)` posture.
 //!
 //! **Fault containment** (see `faults.rs` and DESIGN.md): requests may
 //! carry a wall-clock deadline, checked at dispatch and enforced
@@ -188,6 +190,11 @@ impl Default for ServeConfig {
     }
 }
 
+/// Longest a parked worker waits before it looks at its siblings'
+/// shards again. `submit` wakes only the shard's owner, so this bounds
+/// how late an idle worker steals from a busy sibling or picks up a
+/// dead worker's shard; it is not the idle wake-up (see `worker_loop`).
+/// `finish` also polls `pending` at this period.
 const IDLE_SLEEP: Duration = Duration::from_micros(50);
 
 /// A queued request plus its submission timestamp (the deadline's
@@ -313,12 +320,27 @@ impl Scheduler {
         self.inner.pending.load(Ordering::Acquire)
     }
 
-    /// Enqueues a request on the next shard (round-robin). A shard at
-    /// its depth cap sheds the request immediately: it completes as
-    /// [`Outcome::Shed`] through the normal completion stream (so
-    /// offered-vs-achieved accounting always balances) without ever
-    /// occupying queue memory or worker time.
+    /// Enqueues a request on the next shard (round-robin) and wakes the
+    /// shard's worker. A shard at its depth cap sheds the request
+    /// immediately: it completes as [`Outcome::Shed`] through the
+    /// normal completion stream (so offered-vs-achieved accounting
+    /// always balances) without ever occupying queue memory or worker
+    /// time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `request.tenant` is out of range of the pools' tenant
+    /// table.
     pub fn submit(&self, request: Request) {
+        // Checked here, on the caller's thread: a worker indexing an
+        // out-of-range tenant would die with the request still pending,
+        // and `finish` would wait for it forever.
+        assert!(
+            request.tenant < self.inner.breakers.len(),
+            "tenant {} is out of range of {} tenants",
+            request.tenant,
+            self.inner.breakers.len()
+        );
         let shard =
             (self.inner.cursor.fetch_add(1, Ordering::Relaxed) as usize) % self.inner.shards.len();
         let queued_ns = self.inner.now_ns();
@@ -327,6 +349,8 @@ impl Scheduler {
             if queue.len() < self.inner.config.queue_cap {
                 self.inner.pending.fetch_add(1, Ordering::AcqRel);
                 queue.push_back(Queued { request, queued_ns });
+                drop(queue);
+                self.workers[shard].thread().unpark();
                 return;
             }
         }
@@ -371,6 +395,9 @@ impl Scheduler {
             std::thread::sleep(IDLE_SLEEP);
         }
         self.inner.shutdown.store(true, Ordering::Release);
+        for handle in &self.workers {
+            handle.thread().unpark();
+        }
         for handle in self.workers {
             handle.join().expect("worker thread panicked");
         }
@@ -446,7 +473,11 @@ fn worker_loop(id: usize, inner: &Inner, tx: &Sender<Completion>) {
                 if inner.shutdown.load(Ordering::Acquire) {
                     return;
                 }
-                std::thread::sleep(IDLE_SLEEP);
+                // `submit` unparks this thread after its push, so a
+                // request queued since `pop_work` looked leaves the park
+                // token set and this returns at once. The timeout only
+                // bounds stealing: siblings' submits never unpark us.
+                std::thread::park_timeout(IDLE_SLEEP);
             }
         }
     }
@@ -969,6 +1000,59 @@ mod tests {
             completions.iter().filter(|c| c.worker == 0).count() <= 1,
             "worker 0 must serve at most one request before dying"
         );
+    }
+
+    #[test]
+    fn an_idle_worker_starts_a_request_without_waiting_out_a_sleep() {
+        let scheduler = Scheduler::new(pools(1), 1);
+        let mut rng = hfi_util::Rng::new(17);
+        let mut waits_ns = Vec::new();
+        for _ in 0..300 {
+            // A seeded pause after the previous completion, so the
+            // worker has gone idle (and the pause is out of phase with
+            // any fixed poll period) at every submit.
+            std::thread::sleep(Duration::from_micros(rng.range_u64(100, 401)));
+            scheduler.submit(Request {
+                arrival_ns: scheduler.now_ns(),
+                ..request(0)
+            });
+            let completion = loop {
+                if let Some(c) = scheduler.drain_completions().pop() {
+                    break c;
+                }
+                std::thread::yield_now();
+            };
+            assert!(matches!(completion.outcome, Outcome::Done { .. }));
+            waits_ns.push(completion.start_ns - completion.arrival_ns);
+        }
+        scheduler.finish();
+        waits_ns.sort_unstable();
+        let median = Duration::from_nanos(waits_ns[waits_ns.len() / 2]);
+        assert!(
+            median < IDLE_SLEEP / 2,
+            "an idle worker took {median:?} (median) to start a request"
+        );
+    }
+
+    #[test]
+    fn out_of_range_tenants_panic_at_submit_and_serving_goes_on() {
+        let scheduler = Scheduler::new(pools(1), 1);
+        let submitted = catch_unwind(AssertUnwindSafe(|| scheduler.submit(request(5))));
+        assert!(
+            submitted.is_err(),
+            "tenant 5 of 1 must be refused on the caller's thread"
+        );
+        scheduler.submit(request(0));
+        let completions = scheduler.finish();
+        assert_eq!(completions.len(), 1);
+        assert!(matches!(
+            completions[0].outcome,
+            Outcome::Done {
+                stop: Stop::Halted,
+                r0: 100,
+                ..
+            }
+        ));
     }
 
     #[test]
