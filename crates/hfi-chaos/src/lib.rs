@@ -472,17 +472,18 @@ mod tests {
             );
         }
         // The same trap with no injection, from a springboard that skips
-        // a declared zeroing: the block-stepped loop and the per-op path
-        // (under a fuel hook that never fires) must stop identically,
-        // with identical registers and memory.
+        // a declared zeroing: the block-stepped loop and the per-op
+        // reference loop must stop identically, with identical registers
+        // and memory.
         let leaky = std::sync::Arc::new(springboard_zeroing(&[3, 5]).finish());
         let run = |per_op: bool| {
             let mut functional = Functional::new(std::sync::Arc::clone(&leaky));
             functional.set_reg(Reg(4), 0xDEAD);
-            if per_op {
-                functional.set_fuel(1, Box::new(|| true));
-            }
-            let result = functional.run(1_000_000);
+            let result = if per_op {
+                functional.run_reference(1_000_000)
+            } else {
+                functional.run(1_000_000)
+            };
             (result, functional.mem.read_bytes(DATA_BASE, 0x100))
         };
         let fast = run(false);
@@ -520,9 +521,11 @@ mod tests {
     #[test]
     fn machine_site_totals_with_loads_stalled_behind_stores_are_pinned() {
         // Campaign trigger indices number the sites a baseline run
-        // visits. A plain load stalled behind an older store re-offers
-        // its EA site on every retry while a hook is installed, so the
-        // totals pin how often the cycle core retries those loads.
+        // visits. A plain load stalled behind an older store parks on
+        // that store, hooked or not, and offers its EA site again only
+        // when it is dispatched again: once per dispatch, not once per
+        // stalled cycle. The totals pin that, and the hooked run must
+        // take the unhooked run's pipeline path cycle for cycle.
         let mut asm = ProgramBuilder::new(CODE_BASE);
         let code = ImplicitCodeRegion::new(CODE_BASE, 0xFFFF, true).unwrap();
         let data = ImplicitDataRegion::new(DATA_BASE, 0xFFFF, true, true).unwrap();
@@ -548,22 +551,30 @@ mod tests {
         asm.branch_i(Cond::Ne, Reg(3), 0, top);
         asm.hfi_exit();
         asm.halt();
-        let mut machine = Machine::new(asm.finish());
-        for it in 0..4u64 {
-            let row = DATA_BASE + it * 0x800;
-            machine.mem.write(row, DATA_BASE + 0x8000 + it * 8, 8);
-            machine.mem.write(row + 0x40, it, 8);
-        }
-        machine.mem.write(HEAP_BASE + 0x40, 10, 8);
+        let program = std::sync::Arc::new(asm.finish());
+        let machine = || {
+            let mut machine = Machine::new(std::sync::Arc::clone(&program));
+            for it in 0..4u64 {
+                let row = DATA_BASE + it * 0x800;
+                machine.mem.write(row, DATA_BASE + 0x8000 + it * 8, 8);
+                machine.mem.write(row + 0x40, it, 8);
+            }
+            machine.mem.write(HEAP_BASE + 0x40, 10, 8);
+            machine
+        };
+        let unhooked = machine().run(1_000_000);
+        let mut hooked = machine();
         let counter = SiteCounter::new();
-        machine.set_chaos(Box::new(counter.clone()));
-        let result = machine.run(1_000_000);
+        hooked.set_chaos(Box::new(counter.clone()));
+        let result = hooked.run(1_000_000);
         assert_eq!(result.stop, Stop::Halted);
         assert_eq!(result.regs[0], 6 + 4 * 10);
+        assert_eq!(result.stats, unhooked.stats);
+        assert_eq!(result.cycles, unhooked.cycles);
         assert_eq!(
             counter.counts(),
             SiteCounts {
-                ea: 2289,
+                ea: 23,
                 result: 45,
                 guard: 16,
                 transition: 0,

@@ -58,7 +58,9 @@ pub struct Request {
     /// [`Outcome::DeadlineExceeded`] without running; one that is
     /// mid-run when the deadline passes is cooperatively cancelled via
     /// the executor's fuel hook (functional tier; the cycle tier has
-    /// no cancellation seam and runs to its `limit`).
+    /// no cancellation seam and runs to its `limit`). The hook runs the
+    /// same block-stepped loop as a request without a deadline, and
+    /// polls the clock every 4096 steps.
     pub deadline: Option<Duration>,
     /// Optional fault-injection hook, installed for this run only
     /// (functional tier; the cycle tier has no chaos seam).
@@ -144,8 +146,10 @@ pub struct Completion {
 ///
 /// The default configuration preserves the historical scheduler
 /// behavior wherever a knob is about *policy* (unbounded queues) and
-/// enables containment where it is purely defensive (breakers, panic
-/// quarantine, backoff): a healthy workload never trips any of it.
+/// enables containment where it is purely defensive (breakers): a
+/// healthy workload never trips any of it. Panic quarantine is always
+/// on; the capacity-retry backoff and the deadline poll period are
+/// constants.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Per-shard queue depth cap; submissions beyond it complete
@@ -156,15 +160,6 @@ pub struct ServeConfig {
     pub breaker_threshold: u32,
     /// Open-circuit cooldown before the half-open probe is admitted.
     pub breaker_cooldown: Duration,
-    /// `AtCapacity` checkout retries before [`Outcome::Overloaded`].
-    pub capacity_retries: u32,
-    /// First backoff sleep of the capacity-retry loop.
-    pub backoff_base: Duration,
-    /// Ceiling on any single backoff sleep.
-    pub backoff_cap: Duration,
-    /// Retired-instruction period between deadline polls of the fuel
-    /// hook (cancellation latency vs. polling overhead).
-    pub fuel_period: u64,
     /// Seed for the backoff jitter streams (one per worker, split from
     /// this) — the retry schedule is deterministic under `--seed`.
     pub seed: u64,
@@ -180,15 +175,22 @@ impl Default for ServeConfig {
             queue_cap: usize::MAX,
             breaker_threshold: 8,
             breaker_cooldown: Duration::from_millis(2),
-            capacity_retries: 32,
-            backoff_base: Duration::from_micros(5),
-            backoff_cap: Duration::from_millis(1),
-            fuel_period: 4096,
             seed: 0x4641_554C,
             worker_deaths: Vec::new(),
         }
     }
 }
+
+/// `AtCapacity` checkout retries before [`Outcome::Overloaded`].
+const CAPACITY_RETRIES: u32 = 32;
+/// First backoff sleep of the capacity-retry loop.
+const BACKOFF_BASE: Duration = Duration::from_micros(5);
+/// Ceiling on any single backoff sleep.
+const BACKOFF_CAP: Duration = Duration::from_millis(1);
+/// Steps between deadline polls of the fuel hook: the cancellation
+/// latency. The poll splits the functional tier's step budget, so it
+/// costs one clock read per period and changes no loop.
+const FUEL_PERIOD: u64 = 4096;
 
 /// Longest a parked worker waits before it looks at its siblings'
 /// shards again. `submit` wakes only the shard's owner, so this bounds
@@ -439,11 +441,7 @@ fn worker_loop(id: usize, inner: &Inner, tx: &Sender<Completion>) {
     // backoff schedule is deterministic under `--seed` yet workers
     // colliding on an exhausted pool decorrelate.
     let mut stream = inner.config.seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let mut backoff = Backoff::new(
-        inner.config.backoff_base,
-        inner.config.backoff_cap,
-        split_mix64(&mut stream),
-    );
+    let mut backoff = Backoff::new(BACKOFF_BASE, BACKOFF_CAP, split_mix64(&mut stream));
     let die_after = inner
         .config
         .worker_deaths
@@ -588,7 +586,7 @@ fn serve_one(
                 })
             }
             Err(PoolError::AtCapacity) => {
-                if retries >= inner.config.capacity_retries {
+                if retries >= CAPACITY_RETRIES {
                     break Err(Outcome::Overloaded);
                 }
                 std::thread::sleep(backoff.delay(retries));
@@ -633,15 +631,12 @@ fn serve_one(
         .map(|deadline| inner.epoch + Duration::from_nanos(queued_ns) + deadline);
     if let Some(at) = deadline_at {
         // Cooperative cancellation: the fuel hook polls the wall clock
-        // every `fuel_period` retired instructions and stops the run
-        // (as `Stop::CycleLimit`) once the deadline passes, so a
-        // runaway kernel cannot hold this worker hostage. The pool's
-        // release reset detaches the hook.
+        // every `FUEL_PERIOD` steps and stops the run (as
+        // `Stop::CycleLimit`) once the deadline passes, so a runaway
+        // kernel cannot hold this worker hostage. The pool's release
+        // reset detaches the hook.
         if let Some(functional) = lease.instance.functional_mut() {
-            functional.set_fuel(
-                inner.config.fuel_period,
-                Box::new(move || Instant::now() < at),
-            );
+            functional.set_fuel(FUEL_PERIOD, Box::new(move || Instant::now() < at));
         }
     }
     let limit = request.limit;

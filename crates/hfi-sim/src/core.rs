@@ -30,7 +30,7 @@ use hfi_core::{
 
 use crate::cache::CacheHierarchy;
 use crate::chaos::{ArchEvent, ChaosHook};
-use crate::isa::{AluOp, Inst, Program, Reg};
+use crate::isa::{effective_address, Inst, Program, Reg};
 use crate::mem::SparseMemory;
 use crate::plan::{plan_of, DecodedProgram, MicroOp, OpClass, SerializeClass, NO_REG, NO_TARGET};
 use crate::predictor::{BranchTargetBuffer, PatternHistoryTable};
@@ -278,9 +278,9 @@ struct RobEntry {
     /// snapshot, so its result cannot change between retries.
     mem_addr: u64,
     /// For stores: the value to write at commit (`EF_HAS_STORE_VALUE`).
-    /// For loads: the seq of the older store this load is stalled behind
-    /// (`EF_DEP_ADDR` / `EF_DEP_COMMIT`) — loads never forward data out
-    /// of this field, so the reuse cannot be observed.
+    /// For a load stalled behind an older store: that store's seq, which
+    /// the load parks on — loads never forward data out of this field,
+    /// so the reuse cannot be observed.
     store_value: u64,
     /// Fault detected at decode or execute, delivered at commit.
     fault: Option<HfiFault>,
@@ -316,16 +316,6 @@ const EF_HAS_STORE_VALUE: u8 = 1 << 3;
 /// `mem_addr` holds this hmov load's already-checked effective address,
 /// so retries skip `hmov_check_access` (pure per generation snapshot).
 const EF_EA_KNOWN: u8 = 1 << 4;
-/// Load stalled on a store (`store_value`) whose address is unknown:
-/// the dependence scan cannot pass it until that store's `mem_size` is
-/// set or it commits. Older stores only *resolve* over time (a squash
-/// that removes the store removes this younger load too), so the scan's
-/// verdict cannot change before that store's does.
-const EF_DEP_ADDR: u8 = 1 << 5;
-/// Load stalled on a partially overlapping store (`store_value`): every
-/// store between it and the load already had a known, non-overlapping
-/// address, so the scan's verdict is fixed until that store commits.
-const EF_DEP_COMMIT: u8 = 1 << 6;
 
 impl RobEntry {
     fn blank(inst_idx: usize) -> Self {
@@ -524,8 +514,8 @@ pub struct Machine {
     /// Sequence number of the ROB head (equal to `next_seq` when empty).
     head_seq: u64,
     /// Seqs of the `Waiting` entries the issue stage visits, in age
-    /// order. An entry blocked on an in-flight producer, or (with no
-    /// chaos hook) on an older store, leaves the queue and parks in
+    /// order. An entry blocked on an in-flight producer, or a load
+    /// stalled behind an older store, leaves the queue and parks in
     /// `waits` until that blocker completes, resolves or commits.
     issue_queue: Vec<u64>,
     /// Parked entries, listed under the entry they wait on.
@@ -645,9 +635,10 @@ impl Machine {
     }
 
     /// Installs a runtime fault-injection hook (see [`crate::chaos`]).
-    /// Install it before [`Machine::run`]: a load that stalled behind a
-    /// store with no hook installed waits off the issue queue and offers
-    /// its address to the hook again only once the store has moved on.
+    /// A hooked run takes the same pipeline path as an unhooked one: a
+    /// load stalled behind an older store parks off the issue queue and
+    /// offers its address to the hook again only when it is dispatched
+    /// again, once the store has resolved or committed.
     pub fn set_chaos(&mut self, hook: Box<dyn ChaosHook>) {
         self.chaos = Some(hook);
     }
@@ -1168,17 +1159,19 @@ impl Machine {
                 self.waits.park(producer, seq);
                 continue;
             }
+            // An unset operand slot's `vals` entry is never written, so it
+            // reads as zero: the optional base or index of an address.
             let v = |k: usize| vals[k];
 
             match uop.class {
                 OpClass::AluRR => {
                     self.alu_ops_this_cycle += 1;
-                    let value = alu_eval(uop.alu, v(0), v(1));
+                    let value = uop.alu.eval(v(0), v(1));
                     self.finish(i, value, uop.alu.latency());
                 }
                 OpClass::AluRI => {
                     self.alu_ops_this_cycle += 1;
-                    let value = alu_eval(uop.alu, v(0), uop.imm as u64);
+                    let value = uop.alu.eval(v(0), uop.imm as u64);
                     self.finish(i, value, uop.alu.latency());
                 }
                 OpClass::MovI => {
@@ -1413,17 +1406,9 @@ impl Machine {
             if self.rob[i].state == EntryState::Waiting {
                 // A load that returned from `exec_load` without issuing:
                 // stalled behind the older store in `store_value`.
-                if self.chaos.is_some() {
-                    // A plain load's retry offers its address to the hook
-                    // every cycle, and campaign trigger indices number
-                    // those offers: keep the per-cycle retry.
-                    queue[keep] = seq;
-                    keep += 1;
-                } else {
-                    self.waits.park(self.rob[i].store_value, seq);
-                    if uop.class == OpClass::HmovLoad {
-                        self.parked_hmov_now.push(seq);
-                    }
+                self.waits.park(self.rob[i].store_value, seq);
+                if uop.class == OpClass::HmovLoad {
+                    self.parked_hmov_now.push(seq);
                 }
             } else if self.rob[i].mem_size != 0
                 && self.rob[i].has(EF_STORE)
@@ -1494,30 +1479,6 @@ impl Machine {
     /// Executes a load: HFI check first (zero latency, parallel with the
     /// dtb); only a *passing* check reaches the cache — speculative or not.
     fn exec_load(&mut self, i: usize, addr: u64, size: u8, is_hmov: bool) {
-        // Memoized verdict from an earlier stalled scan: while the
-        // recorded store is still blocking, the full scan below would
-        // reach the same store and stall again (older stores only
-        // resolve; none are inserted), so skip it. The memo re-arms on
-        // every fresh stall, and dies with the entry on squash. Only the
-        // per-cycle retry under a chaos hook finds it still blocking; a
-        // parked load returns here only once its store has moved on.
-        if self.rob[i].flags & (EF_DEP_ADDR | EF_DEP_COMMIT) != 0 {
-            let dep = self.rob[i].store_value;
-            let still_blocked = if dep < self.head_seq {
-                false // blocking store committed: rescan
-            } else if self.rob[i].has(EF_DEP_ADDR) {
-                // Blocked on an unknown store address; rescan once the
-                // store dispatches (its `mem_size` becomes nonzero).
-                self.rob[(dep - self.head_seq) as usize].mem_size == 0
-            } else {
-                // Partial overlap: fixed until the store commits.
-                true
-            };
-            if still_blocked {
-                return;
-            }
-            self.rob[i].flags &= !(EF_DEP_ADDR | EF_DEP_COMMIT);
-        }
         // Older-store dependence, scanned youngest-first so the most
         // recent matching store wins: wait for unknown addresses; forward
         // on exact overlap; wait for commit on partial overlap. Only the
@@ -1530,10 +1491,8 @@ impl Machine {
             let j = (store_seq - self.head_seq) as usize;
             let ssize = self.rob[j].mem_size;
             if ssize == 0 {
-                // Address unknown: stall, and remember which store to
-                // watch so retries skip the scan.
+                // Address unknown: stall until the store resolves it.
                 self.rob[i].store_value = store_seq;
-                self.rob[i].flags |= EF_DEP_ADDR;
                 return;
             }
             let saddr = self.rob[j].mem_addr;
@@ -1549,7 +1508,6 @@ impl Machine {
                 }
                 // Partial overlap: wait for the store to drain.
                 self.rob[i].store_value = store_seq;
-                self.rob[i].flags |= EF_DEP_COMMIT;
                 return;
             }
         }
@@ -1915,46 +1873,11 @@ fn mask_to_size(value: u64, size: u8) -> u64 {
     }
 }
 
-/// The plan's effective-address template: `base + index * scale + disp`.
-/// Unset operand slots contribute zero (their `vals` entry is never
-/// written), which reproduces `MemOperand`'s optional-base/index
-/// semantics for every addressing mode.
-fn effective_address(base: u64, index: u64, scale: u8, disp: i64) -> u64 {
-    base.wrapping_add(index.wrapping_mul(scale as u64))
-        .wrapping_add(disp as u64)
-}
-
-fn alu_eval(op: AluOp, a: u64, b: u64) -> u64 {
-    match op {
-        AluOp::Add => a.wrapping_add(b),
-        AluOp::Sub => a.wrapping_sub(b),
-        AluOp::Mul => a.wrapping_mul(b),
-        AluOp::Div => a.checked_div(b).unwrap_or(0),
-        AluOp::Rem => {
-            if b == 0 {
-                a
-            } else {
-                a % b
-            }
-        }
-        AluOp::And => a & b,
-        AluOp::Or => a | b,
-        AluOp::Xor => a ^ b,
-        AluOp::Shl => a << (b & 63),
-        AluOp::Shr => a >> (b & 63),
-        AluOp::Sar => ((a as i64) >> (b & 63)) as u64,
-        AluOp::SltU => (a < b) as u64,
-        AluOp::Slt => ((a as i64) < (b as i64)) as u64,
-        AluOp::Seq => (a == b) as u64,
-        AluOp::Rotl => a.rotate_left((b & 63) as u32),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::asm::ProgramBuilder;
-    use crate::isa::{Cond, MemOperand};
+    use crate::isa::{AluOp, Cond, MemOperand};
     use hfi_core::region::{ExplicitDataRegion, ImplicitCodeRegion, ImplicitDataRegion};
     use hfi_core::{Region, SandboxConfig};
 

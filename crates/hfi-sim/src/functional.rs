@@ -18,7 +18,7 @@ use hfi_core::{
 
 use crate::chaos::{ArchEvent, ChaosHook};
 use crate::core::{DefaultOs, OsModel, Stop, SyscallOutcome};
-use crate::isa::{AluOp, Inst, Program, Reg};
+use crate::isa::{effective_address, AluOp, Inst, Program, Reg};
 use crate::mem::SparseMemory;
 use crate::plan::{plan_of, DecodedProgram, MicroOp, OpClass, NO_REG};
 
@@ -91,12 +91,13 @@ pub struct FunctionalResult {
 }
 
 /// Cooperative-cancellation fuel: a predicate polled every `period`
-/// retired instructions. Returning `false` stops the run with
-/// [`Stop::CycleLimit`] at the next poll point, between two
-/// instructions — the serving tier uses this to cancel a request whose
-/// wall-clock deadline passed without wedging the worker thread.
+/// steps. Returning `false` stops the run with [`Stop::CycleLimit`] at
+/// the poll point, between two instructions — the serving tier uses
+/// this to cancel a request whose wall-clock deadline passed without
+/// wedging the worker thread.
 struct Fuel {
     period: u64,
+    /// Steps left before the next poll, carried across runs.
     until_poll: u64,
     check: Box<dyn FnMut() -> bool + Send>,
 }
@@ -120,9 +121,12 @@ enum Flow {
     /// Execution is over (halt, exit, return from the outermost frame,
     /// a redirect to an unmapped handler).
     Stop(Stop),
-    /// The block loop does not run this class inline: the op takes the
-    /// per-op [`Functional::step`] instead. Nothing was executed.
+    /// Block loop only: the op at the loop's `pc` takes the per-op
+    /// [`Functional::step`] instead. Nothing was executed.
     Leave,
+    /// Block loop only: the steps before the fuel hook's next poll are
+    /// spent.
+    Poll,
 }
 
 /// The functional executor.
@@ -210,9 +214,8 @@ impl Functional {
     }
 
     /// Installs a runtime fault-injection hook (see [`crate::chaos`]).
-    /// While a hook is installed every op takes the per-op path, so the
-    /// hook sees every site; with none installed every site is a single
-    /// predictable branch.
+    /// [`Functional::run`] then takes the observed instance of its loop,
+    /// which offers the hook every site, in the per-op order.
     pub fn set_chaos(&mut self, hook: Box<dyn ChaosHook>) {
         self.chaos = Some(hook);
     }
@@ -224,23 +227,22 @@ impl Functional {
     }
 
     /// Installs a cooperative-cancellation fuel hook: `check` is polled
-    /// every `period` retired instructions (clamped to at least 1), and
-    /// returning `false` stops the run with [`Stop::CycleLimit`] at the
-    /// next poll point — between two instructions, with all retired
-    /// architectural effects visible. The serving tier uses this to
-    /// enforce wall-clock request deadlines: a runaway kernel cannot
+    /// before every `period`-th step (`period` clamped to at least 1),
+    /// counted across runs, and returning `false` stops the run with
+    /// [`Stop::CycleLimit`] there — between two instructions, with all
+    /// retired architectural effects visible. The serving tier uses this
+    /// to enforce wall-clock request deadlines: a runaway kernel cannot
     /// wedge its worker thread for longer than one poll period.
     ///
-    /// While a hook that never fires is installed, counters, cycles,
-    /// registers, and the stop reason are bit-identical to an
-    /// uninstrumented run; every op takes the per-op path (like chaos
-    /// observation), trading throughput for a bounded cancellation
-    /// latency. [`Functional::reset`] clears the hook.
+    /// The hook only splits the run's step budget at its polls: a hook
+    /// that refuses on its k-th poll ends the run exactly as an unhooked
+    /// run with a budget of k·`period` − 1 steps, and one that never
+    /// fires changes nothing. [`Functional::reset`] clears the hook.
     pub fn set_fuel(&mut self, period: u64, check: Box<dyn FnMut() -> bool + Send>) {
         let period = period.max(1);
         self.fuel = Some(Fuel {
             period,
-            until_poll: period,
+            until_poll: period - 1,
             check,
         });
     }
@@ -248,21 +250,6 @@ impl Functional {
     /// Removes the installed fuel hook, if any.
     pub fn take_fuel(&mut self) {
         self.fuel = None;
-    }
-
-    /// Decrements the fuel counter and polls the cancellation predicate
-    /// when it reaches zero. Returns `false` when the run must stop.
-    /// Never called unless a hook is installed.
-    fn poll_fuel(&mut self) -> bool {
-        let Some(fuel) = self.fuel.as_mut() else {
-            return true;
-        };
-        if fuel.until_poll > 1 {
-            fuel.until_poll -= 1;
-            return true;
-        }
-        fuel.until_poll = fuel.period;
-        (fuel.check)()
     }
 
     /// Sets a register before running.
@@ -299,15 +286,6 @@ impl Functional {
         } else {
             self.regs[r as usize]
         }
-    }
-
-    /// Effective address from the plan's EA template:
-    /// `base + index * scale + disp` over the micro-op's operand slots.
-    #[inline(always)]
-    fn ea_of(&self, uop: &MicroOp) -> u64 {
-        self.slot(uop.srcs[0])
-            .wrapping_add(self.slot(uop.srcs[1]).wrapping_mul(uop.scale as u64))
-            .wrapping_add(uop.imm as u64)
     }
 
     /// Forwards a retired architectural event to the chaos hook, if one
@@ -347,9 +325,10 @@ impl Functional {
         }
     }
 
-    /// Runs up to `max_insts` instructions.
+    /// Runs up to `max_insts` steps, from the program's first
+    /// instruction.
     ///
-    /// Both loops are direct-threaded over the shared pre-decoded plan
+    /// The loop is direct-threaded over the shared pre-decoded plan
     /// ([`plan_of`]): each op is a flat [`MicroOp`] dispatched on its
     /// dense class byte — no `Inst` match and no operand `Option`
     /// walking — while the architectural semantics, the cost model, and
@@ -358,19 +337,45 @@ impl Functional {
     /// `hfi_set_region`) reach back into the program for their full
     /// operands, off the hot path.
     ///
-    /// With no chaos or fuel hook installed the run is block-stepped:
-    /// fetch is checked once per basic block and the counters live in
-    /// locals. With either hook installed every op takes the per-op
-    /// path, so the hook sees each one. The results are bit-identical
-    /// (cycles, counters, registers, memory, stop reason) — see
+    /// Every run is block-stepped, whatever hook is installed; a chaos
+    /// hook selects the loop's observed instance. Cycles, counters,
+    /// registers, memory, the stop reason and the hook calls are
+    /// bit-identical to the per-op [`Functional::run_reference`] — see
     /// `tests/predecode_differential.rs`.
     pub fn run(&mut self, max_insts: u64) -> FunctionalResult {
         let plan = Arc::clone(&self.plan);
-        let stop = if self.chaos.is_some() || self.fuel.is_some() {
-            self.run_per_op(&plan, max_insts)
+        let stop = if self.chaos.is_some() {
+            self.run_blocks::<true>(&plan, max_insts)
         } else {
-            self.run_blocks(&plan, max_insts)
+            self.run_blocks::<false>(&plan, max_insts)
         };
+        self.result(stop)
+    }
+
+    /// Runs up to `max_insts` steps one op at a time, each through
+    /// [`Functional::step`], and ignores any fuel hook. No hook selects
+    /// this loop: it is the reference the block loop is tested against.
+    pub fn run_reference(&mut self, max_insts: u64) -> FunctionalResult {
+        let plan = Arc::clone(&self.plan);
+        let mut pc = 0usize;
+        let mut budget = max_insts;
+        let stop = loop {
+            if budget == 0 {
+                break Stop::CycleLimit;
+            }
+            if pc >= plan.len() {
+                break Stop::Halted;
+            }
+            budget -= 1;
+            match self.step(pc, &plan) {
+                StepExit::Next(next) => pc = next,
+                StepExit::Stop(stop) => break stop,
+            }
+        };
+        self.result(stop)
+    }
+
+    fn result(&self, stop: Stop) -> FunctionalResult {
         FunctionalResult {
             cycles: self.cycles,
             stop,
@@ -379,28 +384,7 @@ impl Functional {
         }
     }
 
-    /// The per-op loop: every op takes [`Functional::step`], and the fuel
-    /// hook, if any, is polled before each one.
-    fn run_per_op(&mut self, plan: &DecodedProgram, max_insts: u64) -> Stop {
-        let mut pc = 0usize;
-        let mut budget = max_insts;
-        while budget > 0 {
-            budget -= 1;
-            if pc >= plan.len() {
-                return Stop::Halted;
-            }
-            if self.fuel.is_some() && !self.poll_fuel() {
-                return Stop::CycleLimit; // cancelled
-            }
-            match self.step(pc, plan) {
-                StepExit::Next(next) => pc = next,
-                StepExit::Stop(stop) => return stop,
-            }
-        }
-        Stop::CycleLimit
-    }
-
-    /// The block-stepped loop, for runs with no hook installed.
+    /// The block-stepped loop.
     ///
     /// Runs basic blocks back to back with the cycle sum, the counters
     /// and the remaining budget in locals, written back whenever control
@@ -408,56 +392,84 @@ impl Functional {
     /// hardware makes at decode (§4.1) — is made once per block entry
     /// instead of once per op. An entry is a block leader, or a
     /// mid-block op after a fault redirect or a per-op step; it goes on
-    /// only if the budget covers the ops up to the block's end and,
-    /// while HFI is enabled, the bytes from this op to the block's last
-    /// byte lie inside [`HfiContext::fetch_window`]. Every fetch of that
-    /// span would pass, so each op still counts its fetch check in
-    /// `hfi_checks`. Otherwise that one op takes [`Functional::step`].
+    /// only if the budget covers the ops up to the end of its inline run
+    /// (the block's end, or the first op of a class that
+    /// [leaves the loop](OpClass::leaves_block)) and, while HFI is
+    /// enabled, the bytes from this op to the run's last byte lie inside
+    /// [`HfiContext::fetch_window`]. Every fetch of that span would pass,
+    /// so each op still counts its fetch check in `hfi_checks`.
+    /// Otherwise that one op takes [`Functional::step`].
     ///
     /// The window is read each time the loop is entered and needs no
-    /// invalidation: every op that can change the HFI context (`hfi_*`,
-    /// `syscall`, `cpuid`) leaves the loop, and so do faults, `rdtsc`
-    /// (it reads the cycle count), indirect jumps (the byte-PC lookup can
-    /// fault) and `halt`. Cycles are still summed one op at a time in
-    /// program order: an f64 sum depends on its order.
-    fn run_blocks(&mut self, plan: &DecodedProgram, max_insts: u64) -> Stop {
+    /// other invalidation: every op that can change the HFI context
+    /// leaves the loop, and so does a fault. Cycles are still summed one
+    /// op at a time in program order: an f64 sum depends on its order.
+    ///
+    /// A fuel hook splits the budget at its poll points. The `OBSERVED`
+    /// instance makes [`Functional::step`]'s hook calls in its order:
+    /// `Retire` before each op, the op's sites, then
+    /// [`Functional::after_op`]; when that reports a changed HFI context
+    /// the loop leaves, so the enable bit and window are read again.
+    fn run_blocks<const OBSERVED: bool>(&mut self, plan: &DecodedProgram, max_insts: u64) -> Stop {
         let ops = plan.ops();
         let mut pc = 0usize;
-        let mut budget = max_insts;
-        loop {
+        // The step budget, split at the fuel hook's next poll: `budget`
+        // steps run before it and `after_poll` after it; when the run
+        // ends first, the poll lies `poll_gap` steps past its end.
+        let to_poll = self.fuel.as_ref().map_or(u64::MAX, |fuel| fuel.until_poll);
+        let mut budget = max_insts.min(to_poll);
+        let mut after_poll = max_insts - budget;
+        let mut poll_gap = to_poll - budget;
+        let stop = loop {
             let enabled = self.hfi.enabled();
             let (lo, hi) = self.hfi.fetch_window().into_inner();
             let mut cycles = self.cycles;
             let mut stats = self.stats;
             let left = 'blocks: loop {
                 if budget == 0 {
-                    break Flow::Stop(Stop::CycleLimit);
+                    break Flow::Poll;
                 }
                 if pc >= ops.len() {
                     break Flow::Stop(Stop::Halted);
                 }
                 let tail = plan.tail(pc);
                 let end = tail.end as usize;
-                // `first_byte <= last_byte` fails only for a block that
-                // runs past the top of the address space.
+                // `first_byte <= last_byte` fails only for a run that
+                // goes past the top of the address space.
                 let fetch_ok = !enabled
                     || (lo <= tail.first_byte
                         && tail.first_byte <= tail.last_byte
                         && tail.last_byte <= hi);
-                if budget < (end - pc) as u64 || !fetch_ok {
+                if end == pc || budget < (end - pc) as u64 || !fetch_ok {
                     break Flow::Leave;
                 }
                 for (idx, uop) in ops.iter().enumerate().take(end).skip(pc) {
-                    let flow = self.exec::<false>(idx, uop, plan, enabled, &mut cycles, &mut stats);
-                    if let Flow::Leave = flow {
-                        pc = idx;
-                        break 'blocks flow;
+                    if OBSERVED {
+                        self.chaos_observe(ArchEvent::Retire {
+                            pc: plan.pc(idx),
+                            len: uop.len,
+                            sandboxed: enabled,
+                        });
                     }
+                    let flow =
+                        self.exec::<OBSERVED>(idx, uop, plan, enabled, &mut cycles, &mut stats);
                     budget -= 1;
                     stats.retired += 1;
                     stats.hfi_checks += enabled as u64;
                     match flow {
-                        Flow::Next(next) => pc = next,
+                        Flow::Next(next) => {
+                            pc = next;
+                            if OBSERVED {
+                                if self.after_op(idx, uop, plan) {
+                                    break 'blocks flow;
+                                }
+                                debug_assert!(
+                                    self.hfi.enabled() == enabled
+                                        && self.hfi.fetch_window() == (lo..=hi),
+                                    "a chaos hook changed the HFI context without reporting it"
+                                );
+                            }
+                        }
                         left => {
                             pc = idx;
                             break 'blocks left;
@@ -468,26 +480,47 @@ impl Functional {
             self.cycles = cycles;
             self.stats = stats;
             let exit = match left {
+                // The hook changed the HFI context: re-read it.
+                Flow::Next(next) => StepExit::Next(next),
                 Flow::Fault(fault) => self.fault_exit(fault, pc),
                 Flow::Leave => {
                     budget -= 1;
                     self.step(pc, plan)
                 }
-                Flow::Stop(stop) => return stop,
-                Flow::Next(_) => unreachable!("the block loop leaves only to stop, fault or step"),
+                Flow::Poll if after_poll == 0 => break Stop::CycleLimit,
+                Flow::Poll if pc >= ops.len() => break Stop::Halted,
+                Flow::Poll => {
+                    let fuel = self.fuel.as_mut().expect("a fuel hook split it");
+                    budget = after_poll.min(fuel.period);
+                    after_poll -= budget;
+                    poll_gap = fuel.period - budget;
+                    if !(fuel.check)() {
+                        // Cancelled. The refused step counts toward the
+                        // next period, as a taken one would.
+                        budget = 0;
+                        poll_gap = fuel.period - 1;
+                        break Stop::CycleLimit;
+                    }
+                    StepExit::Next(pc)
+                }
+                Flow::Stop(stop) => break stop,
             };
             match exit {
                 StepExit::Next(next) => pc = next,
-                StepExit::Stop(stop) => return stop,
+                StepExit::Stop(stop) => break stop,
             }
+        };
+        if let Some(fuel) = self.fuel.as_mut() {
+            fuel.until_poll = budget + poll_gap;
         }
+        stop
     }
 
     /// Executes exactly one micro-op at instruction index `pc` with full
     /// reference semantics — fetch check, counters, chaos observation and
     /// injection, cost accumulation, fault delivery — and reports where
-    /// control goes next. Hooked runs take it for every op; the block
-    /// loop takes it for each op it does not run inline.
+    /// control goes next. The block loop takes it for each op it does not
+    /// run inline; [`Functional::run_reference`] takes it for every op.
     fn step(&mut self, pc: usize, plan: &DecodedProgram) -> StepExit {
         let byte_pc = plan.pc(pc);
         let uop = plan.op(pc);
@@ -507,40 +540,47 @@ impl Functional {
             });
         }
         let (mut cycles, mut stats) = (self.cycles, self.stats);
-        let flow = self.exec::<true>(pc, uop, plan, enabled, &mut cycles, &mut stats);
+        let flow = if uop.class.leaves_block() {
+            self.exec_system(pc, uop, plan, &mut cycles, &mut stats)
+        } else {
+            self.exec::<true>(pc, uop, plan, enabled, &mut cycles, &mut stats)
+        };
         self.cycles = cycles;
         self.stats = stats;
-        let next = match flow {
-            Flow::Next(next) => next,
-            Flow::Fault(fault) => return self.fault_exit(fault, pc),
-            Flow::Stop(stop) => return StepExit::Stop(stop),
-            Flow::Leave => unreachable!("the observed instance runs every class"),
-        };
-        if self.chaos.is_some() {
-            if uop.dst != NO_REG {
-                let value = self.regs[uop.dst as usize];
-                if let Some(hook) = self.chaos.as_deref_mut() {
-                    self.regs[uop.dst as usize] = hook.perturb_result(byte_pc, value);
-                }
-                // Transition corruption: a springboard op whose
-                // result never lands — the register keeps junk in
-                // place of the zeroed/switched value. The entry
-                // assertion at `hfi_enter` must catch it.
-                if uop.has(MicroOp::TRANSITION) {
-                    if let Some(hook) = self.chaos.as_deref_mut() {
-                        if hook.corrupt_transition(byte_pc) {
-                            self.regs[uop.dst as usize] = crate::chaos::transition_junk(byte_pc);
-                        }
-                    }
-                }
+        match flow {
+            Flow::Next(next) => {
+                self.after_op(pc, uop, plan);
+                StepExit::Next(next)
             }
-            // "Between instructions": the retired op's architectural
-            // effects are visible, the next fetch has not happened.
-            if let Some(hook) = self.chaos.as_deref_mut() {
-                hook.corrupt_context(&mut self.hfi);
+            Flow::Fault(fault) => self.fault_exit(fault, pc),
+            Flow::Stop(stop) => StepExit::Stop(stop),
+            Flow::Leave | Flow::Poll => unreachable!("only the block loop leaves or polls"),
+        }
+    }
+
+    /// The chaos sites between two instructions, after the op at `pc`
+    /// completed: corruption of its result and, for a springboard op, of
+    /// its transition write, then corruption of the HFI context. Returns
+    /// whether the hook changed the context; `false` with no hook.
+    fn after_op(&mut self, pc: usize, uop: &MicroOp, plan: &DecodedProgram) -> bool {
+        let Some(hook) = self.chaos.as_deref_mut() else {
+            return false;
+        };
+        let byte_pc = plan.pc(pc);
+        if uop.dst != NO_REG {
+            let dst = uop.dst as usize;
+            self.regs[dst] = hook.perturb_result(byte_pc, self.regs[dst]);
+            // Transition corruption: a springboard op whose result never
+            // lands — the register keeps junk in place of the
+            // zeroed/switched value. The entry assertion at `hfi_enter`
+            // must catch it.
+            if uop.has(MicroOp::TRANSITION) && hook.corrupt_transition(byte_pc) {
+                self.regs[dst] = crate::chaos::transition_junk(byte_pc);
             }
         }
-        StepExit::Next(next)
+        // "Between instructions": the retired op's architectural effects
+        // are visible, the next fetch has not happened.
+        hook.corrupt_context(&mut self.hfi)
     }
 
     /// The architectural semantics of the op at instruction index `pc`,
@@ -549,11 +589,11 @@ impl Functional {
     /// op was fetched; `cycles` and `stats` are the caller's running
     /// totals.
     ///
-    /// Written once for both loops. [`Functional::step`] instantiates it
-    /// `OBSERVED`: the chaos sites are live and every class runs. The
-    /// block loop instantiates it unobserved: no hook can be installed,
-    /// and the classes it does not run inline return [`Flow::Leave`]
-    /// before touching any state.
+    /// Covers the classes the block loop runs inline; the classes that
+    /// [leave it](OpClass::leaves_block) are in
+    /// [`Functional::exec_system`]. Written once for every loop: the
+    /// `OBSERVED` instance makes the chaos hook calls of the data
+    /// accesses, the other compiles them out.
     #[inline(always)]
     fn exec<const OBSERVED: bool>(
         &mut self,
@@ -569,11 +609,11 @@ impl Functional {
             OpClass::AluRR => {
                 *cycles += self.weight_of(uop.alu);
                 self.regs[uop.dst as usize] =
-                    alu(uop.alu, self.slot(uop.srcs[0]), self.slot(uop.srcs[1]));
+                    uop.alu.eval(self.slot(uop.srcs[0]), self.slot(uop.srcs[1]));
             }
             OpClass::AluRI => {
                 *cycles += self.weight_of(uop.alu);
-                self.regs[uop.dst as usize] = alu(uop.alu, self.slot(uop.srcs[0]), uop.imm as u64);
+                self.regs[uop.dst as usize] = uop.alu.eval(self.slot(uop.srcs[0]), uop.imm as u64);
             }
             OpClass::MovI => {
                 *cycles += self.weights.alu;
@@ -677,9 +717,23 @@ impl Functional {
             OpClass::Nop => {
                 *cycles += self.weights.alu;
             }
-            // Everything below can read the cycle count, change the HFI
-            // context, or redirect control through a byte-PC lookup.
-            _ if !OBSERVED => return Flow::Leave,
+            class => unreachable!("{class:?} leaves the block loop"),
+        }
+        Flow::Next(next)
+    }
+
+    /// [`Functional::exec`] for the classes that [leave the block
+    /// loop](OpClass::leaves_block); only [`Functional::step`] runs it.
+    fn exec_system(
+        &mut self,
+        pc: usize,
+        uop: &MicroOp,
+        plan: &DecodedProgram,
+        cycles: &mut f64,
+        stats: &mut FunctionalStats,
+    ) -> Flow {
+        let mut next = pc + 1;
+        match uop.class {
             OpClass::Rdtsc => {
                 *cycles += self.weights.alu;
                 self.regs[uop.dst as usize] = *cycles as u64;
@@ -821,6 +875,7 @@ impl Functional {
                 }
             }
             OpClass::Halt => return Flow::Stop(Stop::Halted),
+            class => unreachable!("{class:?} runs inside the block loop"),
         }
         Flow::Next(next)
     }
@@ -857,7 +912,8 @@ impl Functional {
         if enabled {
             stats.hfi_checks += 1;
         }
-        let mut addr = self.ea_of(uop);
+        let (base, index) = (self.slot(uop.srcs[0]), self.slot(uop.srcs[1]));
+        let mut addr = effective_address(base, index, uop.scale, uop.imm);
         let mut skip = false;
         if OBSERVED {
             if let Some(hook) = self.chaos.as_deref_mut() {
@@ -959,37 +1015,6 @@ impl Functional {
     }
 }
 
-fn alu(op: AluOp, a: u64, b: u64) -> u64 {
-    match op {
-        AluOp::Add => a.wrapping_add(b),
-        AluOp::Sub => a.wrapping_sub(b),
-        AluOp::Mul => a.wrapping_mul(b),
-        AluOp::Div => a.checked_div(b).unwrap_or(0),
-        AluOp::Rem => {
-            if b == 0 {
-                a
-            } else {
-                a % b
-            }
-        }
-        AluOp::And => a & b,
-        AluOp::Or => a | b,
-        AluOp::Xor => a ^ b,
-        AluOp::Shl => a << (b & 63),
-        AluOp::Shr => a >> (b & 63),
-        AluOp::Sar => ((a as i64) >> (b & 63)) as u64,
-        AluOp::SltU => (a < b) as u64,
-        AluOp::Slt => ((a as i64) < (b as i64)) as u64,
-        AluOp::Seq => (a == b) as u64,
-        AluOp::Rotl => a.rotate_left((b & 63) as u32),
-    }
-}
-
-/// Helper used by differential tests: evaluates an ALU op architecturally.
-pub fn alu_reference(op: AluOp, a: u64, b: u64) -> u64 {
-    alu(op, a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1048,16 +1073,13 @@ mod tests {
         );
         let result = f.run(1_000_000);
         assert_eq!(result.stop, Stop::CycleLimit);
-        assert!(
-            result.stats.retired < 1_000_000,
-            "cancellation must beat the budget (retired {})",
-            result.stats.retired
-        );
+        // Refused on the 4th poll, before the 4·64-th step.
+        assert_eq!(result.stats.retired, 255);
     }
 
     #[test]
     fn unfired_fuel_hook_is_invisible_in_the_counters() {
-        // The hook moves the run from the block loop to the per-op path.
+        // A period of 1 splits the block loop's budget before every step.
         let program = {
             let mut asm = ProgramBuilder::new(0x1000);
             asm.movi(Reg(0), 6);

@@ -78,6 +78,44 @@ impl AluOp {
             _ => 1,
         }
     }
+
+    /// Evaluates the operation on two 64-bit values: the one definition
+    /// both executors run and the verifier folds constants with.
+    #[inline(always)]
+    pub fn eval(self, a: u64, b: u64) -> u64 {
+        match self {
+            AluOp::Add => a.wrapping_add(b),
+            AluOp::Sub => a.wrapping_sub(b),
+            AluOp::Mul => a.wrapping_mul(b),
+            AluOp::Div => a.checked_div(b).unwrap_or(0),
+            AluOp::Rem => {
+                if b == 0 {
+                    a
+                } else {
+                    a % b
+                }
+            }
+            AluOp::And => a & b,
+            AluOp::Or => a | b,
+            AluOp::Xor => a ^ b,
+            AluOp::Shl => a << (b & 63),
+            AluOp::Shr => a >> (b & 63),
+            AluOp::Sar => ((a as i64) >> (b & 63)) as u64,
+            AluOp::SltU => (a < b) as u64,
+            AluOp::Slt => ((a as i64) < (b as i64)) as u64,
+            AluOp::Seq => (a == b) as u64,
+            AluOp::Rotl => a.rotate_left((b & 63) as u32),
+        }
+    }
+}
+
+/// The effective address of an x86-style memory operand:
+/// `base + index * scale + disp`, wrapping. An absent base or index
+/// contributes zero.
+#[inline(always)]
+pub fn effective_address(base: u64, index: u64, scale: u8, disp: i64) -> u64 {
+    base.wrapping_add(index.wrapping_mul(scale as u64))
+        .wrapping_add(disp as u64)
 }
 
 /// Branch conditions comparing two operands.
@@ -639,6 +677,40 @@ impl Program {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn alu_eval_pins_the_documented_edge_cases() {
+        const NEG: u64 = -8i64 as u64;
+        // Division by zero yields 0; remainder by zero, the dividend.
+        assert_eq!(AluOp::Div.eval(7, 0), 0);
+        assert_eq!(AluOp::Rem.eval(7, 0), 7);
+        assert_eq!(AluOp::Div.eval(7, 2), 3);
+        assert_eq!(AluOp::Rem.eval(7, 2), 1);
+        // Division is unsigned.
+        assert_eq!(AluOp::Div.eval(NEG, 2), NEG / 2);
+        // Shift and rotate amounts are masked to 63: 64 shifts by 0.
+        assert_eq!(AluOp::Shl.eval(1, 64), 1);
+        assert_eq!(AluOp::Shl.eval(1, 65), 2);
+        assert_eq!(AluOp::Shr.eval(0x8000_0000_0000_0000, 127), 1);
+        assert_eq!(AluOp::Sar.eval(NEG, 64), NEG);
+        assert_eq!(AluOp::Rotl.eval(0x8000_0000_0000_0001, 1), 3);
+        assert_eq!(AluOp::Rotl.eval(5, 64), 5);
+        // `Sar` keeps the sign; `Shr` does not.
+        assert_eq!(AluOp::Sar.eval(NEG, 1), -4i64 as u64);
+        assert_eq!(AluOp::Shr.eval(NEG, 1), NEG >> 1);
+        // `Slt` compares signed, `SltU` unsigned.
+        assert_eq!(AluOp::Slt.eval(NEG, 1), 1);
+        assert_eq!(AluOp::SltU.eval(NEG, 1), 0);
+        assert_eq!(AluOp::Seq.eval(3, 3), 1);
+        // Arithmetic wraps.
+        assert_eq!(AluOp::Add.eval(u64::MAX, 2), 1);
+        assert_eq!(AluOp::Sub.eval(0, 1), u64::MAX);
+        assert_eq!(AluOp::Mul.eval(1 << 63, 2), 0);
+        // The effective address wraps too, and a negative displacement
+        // subtracts.
+        assert_eq!(effective_address(0x1000, 3, 8, -0x10), 0x1008);
+        assert_eq!(effective_address(u64::MAX, 1, 1, 1), 1);
+    }
 
     #[test]
     fn hmov_is_longer_than_mov() {

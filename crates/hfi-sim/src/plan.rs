@@ -97,6 +97,29 @@ pub enum OpClass {
     Halt,
 }
 
+impl OpClass {
+    /// True for the classes the functional interpreter's block loop
+    /// leaves for its per-op step: they read the cycle count, change the
+    /// HFI context, jump through a byte-PC lookup, or stop the run.
+    pub(crate) fn leaves_block(self) -> bool {
+        matches!(
+            self,
+            OpClass::Rdtsc
+                | OpClass::JumpInd
+                | OpClass::Syscall
+                | OpClass::Cpuid
+                | OpClass::HfiEnter
+                | OpClass::HfiEnterChild
+                | OpClass::HfiExit
+                | OpClass::HfiReenter
+                | OpClass::HfiSetRegion
+                | OpClass::HfiClearRegion
+                | OpClass::HfiClearAllRegions
+                | OpClass::Halt
+        )
+    }
+}
+
 /// Static serialization class of an instruction (paper §3.4 / §4.3):
 /// whether decoding it drains the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -259,17 +282,18 @@ pub struct BasicBlock {
     pub taken: u32,
 }
 
-/// The straight-line rest of a basic block, seen from one of its
-/// instructions: what the functional interpreter's block loop checks
-/// when it enters the block there.
+/// The straight-line run the functional interpreter's block loop checks
+/// when it enters a block at one instruction: the rest of the block, cut
+/// short before the first op that [leaves the loop](OpClass::leaves_block).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct BlockTail {
     /// Byte PC of the instruction.
     pub(crate) first_byte: u64,
-    /// Address of the block's last byte. Wraps below `first_byte` only if
-    /// the block runs past the top of the address space.
+    /// Address of the run's last byte. Wraps below `first_byte` only if
+    /// the run goes past the top of the address space.
     pub(crate) last_byte: u64,
-    /// One past the block's last instruction index.
+    /// One past the run's last instruction index; the instruction's own
+    /// index when it leaves the block loop itself (an empty run).
     pub(crate) end: u32,
 }
 
@@ -306,17 +330,24 @@ impl DecodedProgram {
         }
         let pcs: Vec<u64> = (0..program.len()).map(|i| program.pc_of(i)).collect();
         let (blocks, block_of) = build_blocks(&ops);
-        let tails = (0..ops.len())
-            .map(|i| {
-                let end = blocks[block_of[i] as usize].end;
-                let last = end as usize - 1;
-                BlockTail {
-                    first_byte: pcs[i],
-                    last_byte: pcs[last].wrapping_add(ops[last].len as u64 - 1),
-                    end,
-                }
-            })
-            .collect();
+        // Back to front: each run ends where the next op's does, at its
+        // block's end, or before an op that leaves the block loop.
+        let mut tails = Vec::with_capacity(ops.len());
+        let mut end = 0;
+        for i in (0..ops.len()).rev() {
+            if ops[i].class.leaves_block() {
+                end = i as u32;
+            } else if i as u32 + 1 == blocks[block_of[i] as usize].end {
+                end = i as u32 + 1;
+            }
+            let last = (end as usize).max(i + 1) - 1;
+            tails.push(BlockTail {
+                first_byte: pcs[i],
+                last_byte: pcs[last].wrapping_add(ops[last].len as u64 - 1),
+                end,
+            });
+        }
+        tails.reverse();
         Self {
             program,
             ops,
@@ -809,6 +840,29 @@ mod tests {
         assert_eq!(hmov.disp, 0x20);
         assert!(hmov.region_relative && !hmov.is_store);
         assert_eq!(plan.op(2).ea_template(), None);
+    }
+
+    #[test]
+    fn inline_runs_stop_before_ops_that_leave_the_block_loop() {
+        let movi = |r: u8| Inst::MovI {
+            dst: Reg(r),
+            imm: 1,
+        };
+        // One straight-line block with a `cpuid` in the middle.
+        let program = Program::new(
+            vec![movi(0), movi(1), Inst::Cpuid, movi(2), Inst::Halt],
+            0x1000,
+        );
+        let plan = DecodedProgram::build(Arc::new(program));
+        assert_eq!(plan.blocks().len(), 1);
+        let ends: Vec<u32> = (0..plan.len()).map(|i| plan.tail(i).end).collect();
+        assert_eq!(ends, [2, 2, 2, 4, 4]);
+        assert_eq!(plan.tail(0).last_byte, plan.pc(2) - 1);
+        assert_eq!(plan.tail(3).last_byte, plan.pc(4) - 1);
+        // The sample's runs end at its blocks' ends, and at its `halt`.
+        let plan = DecodedProgram::build(Arc::new(sample_program()));
+        let ends: Vec<u32> = (0..plan.len()).map(|i| plan.tail(i).end).collect();
+        assert_eq!(ends, [1, 2, 4, 4, 4]);
     }
 
     #[test]

@@ -381,34 +381,6 @@ impl BlockState {
     }
 }
 
-/// ALU folding mirroring the interpreter's semantics exactly (the
-/// verifier must not disagree with the machine about constants).
-fn fold(op: AluOp, a: u64, b: u64) -> u64 {
-    match op {
-        AluOp::Add => a.wrapping_add(b),
-        AluOp::Sub => a.wrapping_sub(b),
-        AluOp::Mul => a.wrapping_mul(b),
-        AluOp::Div => a.checked_div(b).unwrap_or(0),
-        AluOp::Rem => {
-            if b == 0 {
-                a
-            } else {
-                a % b
-            }
-        }
-        AluOp::And => a & b,
-        AluOp::Or => a | b,
-        AluOp::Xor => a ^ b,
-        AluOp::Shl => a << (b & 63),
-        AluOp::Shr => a >> (b & 63),
-        AluOp::Sar => ((a as i64) >> (b & 63)) as u64,
-        AluOp::SltU => (a < b) as u64,
-        AluOp::Slt => ((a as i64) < (b as i64)) as u64,
-        AluOp::Seq => (a == b) as u64,
-        AluOp::Rotl => a.rotate_left((b & 63) as u32),
-    }
-}
-
 /// Collected during the reporting pass; `None` during fixpoint
 /// iterations (which only propagate states).
 #[derive(Default)]
@@ -554,7 +526,7 @@ impl<'a> Analysis<'a> {
                     }
                     state.regs[op.dst as usize] = match a {
                         AbsVal::Const { value, .. } => AbsVal::Const {
-                            value: fold(op.alu, value, imm),
+                            value: op.alu.eval(value, imm),
                             def: i as u32,
                         },
                         AbsVal::Bot => AbsVal::Bot,
@@ -606,7 +578,7 @@ impl<'a> Analysis<'a> {
                     state.regs[op.dst as usize] = match (a, bb) {
                         (AbsVal::Const { value: va, .. }, AbsVal::Const { value: vb, .. }) => {
                             AbsVal::Const {
-                                value: fold(op.alu, va, vb),
+                                value: op.alu.eval(va, vb),
                                 def: i as u32,
                             }
                         }

@@ -95,11 +95,14 @@ fn schemes_agree_across_all_three_tiers() {
             "{scheme:?} functional"
         );
 
-        // The per-op path, forced by a fuel hook that never fires, must
-        // match the block-stepped run exactly: result, counters, memory.
+        // The per-op reference loop must match the block-stepped run
+        // exactly: result, counters, memory.
         let mut per_op = Functional::new(compiled.program.clone());
-        per_op.set_fuel(1, Box::new(|| true));
-        assert_eq!(per_op.run(10_000_000), r, "{scheme:?} per-op path");
+        assert_eq!(
+            per_op.run_reference(10_000_000),
+            r,
+            "{scheme:?} per-op reference loop"
+        );
         let heap = |f: &Functional| f.mem.read_bytes(opts.heap_base, 0x1000);
         assert_eq!(heap(&per_op), heap(&func), "{scheme:?} per-op memory");
     }

@@ -1,14 +1,14 @@
-//! Chaos reachability on the functional tier's hooked path.
+//! Chaos reachability on the functional tier's observed block loop.
 //!
-//! A run with no hook installed is block-stepped: it checks fetch once
-//! per block and keeps its counters in locals, so none of its ops is an
-//! injection site. The chaos seam's contract is that any installed
-//! [`ChaosHook`](hfi_sim::ChaosHook) moves every op onto the fully
-//! observed per-op path, where every perturbable site (EA computations,
-//! result writebacks, guard micro-ops, instruction boundaries) is
-//! visited. These tests prove that contract from the outside, on a
-//! sandboxed workload whose hot loop is made of the straight-line runs
-//! the block loop runs inline:
+//! Every run is block-stepped: it checks fetch once per block and keeps
+//! its counters in locals. With no hook installed the loop's hook sites
+//! are compiled out. The chaos seam's contract is that an installed
+//! [`ChaosHook`](hfi_sim::ChaosHook) selects the observed instance of
+//! the same loop, which visits every perturbable site (EA computations,
+//! result writebacks, guard micro-ops, instruction boundaries) the
+//! per-op reference loop does. These tests prove that contract from
+//! the outside, on a sandboxed workload whose hot loop is made of the
+//! straight-line runs the block loop runs inline:
 //!
 //! * every functional-tier [`FaultClass`] fires and never produces an
 //!   escape;

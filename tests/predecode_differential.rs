@@ -12,15 +12,20 @@
 //! both executors. Cases come from the vendored deterministic PRNG, so
 //! every failure reproduces exactly.
 //!
-//! The functional interpreter itself has two paths over the plan: the
-//! block-stepped loop a run takes when no hook is installed, and the
-//! per-op step every op takes under a chaos or fuel hook. The
-//! `fused_and_unfused_*` tests (named for the block-dispatch tier the
-//! block-stepped loop replaced) and the `block_loop_*` tests force the
-//! per-op path with a fuel hook that never fires and demand identical
-//! results, registers and memory from both: on random programs, at
-//! mid-block entries, when the budget or the code region ends inside a
-//! block, and on every verifyset kernel.
+//! The functional interpreter runs every program on one block-stepped
+//! loop, whatever hook is installed: a fuel hook splits its step budget
+//! at the poll points, and a chaos hook selects the loop's observed
+//! instance. Its reference is `Functional::run_reference`, a per-op loop
+//! no hook selects. The `fused_and_unfused_*` tests (named for the
+//! block-dispatch tier the block-stepped loop replaced) and the
+//! `block_loop_*` tests demand identical results, registers and memory
+//! from both loops: on random programs, at mid-block entries, when the
+//! budget or the code region ends inside a block, and on every
+//! verifyset kernel. Two more pin the hooks: a fuel hook that refuses on
+//! its k-th poll must stop a run exactly where a budget of k periods
+//! less one step does, and the observed loop must make the reference's
+//! hook calls, call for call, even when a hook corrupts the HFI context
+//! in the middle of a block.
 
 use std::sync::Arc;
 
@@ -331,6 +336,13 @@ fn block_table_invariants_hold_on_random_programs() {
     }
 }
 
+/// Where the body of a [`random_runnable`] program starts, after the
+/// register seeding.
+const RUNNABLE_BODY: usize = 9;
+/// Where the body of a [`random_guarded_runnable`] program starts, after
+/// the register seeding and the HFI prologue.
+const GUARDED_BODY: usize = 13;
+
 /// A random *runnable* program: registers seeded with constants, ALU
 /// traffic, loads/stores through a fixed in-bounds window, and
 /// forward-only branches so termination is structural.
@@ -350,6 +362,7 @@ fn random_runnable(rng: &mut Rng) -> Arc<Program> {
         imm: HEAP,
     });
     let first = insts.len();
+    assert_eq!(first, RUNNABLE_BODY);
     let halt = first + body;
     for i in first..halt {
         // Forward-only targets: anywhere strictly past this instruction,
@@ -458,6 +471,7 @@ fn random_guarded_runnable(rng: &mut Rng) -> Arc<Program> {
         },
     });
     let first = insts.len();
+    assert_eq!(first, GUARDED_BODY);
     let halt = first + body;
     for i in first..halt {
         let target = rng.range_u64(i as u64 + 1, halt as u64 + 1) as usize;
@@ -541,29 +555,38 @@ fn random_guarded_runnable(rng: &mut Rng) -> Arc<Program> {
     Arc::new(Program::new(insts, CODE_BASE as u64))
 }
 
-/// A functional machine for `program`, on the per-op path when
-/// `per_op` (a fuel hook that never fires forces it), block-stepped
-/// otherwise.
-fn machine_on(program: &Arc<Program>, per_op: bool) -> Functional {
-    let mut functional = Functional::new(Arc::clone(program));
-    if per_op {
-        functional.set_fuel(1, Box::new(|| true));
-    }
-    functional
+/// `program` with its final `halt` turned into a jump back to the top
+/// of its body, which starts at `body`: it runs until it faults or its
+/// budget or fuel runs out.
+fn looping(program: &Program, body: usize) -> Arc<Program> {
+    let mut insts: Vec<Inst> = program.iter().cloned().collect();
+    let last = insts.last_mut().expect("a program ends in halt");
+    assert_eq!(*last, Inst::Halt);
+    *last = Inst::Jump { target: body };
+    Arc::new(Program::new(insts, program.pc_of(0)))
 }
 
-/// Runs `functional` and returns the full result plus the final
-/// contents of every memory window the random programs can touch.
-fn run_capture(mut functional: Functional, limit: u64) -> (FunctionalResult, Vec<u8>) {
-    let result = functional.run(limit);
+/// Runs `functional` on the per-op reference loop when `per_op`, on the
+/// block-stepped loop otherwise, and returns the full result plus the
+/// final contents of every memory window the random programs can touch.
+fn run_capture(
+    mut functional: Functional,
+    per_op: bool,
+    limit: u64,
+) -> (FunctionalResult, Vec<u8>) {
+    let result = if per_op {
+        functional.run_reference(limit)
+    } else {
+        functional.run(limit)
+    };
     let mut image = functional.mem.read_bytes(0x2_0000, 0x1_0000);
     image.extend(functional.mem.read_bytes(0x10_0000, 0x1_0000));
     (result, image)
 }
 
-/// Runs `program` on the requested path with a deterministic setup.
+/// Runs `program` on the requested loop with a deterministic setup.
 fn run_path(program: &Arc<Program>, per_op: bool, limit: u64) -> (FunctionalResult, Vec<u8>) {
-    run_capture(machine_on(program, per_op), limit)
+    run_capture(Functional::new(Arc::clone(program)), per_op, limit)
 }
 
 #[test]
@@ -614,9 +637,9 @@ fn fused_and_unfused_agree_under_fault_handler_redirects() {
         let handler_idx = rng.below(program.len() as u64) as usize;
         let handler = program.pc_of(handler_idx);
         let run = |per_op: bool| {
-            let mut functional = machine_on(&program, per_op);
+            let mut functional = Functional::new(Arc::clone(&program));
             functional.signal_handler = Some(handler);
-            run_capture(functional, 100_000)
+            run_capture(functional, per_op, 100_000)
         };
         let (per_op, mem_per_op) = run(true);
         let (blocks, mem_blocks) = run(false);
@@ -630,14 +653,13 @@ fn fused_and_unfused_agree_under_fault_handler_redirects() {
 }
 
 /// Every verifyset kernel, under every Fig. 3 isolation scheme, plus the
-/// FaaS suite: the block-stepped loop must produce the per-op path's
-/// architectural record — same exit state, same counters (retired,
-/// memory accesses, checks, faults), same modelled cycles — and the
-/// same registers and heap. `RunRecord` equality ignores only the
-/// host-side throughput fields.
+/// FaaS suite: the block-stepped loop must produce the per-op reference
+/// loop's architectural record — same exit state, same counters
+/// (retired, memory accesses, checks, faults), same modelled cycles —
+/// and the same registers and heap.
 #[test]
 fn fused_and_unfused_agree_on_every_verifyset_kernel() {
-    use hfi_repro::hfi_bench::{compile_cached, run_cell, FIG3_SCHEMES};
+    use hfi_repro::hfi_bench::{compile_cached, FIG3_SCHEMES, FUNCTIONAL_LIMIT};
     use hfi_repro::hfi_wasm::compiler::CompileOptions;
     use hfi_repro::hfi_wasm::kernels::{faas, sightglass, speclike};
 
@@ -649,24 +671,35 @@ fn fused_and_unfused_agree_on_every_verifyset_kernel() {
             let opts = CompileOptions::new(iso);
             let compiled = compile_cached(kernel, &opts);
             let run = |per_op: bool| {
-                let mut functional = machine_on(&compiled.program, per_op);
-                let record = run_cell(&mut functional, kernel, opts.heap_base);
+                let mut functional = Functional::new(Arc::clone(&compiled.program));
+                for (off, bytes) in &kernel.heap_init {
+                    functional
+                        .mem
+                        .write_bytes(opts.heap_base + *off as u64, bytes);
+                }
+                let result = if per_op {
+                    functional.run_reference(FUNCTIONAL_LIMIT)
+                } else {
+                    functional.run(FUNCTIONAL_LIMIT)
+                };
                 let heap = functional.mem.read_bytes(opts.heap_base, 1 << 16);
-                (record, functional.regs(), heap)
+                (result, heap)
             };
+            let blocks = run(false);
+            assert_eq!(blocks.0.stop, Stop::Halted, "{} under {iso:?}", kernel.name);
+            assert_eq!(blocks.0.regs[0], kernel.expected, "{}", kernel.name);
             assert!(
-                run(true) == run(false),
-                "{} under {iso:?}: records, registers or heap diverged",
+                run(true) == blocks,
+                "{} under {iso:?}: results, registers or heap diverged",
                 kernel.name
             );
         }
     }
 }
 
-/// The chaos seam: with any hook installed every op takes the per-op
-/// path, so a passive recording hook sees one retire event per retired
-/// op — and its presence changes nothing: the observed run's result and
-/// memory equal the unhooked block-stepped run's.
+/// The chaos seam: a passive recording hook sees one retire event per
+/// retired op — and its presence changes nothing: the observed run's
+/// result and memory equal the unhooked run's.
 #[test]
 fn fused_and_unfused_emit_identical_event_traces_when_observed() {
     use hfi_repro::hfi_sim::{ArchEvent, ChaosHook};
@@ -685,7 +718,7 @@ fn fused_and_unfused_emit_identical_event_traces_when_observed() {
         let events = SyncArc::new(Mutex::new(Vec::new()));
         let mut observed = Functional::new(Arc::clone(&program));
         observed.set_chaos(Box::new(Recorder(SyncArc::clone(&events))));
-        let (observed, mem_observed) = run_capture(observed, 100_000);
+        let (observed, mem_observed) = run_capture(observed, false, 100_000);
         let (blocks, mem_blocks) = run_path(&program, false, 100_000);
         assert_eq!(observed, blocks, "case {case}: observed results diverged");
         assert_eq!(mem_observed, mem_blocks, "case {case}: memory diverged");
@@ -702,8 +735,8 @@ fn fused_and_unfused_emit_identical_event_traces_when_observed() {
 }
 
 /// Budgets that run out inside a block: the block loop must hand the
-/// block's tail to the per-op path op by op and stop exactly where the
-/// per-op path stops.
+/// block's tail to the per-op step op by op and stop exactly where the
+/// reference loop stops.
 #[test]
 fn block_loop_matches_per_op_path_when_the_budget_ends_mid_block() {
     let mut rng = Rng::new(0xB0D6E7);
@@ -746,9 +779,9 @@ fn block_loop_matches_per_op_path_at_mid_block_handler_entries() {
             continue;
         };
         let run = |per_op: bool| {
-            let mut functional = machine_on(&program, per_op);
+            let mut functional = Functional::new(Arc::clone(&program));
             functional.signal_handler = Some(program.pc_of(handler_idx));
-            run_capture(functional, 50_000)
+            run_capture(functional, per_op, 50_000)
         };
         let (per_op, mem_per_op) = run(true);
         let (blocks, mem_blocks) = run(false);
@@ -763,7 +796,7 @@ fn block_loop_matches_per_op_path_at_mid_block_handler_entries() {
 /// straddles the region's last byte at every offset in turn, so the
 /// fetch fault lands on a different op each time, sometimes on an op
 /// that starts inside the region and ends outside it. The block loop
-/// must fault at that exact op with the per-op path's counters.
+/// must fault at that exact op with the reference loop's counters.
 #[test]
 fn block_loop_faults_at_the_exact_op_where_the_code_region_ends() {
     use hfi_repro::hfi_core::region::ImplicitCodeRegion;
@@ -840,8 +873,12 @@ fn block_loop_matches_per_op_path_over_pages_that_alias_in_the_page_cache() {
     asm.halt();
     let program = Arc::new(asm.finish());
     let run = |per_op: bool| {
-        let mut functional = machine_on(&program, per_op);
-        let result = functional.run(100_000);
+        let mut functional = Functional::new(Arc::clone(&program));
+        let result = if per_op {
+            functional.run_reference(100_000)
+        } else {
+            functional.run(100_000)
+        };
         let pages = functional.mem.touched_pages();
         (result, pages)
     };
@@ -871,4 +908,186 @@ fn functional_and_cycle_agree_on_plan_driven_runs() {
             "case {case}: architectural registers diverged"
         );
     }
+}
+
+/// A fuel hook that refuses on its k-th poll of period P stops the run
+/// exactly where an unhooked run with a budget of k·P − 1 steps stops:
+/// same result, counters, registers and memory. Looping variants of the
+/// random programs run until the fuel or the budget stops them, so every
+/// (P, k) pair cancels a run mid-flight somewhere.
+#[test]
+fn fuel_hook_refusing_on_its_kth_poll_stops_where_the_budget_of_k_periods_less_one_does() {
+    let mut rng = Rng::new(0xF0E1);
+    let mut cancelled = 0u32;
+    for case in 0..24 {
+        let program = match case % 4 {
+            0 => random_runnable(&mut rng),
+            1 => random_guarded_runnable(&mut rng),
+            2 => looping(&random_runnable(&mut rng), RUNNABLE_BODY),
+            _ => looping(&random_guarded_runnable(&mut rng), GUARDED_BODY),
+        };
+        for period in [1u64, 2, 7, 64, 4096] {
+            for k in [1u64, 2, 5] {
+                let mut fueled = Functional::new(Arc::clone(&program));
+                let mut polls = 0;
+                fueled.set_fuel(
+                    period,
+                    Box::new(move || {
+                        polls += 1;
+                        polls < k
+                    }),
+                );
+                let fueled = run_capture(fueled, false, 1_000_000);
+                let budgeted = run_path(&program, false, k * period - 1);
+                assert_eq!(fueled, budgeted, "case {case}, period {period}, k {k}");
+                cancelled += u32::from(fueled.0.stop == Stop::CycleLimit);
+            }
+        }
+    }
+    assert!(
+        cancelled >= 2 * 15,
+        "too few runs were cancelled mid-flight"
+    );
+}
+
+/// One call a chaos hook received, with its answer.
+#[derive(Debug, Clone, PartialEq)]
+enum HookCall {
+    Ea { pc: u64, ea: u64, out: u64 },
+    Result { pc: u64, value: u64, out: u64 },
+    Guard { pc: u64, skip: bool },
+    Transition { pc: u64, corrupt: bool },
+    TransitionCheck { pc: u64, skip: bool },
+    Context { changed: bool },
+    Event(hfi_repro::hfi_sim::ArchEvent),
+}
+
+/// Logs every call to the wrapped hook, in order.
+struct Logged<H> {
+    inner: H,
+    log: Arc<std::sync::Mutex<Vec<HookCall>>>,
+}
+
+impl<H: hfi_repro::hfi_sim::ChaosHook> Logged<H> {
+    fn push(&self, call: HookCall) {
+        self.log.lock().expect("log unpoisoned").push(call);
+    }
+}
+
+impl<H: hfi_repro::hfi_sim::ChaosHook> hfi_repro::hfi_sim::ChaosHook for Logged<H> {
+    fn perturb_ea(&mut self, pc: u64, ea: u64) -> u64 {
+        let out = self.inner.perturb_ea(pc, ea);
+        self.push(HookCall::Ea { pc, ea, out });
+        out
+    }
+
+    fn perturb_result(&mut self, pc: u64, value: u64) -> u64 {
+        let out = self.inner.perturb_result(pc, value);
+        self.push(HookCall::Result { pc, value, out });
+        out
+    }
+
+    fn skip_guard(&mut self, pc: u64) -> bool {
+        let skip = self.inner.skip_guard(pc);
+        self.push(HookCall::Guard { pc, skip });
+        skip
+    }
+
+    fn corrupt_transition(&mut self, pc: u64) -> bool {
+        let corrupt = self.inner.corrupt_transition(pc);
+        self.push(HookCall::Transition { pc, corrupt });
+        corrupt
+    }
+
+    fn skip_transition_check(&mut self, pc: u64) -> bool {
+        let skip = self.inner.skip_transition_check(pc);
+        self.push(HookCall::TransitionCheck { pc, skip });
+        skip
+    }
+
+    fn corrupt_context(&mut self, hfi: &mut hfi_repro::hfi_core::HfiContext) -> bool {
+        let changed = self.inner.corrupt_context(hfi);
+        self.push(HookCall::Context { changed });
+        changed
+    }
+
+    fn observe(&mut self, event: &hfi_repro::hfi_sim::ArchEvent) {
+        self.inner.observe(event);
+        self.push(HookCall::Event(*event));
+    }
+}
+
+/// Runs `program` under `hook`, logged, on the reference loop when
+/// `per_op`: the result, the memory, and every hook call in order.
+fn run_logged(
+    program: &Arc<Program>,
+    hook: impl hfi_repro::hfi_sim::ChaosHook + 'static,
+    per_op: bool,
+) -> ((FunctionalResult, Vec<u8>), Vec<HookCall>) {
+    let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let mut functional = Functional::new(Arc::clone(program));
+    functional.set_chaos(Box::new(Logged {
+        inner: hook,
+        log: Arc::clone(&log),
+    }));
+    let run = run_capture(functional, per_op, 100_000);
+    let calls = log.lock().expect("log unpoisoned").clone();
+    (run, calls)
+}
+
+/// The observed instance of the block loop makes the per-op reference
+/// loop's hook calls — every site, every `ArchEvent`, in the same order
+/// — and ends in the same result and memory. Under a passive site
+/// counter both loops count the same sites; under a region-corrupting
+/// engine a `corrupt_context` that reports a change in the middle of a
+/// block must make the block loop leave and re-read the fetch window,
+/// or the two loops part at the next fetch check.
+#[test]
+fn observed_block_loop_makes_the_reference_loops_hook_calls_in_order() {
+    use hfi_repro::hfi_chaos::{ChaosEngine, ChaosPlan, FaultClass, SiteCounter};
+
+    let mut rng = Rng::new(0x0B5E);
+    let mut corrupted = 0u32;
+    let mut parted = 0u32;
+    for case in 0..48u64 {
+        let program = if case % 2 == 0 {
+            random_guarded_runnable(&mut rng)
+        } else {
+            looping(&random_guarded_runnable(&mut rng), GUARDED_BODY)
+        };
+        let unhooked = run_path(&program, false, 100_000);
+        let counters = [SiteCounter::new(), SiteCounter::new()];
+        let [blocks, reference] = [false, true]
+            .map(|per_op| run_logged(&program, counters[per_op as usize].clone(), per_op));
+        assert_eq!(
+            blocks, reference,
+            "case {case}: passive hook calls diverged"
+        );
+        assert_eq!(
+            blocks.0, unhooked,
+            "case {case}: a passive hook changed the run"
+        );
+        assert_eq!(counters[0].counts(), counters[1].counts(), "case {case}");
+        let sites = counters[0].counts().context;
+        for trigger in (0..sites).step_by((sites as usize / 8).max(1)) {
+            let plan = ChaosPlan {
+                seed: case ^ trigger,
+                class: FaultClass::RegionCorrupt,
+                trigger,
+            };
+            let engines = [ChaosEngine::new(plan), ChaosEngine::new(plan)];
+            let [blocks, reference] = [false, true]
+                .map(|per_op| run_logged(&program, engines[per_op as usize].clone(), per_op));
+            assert_eq!(
+                blocks, reference,
+                "case {case}, trigger {trigger}: hook calls diverged"
+            );
+            if engines[0].fired().is_some() {
+                corrupted += 1;
+                parted += u32::from(blocks.0 != unhooked);
+            }
+        }
+    }
+    assert!(corrupted > 0, "no region corruption ever landed");
+    assert!(parted > 0, "no region corruption ever changed a run");
 }

@@ -1,19 +1,21 @@
 //! Serving-outcome taxonomy: every fault-containment [`Outcome`]
 //! variant is reachable through a deterministic scenario, and the
-//! classification is identical on both ways the functional tier
-//! interprets a run.
+//! classification is identical with and without a request deadline.
 //!
 //! This is the serving-tier sibling of
 //! `crates/hfi-sim/tests/fault_taxonomy.rs` (which pins the
-//! *architectural* fault taxonomy). With no hook installed a served
-//! run is block-stepped; a request deadline installs the executor's
-//! fuel hook, which puts every op on the per-op path. A fault class
-//! that only classified correctly on one path would make chaos
-//! campaigns and degradation gates path-dependent — so each scenario
-//! whose request has neither a deadline nor a chaos hook of its own
-//! runs twice, once per path ([`PATHS`]), and asserts the same
-//! outcome shape. A scenario built on a deadline or a hook runs on the
-//! per-op path only.
+//! *architectural* fault taxonomy). A served run is block-stepped
+//! whatever hook it carries; a request deadline installs the
+//! executor's fuel hook, which splits the run's step budget at its
+//! polls. A fault class that only classified correctly without that
+//! split would make chaos campaigns and degradation gates
+//! deadline-dependent — so each scenario whose request has neither a
+//! deadline nor a chaos hook of its own runs twice ([`PATHS`]), with no
+//! deadline and with one that never fires, and asserts the same
+//! outcome shape. A scenario built on a deadline or a hook runs once.
+//!
+//! The test names say "both tiers" after the two interpreter loops the
+//! deadline once chose between.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -75,9 +77,9 @@ fn request(limit: u64, deadline: Option<Duration>) -> Request {
     }
 }
 
-/// The request deadline that picks each interpreter path: none (the
-/// block-stepped loop), or one far enough out never to fire (the fuel
-/// hook it installs moves every op to the per-op path).
+/// The two deadlines every plain scenario runs under: none, and one far
+/// enough out never to fire (its fuel hook polls and lets the run go
+/// on). Both runs take the block-stepped loop.
 const PATHS: [Option<Duration>; 2] = [None, Some(Duration::from_secs(600))];
 
 #[test]
@@ -206,8 +208,8 @@ fn zero_capacity_queues_shed_deterministically_on_both_tiers() {
 fn healthy_requests_complete_bit_identically_across_tiers() {
     // The containment plumbing (fuel polling, catch_unwind, breakers)
     // must be invisible to a healthy run: same Stop, same result, and
-    // the RunRecord counter surface identical between the block-stepped
-    // run and the per-op one under a deadline that never fires.
+    // the RunRecord counter surface identical between a run with no
+    // deadline and one under a deadline that never fires.
     let mut records = Vec::new();
     for deadline in PATHS {
         let pools = pools_with(tiny_program(42), VerifyVerdict::Unchecked);
@@ -225,6 +227,6 @@ fn healthy_requests_complete_bit_identically_across_tiers() {
     }
     assert_eq!(
         records[0], records[1],
-        "both paths must retire identical counter surfaces"
+        "both runs must retire identical counter surfaces"
     );
 }

@@ -11,8 +11,9 @@
 //! that every run's `RunRecord`, result register, and final heap window
 //! are byte-identical to a single-use reference instance of the same
 //! kernel. Leased runs are block-stepped; every other kernel's
-//! reference runs on the per-op path instead (under a fuel hook that
-//! never fires), so the comparison also spans both interpreter paths.
+//! reference runs on the per-op reference loop instead
+//! (`Functional::run_reference`), so the comparison also spans both
+//! interpreter loops.
 
 use std::sync::Arc;
 
@@ -45,13 +46,14 @@ fn fresh_reference(
     heap_init: &[(u32, Vec<u8>)],
 ) -> Reference {
     let mut functional = Functional::new(Arc::clone(program));
-    if per_op {
-        functional.set_fuel(1, Box::new(|| true));
-    }
     for (off, bytes) in heap_init {
         Executor::prepare(&mut functional, heap_base + *off as u64, bytes);
     }
-    let stop = Executor::run(&mut functional, FUNCTIONAL_LIMIT);
+    let stop = if per_op {
+        functional.run_reference(FUNCTIONAL_LIMIT).stop
+    } else {
+        Executor::run(&mut functional, FUNCTIONAL_LIMIT)
+    };
     assert_eq!(stop, Stop::Halted, "reference run must halt");
     Reference {
         record: Executor::stats(&functional),
