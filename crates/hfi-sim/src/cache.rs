@@ -13,114 +13,144 @@
 /// Ways are stored set-major in one flat allocation; a set is the
 /// `assoc`-long slice at `set_index * assoc`, so a lookup is pure index
 /// arithmetic with no per-set indirection.
+///
+/// The cache remembers the line of its last access and the way holding
+/// it. That line is resident until the next access or flush: every
+/// access leaves the line it touched in its way, and a later access
+/// either hits that memo itself or replaces it with its own line. So a
+/// repeat access to the memoized line is a hit on that way, and it only
+/// sets `lru` and counts the hit. Both flushes forget the memo.
 #[derive(Debug, Clone)]
 pub struct Cache {
     lines: Box<[Line]>,
     assoc: usize,
     line_bits: u32,
     set_bits: u32,
+    /// Line address (`addr >> line_bits`) of the last access, or
+    /// [`Self::NO_LINE`] after a flush.
+    last_line: u64,
+    /// Index in `lines` of the way holding `last_line`.
+    last_way: usize,
     hits: u64,
     misses: u64,
 }
 
+/// One way of a set: 16 bytes, no valid bit. An invalid way holds
+/// [`Line::INVALID`], a tag no address produces (`new` requires lines of
+/// at least two bytes, so a tag has at most 63 bits), and `lru == 0`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Line {
     tag: u64,
     /// Higher = more recently used.
     lru: u64,
-    valid: bool,
+}
+
+impl Line {
+    const INVALID: Line = Line {
+        tag: u64::MAX,
+        lru: 0,
+    };
 }
 
 impl Cache {
+    /// `last_line` when no access is memoized; line addresses have at
+    /// most 63 bits, so none equals it.
+    const NO_LINE: u64 = u64::MAX;
+
     /// Creates a cache of `size_bytes` with `assoc` ways and `line_bytes`
     /// lines (both powers of two).
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is not a power-of-two decomposition.
+    /// Panics if the geometry is not a power-of-two decomposition, or if
+    /// lines are shorter than two bytes.
     pub fn new(size_bytes: u64, assoc: usize, line_bytes: u64) -> Self {
         assert!(line_bytes.is_power_of_two() && size_bytes.is_power_of_two());
+        assert!(line_bytes >= 2, "the invalid-tag sentinel needs a line bit");
         let num_lines = size_bytes / line_bytes;
         let num_sets = num_lines / assoc as u64;
         assert!(num_sets.is_power_of_two() && num_sets >= 1);
         Self {
-            lines: vec![
-                Line {
-                    tag: 0,
-                    lru: 0,
-                    valid: false
-                };
-                num_sets as usize * assoc
-            ]
-            .into_boxed_slice(),
+            lines: vec![Line::INVALID; num_sets as usize * assoc].into_boxed_slice(),
             assoc,
             line_bits: line_bytes.trailing_zeros(),
             set_bits: num_sets.trailing_zeros(),
+            last_line: Self::NO_LINE,
+            last_way: 0,
             hits: 0,
             misses: 0,
         }
     }
 
-    fn index(&self, addr: u64) -> (usize, u64) {
-        let line_addr = addr >> self.line_bits;
+    /// The first way of `line_addr`'s set, and its tag.
+    fn index(&self, line_addr: u64) -> (usize, u64) {
         let set = (line_addr & ((1 << self.set_bits) - 1)) as usize;
         let tag = line_addr >> self.set_bits;
-        (set, tag)
+        (set * self.assoc, tag)
     }
 
     /// Accesses `addr` at time `now`: returns `true` on hit. Misses
     /// install the line (allocate-on-miss), evicting the LRU way.
+    #[inline]
     pub fn access(&mut self, addr: u64, now: u64) -> bool {
-        let (set_idx, tag) = self.index(addr);
-        let base = set_idx * self.assoc;
+        let line_addr = addr >> self.line_bits;
+        if line_addr == self.last_line {
+            self.lines[self.last_way].lru = now;
+            self.hits += 1;
+            return true;
+        }
+        self.access_set(line_addr, now)
+    }
+
+    /// [`Self::access`] past the memo: scans the set, then memoizes the
+    /// line it hit or installed.
+    fn access_set(&mut self, line_addr: u64, now: u64) -> bool {
+        let (base, tag) = self.index(line_addr);
         let set = &mut self.lines[base..base + self.assoc];
-        for line in set.iter_mut() {
-            if line.valid && line.tag == tag {
-                line.lru = now;
-                self.hits += 1;
-                return true;
-            }
+        self.last_line = line_addr;
+        if let Some(way) = set.iter().position(|line| line.tag == tag) {
+            set[way].lru = now;
+            self.last_way = base + way;
+            self.hits += 1;
+            return true;
         }
         self.misses += 1;
+        // An invalid way's `lru` is 0, so it goes first; ties go to the
+        // lowest way.
         let victim = set
             .iter()
             .enumerate()
-            .min_by_key(|(_, line)| if line.valid { line.lru } else { 0 })
+            .min_by_key(|(_, line)| line.lru)
             .map(|(way, _)| way)
             .expect("assoc >= 1");
-        set[victim] = Line {
-            tag,
-            lru: now,
-            valid: true,
-        };
+        set[victim] = Line { tag, lru: now };
+        self.last_way = base + victim;
         false
     }
 
     /// Probes without modifying state: would `addr` hit?
     pub fn probe(&self, addr: u64) -> bool {
-        let (set_idx, tag) = self.index(addr);
-        let base = set_idx * self.assoc;
+        let (base, tag) = self.index(addr >> self.line_bits);
         self.lines[base..base + self.assoc]
             .iter()
-            .any(|line| line.valid && line.tag == tag)
+            .any(|line| line.tag == tag)
     }
 
     /// Evicts the line containing `addr` (clflush).
     pub fn flush(&mut self, addr: u64) {
-        let (set_idx, tag) = self.index(addr);
-        let base = set_idx * self.assoc;
+        let (base, tag) = self.index(addr >> self.line_bits);
         for line in &mut self.lines[base..base + self.assoc] {
-            if line.valid && line.tag == tag {
-                line.valid = false;
+            if line.tag == tag {
+                *line = Line::INVALID;
             }
         }
+        self.last_line = Self::NO_LINE;
     }
 
     /// Invalidates everything.
     pub fn flush_all(&mut self) {
-        for line in self.lines.iter_mut() {
-            line.valid = false;
-        }
+        self.lines.fill(Line::INVALID);
+        self.last_line = Self::NO_LINE;
     }
 
     /// (hits, misses) so far.
@@ -299,5 +329,204 @@ mod tests {
         // TLB still warm; line must come from memory again.
         let lat = hier.data_access(0x8000, 2);
         assert_eq!(lat, hier.latencies.memory);
+    }
+
+    /// The cache as it was before the last-line memo and the invalid-tag
+    /// sentinel, kept verbatim as the reference model.
+    mod reference {
+        #[derive(Debug, Clone)]
+        pub struct Cache {
+            lines: Box<[Line]>,
+            assoc: usize,
+            line_bits: u32,
+            set_bits: u32,
+            hits: u64,
+            misses: u64,
+        }
+
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub struct Line {
+            pub tag: u64,
+            pub lru: u64,
+            pub valid: bool,
+        }
+
+        impl Cache {
+            pub fn new(size_bytes: u64, assoc: usize, line_bytes: u64) -> Self {
+                assert!(line_bytes.is_power_of_two() && size_bytes.is_power_of_two());
+                let num_lines = size_bytes / line_bytes;
+                let num_sets = num_lines / assoc as u64;
+                assert!(num_sets.is_power_of_two() && num_sets >= 1);
+                Self {
+                    lines: vec![
+                        Line {
+                            tag: 0,
+                            lru: 0,
+                            valid: false
+                        };
+                        num_sets as usize * assoc
+                    ]
+                    .into_boxed_slice(),
+                    assoc,
+                    line_bits: line_bytes.trailing_zeros(),
+                    set_bits: num_sets.trailing_zeros(),
+                    hits: 0,
+                    misses: 0,
+                }
+            }
+
+            fn index(&self, addr: u64) -> (usize, u64) {
+                let line_addr = addr >> self.line_bits;
+                let set = (line_addr & ((1 << self.set_bits) - 1)) as usize;
+                let tag = line_addr >> self.set_bits;
+                (set, tag)
+            }
+
+            pub fn access(&mut self, addr: u64, now: u64) -> bool {
+                let (set_idx, tag) = self.index(addr);
+                let base = set_idx * self.assoc;
+                let set = &mut self.lines[base..base + self.assoc];
+                for line in set.iter_mut() {
+                    if line.valid && line.tag == tag {
+                        line.lru = now;
+                        self.hits += 1;
+                        return true;
+                    }
+                }
+                self.misses += 1;
+                let victim = set
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, line)| if line.valid { line.lru } else { 0 })
+                    .map(|(way, _)| way)
+                    .expect("assoc >= 1");
+                set[victim] = Line {
+                    tag,
+                    lru: now,
+                    valid: true,
+                };
+                false
+            }
+
+            pub fn probe(&self, addr: u64) -> bool {
+                let (set_idx, tag) = self.index(addr);
+                let base = set_idx * self.assoc;
+                self.lines[base..base + self.assoc]
+                    .iter()
+                    .any(|line| line.valid && line.tag == tag)
+            }
+
+            pub fn flush(&mut self, addr: u64) {
+                let (set_idx, tag) = self.index(addr);
+                let base = set_idx * self.assoc;
+                for line in &mut self.lines[base..base + self.assoc] {
+                    if line.valid && line.tag == tag {
+                        line.valid = false;
+                    }
+                }
+            }
+
+            pub fn flush_all(&mut self) {
+                for line in self.lines.iter_mut() {
+                    line.valid = false;
+                }
+            }
+
+            pub fn stats(&self) -> (u64, u64) {
+                (self.hits, self.misses)
+            }
+
+            pub fn lines(&self) -> &[Line] {
+                &self.lines
+            }
+        }
+    }
+
+    /// The resident `(tag, lru)` of every way, `None` for an invalid one.
+    fn resident(cache: &Cache) -> Vec<Option<(u64, u64)>> {
+        let lines = cache.lines.iter();
+        lines
+            .map(|l| (l.tag != Line::INVALID.tag).then_some((l.tag, l.lru)))
+            .collect()
+    }
+
+    fn reference_resident(cache: &reference::Cache) -> Vec<Option<(u64, u64)>> {
+        let lines = cache.lines().iter();
+        lines.map(|l| l.valid.then_some((l.tag, l.lru))).collect()
+    }
+
+    #[test]
+    fn memo_and_sentinel_match_the_valid_bit_cache_on_random_traffic() {
+        // SplitMix64, so the test needs no crate beyond this one.
+        let mut state = 0x5EED_CAC4_E000_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        // (size, ways, line): direct-mapped, fully associative, and a
+        // few set-associative shapes, all small enough to conflict.
+        let geometries = [
+            (64, 1, 16),
+            (128, 4, 32),
+            (256, 2, 16),
+            (512, 8, 64),
+            (1024, 4, 64),
+            (64, 8, 2),
+        ];
+        for (size, ways, line) in geometries {
+            let mut cache = Cache::new(size, ways, line);
+            let mut model = reference::Cache::new(size, ways, line);
+            // Addresses from a window four times the cache, plus a few far
+            // ones whose tags use the high bits; time sometimes stands
+            // still or restarts at zero, so LRU ties happen.
+            let window = 4 * size;
+            let mut now = 0u64;
+            let mut last = 0u64;
+            for step in 0..20_000 {
+                let roll = next() % 100;
+                let addr = match next() % 10 {
+                    0 => last,
+                    1 => last.wrapping_add(1),
+                    2 => u64::MAX - next() % window,
+                    _ => next() % window,
+                };
+                last = addr;
+                now = match next() % 20 {
+                    0 => 0,
+                    1 | 2 => now,
+                    _ => now + 1 + next() % 3,
+                };
+                let what = match roll {
+                    0..=79 => {
+                        let (hit, want) = (cache.access(addr, now), model.access(addr, now));
+                        assert_eq!(hit, want, "access {addr:#x} at step {step}");
+                        "access"
+                    }
+                    80..=89 => {
+                        assert_eq!(cache.probe(addr), model.probe(addr), "probe {addr:#x}");
+                        "probe"
+                    }
+                    90..=98 => {
+                        cache.flush(addr);
+                        model.flush(addr);
+                        "flush"
+                    }
+                    _ => {
+                        cache.flush_all();
+                        model.flush_all();
+                        "flush_all"
+                    }
+                };
+                assert_eq!(cache.stats(), model.stats(), "{what} at step {step}");
+                assert_eq!(
+                    resident(&cache),
+                    reference_resident(&model),
+                    "{what} {addr:#x} at step {step}, geometry {size}/{ways}/{line}"
+                );
+            }
+        }
     }
 }

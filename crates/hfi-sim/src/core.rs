@@ -31,7 +31,7 @@ use hfi_core::{
 use crate::cache::CacheHierarchy;
 use crate::chaos::{ArchEvent, ChaosHook};
 use crate::isa::{effective_address, Inst, Program, Reg};
-use crate::mem::SparseMemory;
+use crate::mem::{zero_extend, SparseMemory};
 use crate::plan::{plan_of, DecodedProgram, MicroOp, OpClass, SerializeClass, NO_REG, NO_TARGET};
 use crate::predictor::{BranchTargetBuffer, PatternHistoryTable};
 
@@ -266,8 +266,8 @@ const NO_GEN: u32 = u32::MAX;
 /// the resolved address, the speculative value, the prediction made for
 /// it, and the HFI generation it decoded under.
 ///
-/// The entry's sequence number is implicit: seqs are consecutive in the
-/// ring, so `seq = Machine::head_seq + ring_index`.
+/// The entry's sequence number is implicit: the entry with sequence
+/// number `seq` lives in ring slot `seq & Machine::rob_mask`.
 #[derive(Debug, Clone)]
 struct RobEntry {
     value: u64,
@@ -456,6 +456,20 @@ impl WaitLists {
         }
         self.busy.clear();
     }
+
+    /// Whether every parked entry's seq lies in `[lo, hi)`.
+    fn all_within(&self, lo: u64, hi: u64) -> bool {
+        self.busy.iter().all(|&b| {
+            let mut s = self.head[b];
+            while s != Self::NONE {
+                if !(lo..hi).contains(&s) {
+                    return false;
+                }
+                s = self.next[self.slot(s)];
+            }
+            true
+        })
+    }
 }
 
 /// Merges the ascending `extra` into the ascending `into`, from the back,
@@ -506,11 +520,13 @@ pub struct Machine {
     /// squash restores the oldest squashed entry's `hfi_gen_before`.
     hfi_history: Vec<HfiContext>,
     hfi_gen: usize,
-    /// The reorder buffer as a ring: pushed at the back at decode, popped
-    /// at the front at commit, truncated from the back on squash. Entry
-    /// sequence numbers are consecutive and implicit:
-    /// `seq = head_seq + ring_index`.
-    rob: VecDeque<RobEntry>,
+    /// The reorder buffer: a ring of `rob_size.next_power_of_two()`
+    /// slots. The live window is the seqs `[head_seq, next_seq)`, at most
+    /// `rob_size` of them, and the entry with seq `seq` sits in slot
+    /// `seq & rob_mask`. Decode writes slot `next_seq`, commit advances
+    /// `head_seq`, and a squash moves `next_seq` back; no entry moves.
+    rob: Box<[RobEntry]>,
+    rob_mask: u64,
     /// Sequence number of the ROB head (equal to `next_seq` when empty).
     head_seq: u64,
     /// Seqs of the `Waiting` entries the issue stage visits, in age
@@ -570,7 +586,7 @@ impl std::fmt::Debug for Machine {
         f.debug_struct("Machine")
             .field("cycle", &self.cycle)
             .field("fetch_index", &self.fetch_index)
-            .field("rob_len", &self.rob.len())
+            .field("rob_len", &self.rob_len())
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
@@ -590,6 +606,7 @@ impl Machine {
     pub fn with_config(program: impl Into<Arc<Program>>, config: CoreConfig) -> Self {
         let program: Arc<Program> = program.into();
         let plan = plan_of(&program);
+        let slots = config.rob_size.max(1).next_power_of_two();
         Self {
             program,
             plan,
@@ -606,7 +623,8 @@ impl Machine {
             regs: [0; 16],
             hfi_history: vec![HfiContext::new()],
             hfi_gen: 0,
-            rob: VecDeque::new(),
+            rob: vec![RobEntry::blank(0); slots].into_boxed_slice(),
+            rob_mask: slots as u64 - 1,
             head_seq: 0,
             issue_queue: Vec::new(),
             waits: WaitLists::new(config.rob_size),
@@ -684,12 +702,44 @@ impl Machine {
         &self.plan
     }
 
+    /// Ring slot of the entry with sequence number `seq`.
+    #[inline(always)]
+    fn slot(&self, seq: u64) -> usize {
+        (seq & self.rob_mask) as usize
+    }
+
+    /// Entries in the live window.
+    #[inline(always)]
+    fn rob_len(&self) -> usize {
+        (self.next_seq - self.head_seq) as usize
+    }
+
+    #[inline(always)]
+    fn rob_is_empty(&self) -> bool {
+        self.head_seq == self.next_seq
+    }
+
+    /// Whether every seq the scheduling lists hold lies in the live
+    /// window, and the window fits the ROB.
+    fn lists_within_window(&self) -> bool {
+        let window = self.head_seq..self.next_seq;
+        let sorted_within = |list: &[u64]| {
+            list.first().is_none_or(|s| window.contains(s))
+                && list.last().is_none_or(|s| window.contains(s))
+        };
+        self.rob_len() <= self.config.rob_size
+            && sorted_within(&self.issue_queue)
+            && sorted_within(&self.parked_hmov)
+            && self.in_flight.iter().all(|(s, _)| window.contains(s))
+            && self.waits.all_within(self.head_seq, self.next_seq)
+    }
+
     fn read_operand(&self, reg: u8) -> Src {
         // Youngest in-flight producer wins — the rename table tracks it.
         match self.reg_writer[reg as usize] {
             Some(seq) => {
                 debug_assert!(seq >= self.head_seq, "rename table in sync");
-                let entry = &self.rob[(seq - self.head_seq) as usize];
+                let entry = &self.rob[self.slot(seq)];
                 match entry.state {
                     EntryState::Done => Src::ready(entry.value),
                     _ => Src::wait(seq, reg),
@@ -708,7 +758,7 @@ impl Machine {
             // Producer already committed: its value is architectural.
             return Some(self.regs[reg as usize]);
         }
-        let entry = &self.rob[(seq - self.head_seq) as usize];
+        let entry = &self.rob[self.slot(seq)];
         match entry.state {
             EntryState::Done => Some(entry.value),
             _ => None,
@@ -719,9 +769,10 @@ impl Machine {
     /// path only — pushes and commits maintain it incrementally).
     fn rebuild_reg_writer(&mut self) {
         self.reg_writer = [None; 16];
-        for (i, entry) in self.rob.iter().enumerate() {
-            if entry.dst != NO_REG {
-                self.reg_writer[entry.dst as usize] = Some(self.head_seq + i as u64);
+        for seq in self.head_seq..self.next_seq {
+            let dst = self.rob[self.slot(seq)].dst;
+            if dst != NO_REG {
+                self.reg_writer[dst as usize] = Some(seq);
             }
         }
     }
@@ -734,14 +785,14 @@ impl Machine {
         if self.cycle < self.fetch_stall_until {
             return;
         }
-        if self.rob.len() >= self.config.rob_size {
+        if self.rob_len() >= self.config.rob_size {
             self.stats.rob_stall_cycles += 1;
             return;
         }
         // Fetch reads the shared pre-decoded plan: every static fact is a
         // flat-array load, no `Inst` match and no clone.
         for _ in 0..self.config.decode_width {
-            if self.rob.len() >= self.config.rob_size {
+            if self.rob_len() >= self.config.rob_size {
                 break;
             }
             if self.fetch_index >= plan.len() {
@@ -778,7 +829,7 @@ impl Machine {
 
             // Serializing instructions drain the ROB before decoding.
             if self.decode_serializes(uop) {
-                if !self.rob.is_empty() {
+                if !self.rob_is_empty() {
                     return; // retry next cycle until drained
                 }
                 self.stats.serializations += 1;
@@ -984,7 +1035,7 @@ impl Machine {
         self.hfi_history.push(self.hfi.clone());
     }
 
-    /// Appends `entry` to the ROB, claiming the next sequence number and
+    /// Writes `entry` into the ring slot of the next sequence number,
     /// registering it with the rename table and store list. Returns the
     /// assigned seq.
     fn push_entry(&mut self, mut entry: RobEntry) -> u64 {
@@ -995,16 +1046,15 @@ impl Machine {
             (self.hfi_gen as u32).min(entry.hfi_gen_before)
         };
         self.next_seq += 1;
-        if self.rob.is_empty() {
-            self.head_seq = seq;
-        }
+        debug_assert!(self.rob_len() <= self.config.rob_size, "ROB overfilled");
         if entry.dst != NO_REG {
             self.reg_writer[entry.dst as usize] = Some(seq);
         }
         if entry.has(EF_STORE) {
             self.store_seqs.push_back(seq);
         }
-        self.rob.push_back(entry);
+        let slot = self.slot(seq);
+        self.rob[slot] = entry;
         seq
     }
 
@@ -1069,7 +1119,7 @@ impl Machine {
         // are sorted before they join the queue.)
         if !self.in_flight.is_empty() {
             let cycle = self.cycle;
-            let head_seq = self.head_seq;
+            let mask = self.rob_mask;
             let rob = &mut self.rob;
             let waits = &mut self.waits;
             let woken = &mut self.woken;
@@ -1077,7 +1127,7 @@ impl Machine {
                 if done_at > cycle {
                     return true;
                 }
-                let entry = &mut rob[(seq - head_seq) as usize];
+                let entry = &mut rob[(seq & mask) as usize];
                 entry.state = EntryState::Done;
                 // A store's waiters are loads, which wait for its address
                 // or its commit instead.
@@ -1099,7 +1149,7 @@ impl Machine {
         // match, no allocation, no clone.
         // Seq of the entry that took the last memory port, if any did.
         let mut mem_full_at = u64::MAX;
-        let mut redirect: Option<(usize, usize)> = None; // (rob index, correct next)
+        let mut redirect: Option<(u64, usize)> = None; // (branch seq, correct next)
         let mut queue = std::mem::take(&mut self.issue_queue);
         let mut keep = 0usize; // entries [0..keep) stay queued
         let mut qi = 0usize;
@@ -1113,7 +1163,7 @@ impl Machine {
             }
             let seq = queue[qi];
             qi += 1;
-            let i = (seq - self.head_seq) as usize;
+            let i = self.slot(seq);
             let inst_idx = self.rob[i].inst_idx as usize;
             let uop = plan.op(inst_idx);
             // Port gate. `GATE_MEM` is exactly `Inst::is_mem()`: `clflush`
@@ -1167,34 +1217,34 @@ impl Machine {
                 OpClass::AluRR => {
                     self.alu_ops_this_cycle += 1;
                     let value = uop.alu.eval(v(0), v(1));
-                    self.finish(i, value, uop.alu.latency());
+                    self.finish(seq, value, uop.alu.latency());
                 }
                 OpClass::AluRI => {
                     self.alu_ops_this_cycle += 1;
                     let value = uop.alu.eval(v(0), uop.imm as u64);
-                    self.finish(i, value, uop.alu.latency());
+                    self.finish(seq, value, uop.alu.latency());
                 }
                 OpClass::MovI => {
                     self.alu_ops_this_cycle += 1;
-                    self.finish(i, uop.imm as u64, 1);
+                    self.finish(seq, uop.imm as u64, 1);
                 }
                 OpClass::Mov => {
                     self.alu_ops_this_cycle += 1;
                     let value = v(0);
-                    self.finish(i, value, 1);
+                    self.finish(seq, value, 1);
                 }
                 OpClass::Rdtsc => {
                     self.alu_ops_this_cycle += 1;
                     let now = self.cycle;
-                    self.finish(i, now, 1);
+                    self.finish(seq, now, 1);
                 }
                 OpClass::Nop | OpClass::Halt | OpClass::Cpuid | OpClass::Fence => {
                     self.alu_ops_this_cycle += 1;
-                    self.finish(i, 0, 1);
+                    self.finish(seq, 0, 1);
                 }
                 OpClass::Jump | OpClass::Call | OpClass::Ret => {
                     self.alu_ops_this_cycle += 1;
-                    self.finish(i, 0, 1);
+                    self.finish(seq, 0, 1);
                 }
                 OpClass::HfiEnter
                 | OpClass::HfiEnterChild
@@ -1204,7 +1254,7 @@ impl Machine {
                 | OpClass::HfiClearRegion
                 | OpClass::HfiClearAllRegions => {
                     self.alu_ops_this_cycle += 1;
-                    self.finish(i, 0, self.costs.enter_exit_base_cycles);
+                    self.finish(seq, 0, self.costs.enter_exit_base_cycles);
                 }
                 OpClass::Branch | OpClass::BranchI => {
                     self.alu_ops_this_cycle += 1;
@@ -1221,9 +1271,9 @@ impl Machine {
                     };
                     self.pht.update(plan.pc(inst_idx), taken);
                     if self.rob[i].predicted_next != actual as u32 {
-                        redirect = Some((i, actual));
+                        redirect = Some((seq, actual));
                     }
-                    self.finish(i, 0, 1);
+                    self.finish(seq, 0, 1);
                     if redirect.is_some() {
                         break;
                     }
@@ -1235,7 +1285,7 @@ impl Machine {
                     match self.program.index_of_pc(target_pc) {
                         Some(actual) => {
                             if self.rob[i].predicted_next != actual as u32 {
-                                redirect = Some((i, actual));
+                                redirect = Some((seq, actual));
                             }
                         }
                         None => {
@@ -1250,7 +1300,7 @@ impl Machine {
                             });
                         }
                     }
-                    self.finish(i, 0, 1);
+                    self.finish(seq, 0, 1);
                     if redirect.is_some() {
                         break;
                     }
@@ -1259,14 +1309,14 @@ impl Machine {
                     self.mem_ops_this_cycle += 1;
                     let addr = effective_address(v(0), v(1), uop.scale, uop.imm);
                     self.caches.flush_data(addr);
-                    self.finish(i, 0, 3);
+                    self.finish(seq, 0, 3);
                 }
                 OpClass::Load => {
                     let mut addr = effective_address(v(0), v(1), uop.scale, uop.imm);
                     if let Some(hook) = self.chaos.as_deref_mut() {
                         addr = hook.perturb_ea(plan.pc(inst_idx), addr);
                     }
-                    self.exec_load(i, addr, uop.size, false);
+                    self.exec_load(seq, addr, uop.size, false);
                 }
                 OpClass::Store => {
                     self.mem_ops_this_cycle += 1;
@@ -1293,7 +1343,7 @@ impl Machine {
                     self.rob[i].mem_size = uop.size;
                     self.rob[i].store_value = v(2);
                     self.rob[i].flags |= EF_HAS_STORE_VALUE;
-                    self.finish(i, 0, 1);
+                    self.finish(seq, 0, 1);
                 }
                 OpClass::HmovLoad => {
                     // One check per dispatch attempt, exactly as the
@@ -1304,7 +1354,7 @@ impl Machine {
                     self.stats.hfi_checks += 1;
                     if self.rob[i].has(EF_EA_KNOWN) {
                         let ea = self.rob[i].mem_addr;
-                        self.exec_load(i, ea, uop.size, true);
+                        self.exec_load(seq, ea, uop.size, true);
                     } else {
                         let mut index = v(1) as i64;
                         let mut skip = false;
@@ -1324,7 +1374,7 @@ impl Machine {
                             Ok(ea) => {
                                 self.rob[i].mem_addr = ea;
                                 self.rob[i].flags |= EF_EA_KNOWN;
-                                self.exec_load(i, ea, uop.size, true);
+                                self.exec_load(seq, ea, uop.size, true);
                             }
                             Err(fault) => {
                                 // A dropped guard micro-op: the raw AGU
@@ -1345,13 +1395,13 @@ impl Machine {
                                     Some(ea) => {
                                         self.rob[i].mem_addr = ea;
                                         self.rob[i].flags |= EF_EA_KNOWN;
-                                        self.exec_load(i, ea, uop.size, true);
+                                        self.exec_load(seq, ea, uop.size, true);
                                     }
                                     None => {
                                         // Failed hmov: no cache access at all.
                                         self.mem_ops_this_cycle += 1;
                                         self.rob[i].fault = Some(fault);
-                                        self.finish(i, 0, 1);
+                                        self.finish(seq, 0, 1);
                                     }
                                 }
                             }
@@ -1390,11 +1440,11 @@ impl Machine {
                             self.rob[i].mem_size = uop.size;
                             self.rob[i].store_value = v(2);
                             self.rob[i].flags |= EF_HAS_STORE_VALUE;
-                            self.finish(i, 0, 1);
+                            self.finish(seq, 0, 1);
                         }
                         Err(fault) => {
                             self.rob[i].fault = Some(fault);
-                            self.finish(i, 0, 1);
+                            self.finish(seq, 0, 1);
                         }
                     }
                 }
@@ -1436,9 +1486,9 @@ impl Machine {
         queue.truncate(keep + (queue.len() - qi));
         self.issue_queue = queue;
 
-        if let Some((rob_idx, correct_next)) = redirect {
+        if let Some((branch_seq, correct_next)) = redirect {
             self.stats.mispredicts += 1;
-            self.squash_after(rob_idx);
+            self.squash_after(branch_seq);
             self.fetch_index = correct_next;
             // The refill penalty may not cancel a longer pending stall
             // (e.g. a kernel round trip).
@@ -1478,17 +1528,17 @@ impl Machine {
 
     /// Executes a load: HFI check first (zero latency, parallel with the
     /// dtb); only a *passing* check reaches the cache — speculative or not.
-    fn exec_load(&mut self, i: usize, addr: u64, size: u8, is_hmov: bool) {
+    fn exec_load(&mut self, load_seq: u64, addr: u64, size: u8, is_hmov: bool) {
         // Older-store dependence, scanned youngest-first so the most
         // recent matching store wins: wait for unknown addresses; forward
         // on exact overlap; wait for commit on partial overlap. Only the
         // in-flight stores are walked, not the whole ROB.
-        let load_seq = self.head_seq + i as u64;
+        let i = self.slot(load_seq);
         for &store_seq in self.store_seqs.iter().rev() {
             if store_seq >= load_seq {
                 continue;
             }
-            let j = (store_seq - self.head_seq) as usize;
+            let j = self.slot(store_seq);
             let ssize = self.rob[j].mem_size;
             if ssize == 0 {
                 // Address unknown: stall until the store resolves it.
@@ -1501,9 +1551,9 @@ impl Machine {
                 if saddr == addr && ssize == size && self.rob[j].has(EF_HAS_STORE_VALUE) {
                     // Store-to-load forwarding.
                     self.mem_ops_this_cycle += 1;
-                    let masked = mask_to_size(self.rob[j].store_value, size);
+                    let forwarded = zero_extend(self.rob[j].store_value, size);
                     self.rob[i].flags &= !EF_CACHE_ACCESSED;
-                    self.finish(i, masked, self.caches.latencies.l1);
+                    self.finish(load_seq, forwarded, self.caches.latencies.l1);
                     return;
                 }
                 // Partial overlap: wait for the store to drain.
@@ -1527,7 +1577,7 @@ impl Machine {
                     // resolves: the cache is not touched (paper §4.1). The
                     // load completes as a faulting NOP.
                     self.rob[i].fault = Some(fault);
-                    self.finish(i, 0, 1);
+                    self.finish(load_seq, 0, 1);
                     return;
                 }
             }
@@ -1536,13 +1586,14 @@ impl Machine {
         // the Spectre transmission channel.
         let latency = self.caches.data_access(addr, self.cycle);
         self.rob[i].flags |= EF_CACHE_ACCESSED;
-        let value = mask_to_size(self.mem.read(addr, size), size);
+        let value = self.mem.read(addr, size);
         self.rob[i].mem_addr = addr;
         self.rob[i].mem_size = size;
-        self.finish(i, value, latency);
+        self.finish(load_seq, value, latency);
     }
 
-    fn finish(&mut self, i: usize, value: u64, latency: u64) {
+    fn finish(&mut self, seq: u64, value: u64, latency: u64) {
+        let i = self.slot(seq);
         let mut value = value;
         if self.chaos.is_some() {
             let inst_idx = self.rob[i].inst_idx as usize;
@@ -1562,16 +1613,16 @@ impl Machine {
         }
         self.rob[i].value = value;
         self.rob[i].state = EntryState::Executing;
-        self.in_flight
-            .push((self.head_seq + i as u64, self.cycle + latency.max(1)));
+        self.in_flight.push((seq, self.cycle + latency.max(1)));
     }
 
-    fn squash_after(&mut self, rob_idx: usize) {
-        let squash_seq = self.head_seq + rob_idx as u64;
+    fn squash_after(&mut self, squash_seq: u64) {
+        let wrong_path = squash_seq + 1..self.next_seq;
         // Restore HFI state (and its generation) from the oldest squashed
         // HFI op: its pre-op generation entry in the history is exactly
         // the context state just before the first wrong-path mutation.
-        for entry in self.rob.range(rob_idx + 1..) {
+        for seq in wrong_path.clone() {
+            let entry = &self.rob[self.slot(seq)];
             if entry.hfi_gen_before != NO_GEN {
                 let gen = entry.hfi_gen_before as usize;
                 self.hfi = self.hfi_history[gen].clone();
@@ -1594,19 +1645,18 @@ impl Machine {
                 CallDelta::Popped(ret_idx) => self.call_stack.push(ret_idx),
             }
         }
-        let squashed = self.rob.len() - (rob_idx + 1);
-        self.stats.squashed += squashed as u64;
-        self.stats.squashed_loads_executed += self
-            .rob
-            .range(rob_idx + 1..)
-            .filter(|e| e.has(EF_LOAD) && e.has(EF_CACHE_ACCESSED))
+        self.stats.squashed += wrong_path.end - wrong_path.start;
+        self.stats.squashed_loads_executed += wrong_path
+            .clone()
+            .filter(|&seq| {
+                let entry = &self.rob[self.slot(seq)];
+                entry.has(EF_LOAD) && entry.has(EF_CACHE_ACCESSED)
+            })
             .count() as u64;
-        self.rob.truncate(rob_idx + 1);
         // Reuse the squashed sequence numbers: every reference above
         // `squash_seq` (journal, store list, rename table, scheduling
-        // lists, operand waits) is pruned with the tail, and the
-        // `seq -> ring index` arithmetic needs the live window to stay
-        // consecutive.
+        // lists, operand waits) is pruned with the tail, and the next
+        // decode overwrites their slots.
         self.next_seq = squash_seq + 1;
         while self.store_seqs.back().is_some_and(|&s| s > squash_seq) {
             self.store_seqs.pop_back();
@@ -1626,23 +1676,35 @@ impl Machine {
 
     fn commit(&mut self, plan: &DecodedProgram) {
         for _ in 0..self.config.commit_width {
-            let Some(entry) = self.rob.front() else {
-                return;
-            };
-            if !matches!(entry.state, EntryState::Done) {
+            let seq = self.head_seq;
+            if seq == self.next_seq || self.rob[self.slot(seq)].state != EntryState::Done {
                 return;
             }
-            let entry = self.rob.pop_front().expect("front just checked");
-            let seq = self.head_seq;
+            // The slot keeps its contents until a later decode reuses it,
+            // so the retiring entry is read in place.
+            let RobEntry {
+                value,
+                mem_addr,
+                store_value,
+                fault,
+                inst_idx,
+                hfi_gen,
+                hfi_gen_before,
+                dst,
+                mem_size,
+                flags,
+                ..
+            } = self.rob[self.slot(seq)];
+            let has = |flag: u8| flags & flag != 0;
             self.head_seq += 1;
             // A committed entry retires its rename-table claim (unless a
             // younger in-flight producer has already superseded it) and
             // drains its journal entries: deltas at or below a committed
             // seq can never be squashed.
-            if entry.dst != NO_REG && self.reg_writer[entry.dst as usize] == Some(seq) {
-                self.reg_writer[entry.dst as usize] = None;
+            if dst != NO_REG && self.reg_writer[dst as usize] == Some(seq) {
+                self.reg_writer[dst as usize] = None;
             }
-            if entry.has(EF_STORE) {
+            if has(EF_STORE) {
                 debug_assert_eq!(self.store_seqs.front(), Some(&seq));
                 self.store_seqs.pop_front();
                 // Loads stalled behind this store re-enter the queue.
@@ -1664,9 +1726,10 @@ impl Machine {
             // declared transition contract. Checked before any decode-time
             // enter fault, matching the functional executor, which asserts
             // the contract before calling `enter` at all.
-            if plan.op(entry.inst_idx as usize).class == OpClass::HfiEnter {
+            let inst_idx = inst_idx as usize;
+            if plan.op(inst_idx).class == OpClass::HfiEnter {
                 if let Some(contract) = self.program.contract() {
-                    let pc = plan.pc(entry.inst_idx as usize);
+                    let pc = plan.pc(inst_idx);
                     let mut skip = false;
                     if let Some(hook) = self.chaos.as_deref_mut() {
                         skip = hook.skip_transition_check(pc);
@@ -1682,8 +1745,8 @@ impl Machine {
                             // context so the fault is delivered outside the
                             // sandbox, exactly as the functional executor
                             // delivers it.
-                            if entry.hfi_gen_before != NO_GEN {
-                                let gen = entry.hfi_gen_before as usize;
+                            if hfi_gen_before != NO_GEN {
+                                let gen = hfi_gen_before as usize;
                                 self.hfi = self.hfi_history[gen].clone();
                                 self.hfi_gen = gen;
                                 self.hfi_history.truncate(gen + 1);
@@ -1694,10 +1757,10 @@ impl Machine {
                     }
                 }
             }
-            if let Some(fault) = entry.fault {
+            if let Some(fault) = fault {
                 if let Some(hook) = self.chaos.as_deref_mut() {
                     hook.observe(&ArchEvent::Fault {
-                        pc: plan.pc(entry.inst_idx as usize),
+                        pc: plan.pc(inst_idx),
                         fault,
                     });
                 }
@@ -1705,48 +1768,47 @@ impl Machine {
                 return;
             }
             self.stats.committed += 1;
-            let uop = plan.op(entry.inst_idx as usize);
+            let uop = plan.op(inst_idx);
             if uop.has(MicroOp::BRANCH_STAT) {
                 self.stats.branches += 1;
             }
-            if entry.dst != NO_REG {
-                self.regs[entry.dst as usize] = entry.value;
+            if dst != NO_REG {
+                self.regs[dst as usize] = value;
             }
-            if entry.has(EF_STORE) && entry.mem_size > 0 && entry.has(EF_HAS_STORE_VALUE) {
-                self.mem
-                    .write(entry.mem_addr, entry.store_value, entry.mem_size);
+            if has(EF_STORE) && mem_size > 0 && has(EF_HAS_STORE_VALUE) {
+                self.mem.write(mem_addr, store_value, mem_size);
                 // Stores update the cache at commit (never
                 // speculatively).
                 let now = self.cycle;
-                self.caches.data_access(entry.mem_addr, now);
+                self.caches.data_access(mem_addr, now);
             }
             if self.chaos.is_some() {
                 // The entry's architectural HFI state is the generation it
                 // decoded under (everything older has already committed),
                 // not the speculative decode-tip `self.hfi`.
-                let sandboxed = self.hfi_history[entry.hfi_gen as usize].enabled();
-                let pc = plan.pc(entry.inst_idx as usize);
+                let sandboxed = self.hfi_history[hfi_gen as usize].enabled();
+                let pc = plan.pc(inst_idx);
                 if let Some(hook) = self.chaos.as_deref_mut() {
                     hook.observe(&ArchEvent::Retire {
                         pc,
                         len: uop.len,
                         sandboxed,
                     });
-                    if entry.has(EF_LOAD) && entry.mem_size > 0 {
+                    if has(EF_LOAD) && mem_size > 0 {
                         hook.observe(&ArchEvent::Mem {
                             pc,
-                            addr: entry.mem_addr,
-                            size: entry.mem_size,
+                            addr: mem_addr,
+                            size: mem_size,
                             access: Access::Read,
                             hmov: (uop.class == OpClass::HmovLoad).then_some(uop.region),
                             sandboxed,
                         });
                     }
-                    if entry.has(EF_STORE) && entry.mem_size > 0 && entry.has(EF_HAS_STORE_VALUE) {
+                    if has(EF_STORE) && mem_size > 0 && has(EF_HAS_STORE_VALUE) {
                         hook.observe(&ArchEvent::Mem {
                             pc,
-                            addr: entry.mem_addr,
-                            size: entry.mem_size,
+                            addr: mem_addr,
+                            size: mem_size,
                             access: Access::Write,
                             hmov: (uop.class == OpClass::HmovStore).then_some(uop.region),
                             sandboxed,
@@ -1785,8 +1847,7 @@ impl Machine {
     /// exit handler or the OS signal handler.
     fn deliver_fault_now(&mut self, fault: HfiFault) {
         self.stats.faults += 1;
-        self.stats.squashed += self.rob.len() as u64;
-        self.rob.clear();
+        self.stats.squashed += self.rob_len() as u64;
         self.head_seq = self.next_seq;
         self.issue_queue.clear();
         self.waits.clear();
@@ -1833,7 +1894,7 @@ impl Machine {
             // drain), every intervening cycle is architecturally empty —
             // commit and execute see no entries and the frontend's stall
             // check returns before any side effect. Jump to the wakeup.
-            if self.rob.is_empty() && self.cycle < self.fetch_stall_until {
+            if self.rob_is_empty() && self.cycle < self.fetch_stall_until {
                 self.cycle = self.fetch_stall_until.min(max_cycles);
                 continue;
             }
@@ -1844,9 +1905,10 @@ impl Machine {
             self.execute(&plan);
             self.frontend(&plan);
             self.cycle += 1;
+            debug_assert!(self.lists_within_window(), "a listed seq left the window");
 
             // Deadlock safety: nothing in flight and nothing to fetch.
-            if self.rob.is_empty()
+            if self.rob_is_empty()
                 && self.fetch_index >= self.program.len()
                 && self.cycle >= self.fetch_stall_until
             {
@@ -1861,15 +1923,6 @@ impl Machine {
             regs: self.regs,
             exit_reason: self.hfi.exit_reason(),
         }
-    }
-}
-
-fn mask_to_size(value: u64, size: u8) -> u64 {
-    match size {
-        1 => value & 0xFF,
-        2 => value & 0xFFFF,
-        4 => value & 0xFFFF_FFFF,
-        _ => value,
     }
 }
 
@@ -2535,5 +2588,154 @@ mod tests {
                 syscalls_to_os: 0,
             },
         );
+    }
+
+    /// A loop over `count` 256-byte rows of a flag table at
+    /// `table_base`. Each row's flag (0, 1 or 2) decides a branch the
+    /// predictor cannot learn; the taken body stores at `8 * flag +
+    /// 0x40` into the row, parks an `hmov` load behind that store and
+    /// reads the row's `0x48` word, which the store forwards when the
+    /// flag is 1.
+    fn flag_loop(asm: &mut ProgramBuilder, table_base: u64, count: i64) {
+        let (acc, table, flag, n) = (Reg(0), Reg(1), Reg(2), Reg(3));
+        asm.movi(table, table_base as i64);
+        asm.movi(n, count);
+        let top = asm.label_here("top");
+        let body = asm.label();
+        let join = asm.label();
+        asm.load(flag, MemOperand::base_disp(table, 0), 8);
+        asm.branch_i(Cond::Ne, flag, 0, body);
+        asm.jump(join);
+        asm.place(body);
+        asm.alu(AluOp::Add, Reg(4), flag, acc);
+        asm.store(Reg(4), MemOperand::full(table, flag, 8, 0x40), 8);
+        asm.hmov_load(0, Reg(5), crate::isa::HmovOperand::disp(0x40), 8);
+        asm.load(Reg(6), MemOperand::base_disp(table, 0x48), 8);
+        asm.alu(AluOp::Add, acc, acc, Reg(5));
+        asm.alu(AluOp::Xor, acc, acc, Reg(6));
+        asm.place(join);
+        asm.alu(AluOp::Mul, Reg(7), acc, acc);
+        asm.alu_ri(AluOp::Add, acc, acc, 3);
+        asm.alu_ri(AluOp::Add, table, table, 0x100);
+        asm.alu_ri(AluOp::Sub, n, n, 1);
+        asm.branch_i(Cond::Ne, n, 0, top);
+    }
+
+    /// A flag loop of 116 rows, then an out-of-bounds load with a dozen
+    /// older ALU ops and eight younger ones around it; the signal handler
+    /// re-enters the sandbox and runs a second flag loop of 100 rows.
+    fn ring_wrap_machine(config: CoreConfig) -> Machine {
+        let mut asm = ProgramBuilder::new(CODE_BASE);
+        let handler = asm.label();
+        enter_sandbox(&mut asm);
+        asm.movi(Reg(0), 0);
+        flag_loop(&mut asm, DATA_BASE, 116);
+        asm.movi(Reg(8), 0x20_0000);
+        for _ in 0..12 {
+            asm.alu_ri(AluOp::Add, Reg(9), Reg(9), 1);
+        }
+        asm.load(Reg(10), MemOperand::base_disp(Reg(8), 0), 8);
+        for _ in 0..8 {
+            asm.alu_ri(AluOp::Add, Reg(11), Reg(11), 1);
+        }
+        asm.halt();
+        asm.place(handler);
+        let handler_idx = asm.here();
+        enter_sandbox(&mut asm);
+        flag_loop(&mut asm, DATA_BASE + 0x8000, 100);
+        asm.hfi_exit();
+        asm.halt();
+        let program = asm.finish();
+        let handler_pc = program.pc_of(handler_idx);
+        let mut machine = Machine::with_config(program, config);
+        machine.signal_handler = Some(handler_pc);
+        // Flags from a xorshift sequence, so no history pattern holds.
+        let mut x = 0x9E37_79B9u64;
+        for row in 0..220u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            machine.mem.write(DATA_BASE + row * 0x100, x % 3, 8);
+        }
+        machine.mem.write(HEAP_BASE + 0x40, 5, 8);
+        machine
+    }
+
+    #[test]
+    fn rob_ring_wraps_through_squashes_and_a_fault() {
+        // Each run reuses every ROB slot many times over, squashes at
+        // every ring position, and delivers its fault from a live window
+        // that spans the ring's wrap point (seq 1280 is a multiple of
+        // both ring sizes). 224 entries is the default core; 12 rounds up
+        // to a 16-slot ring that fills on every iteration.
+        let pinned = [
+            (
+                224,
+                26149,
+                CoreStats {
+                    committed: 2411,
+                    squashed: 9767,
+                    branches: 432,
+                    mispredicts: 100,
+                    rob_stall_cycles: 15602,
+                    hfi_checks: 298472,
+                    serializations: 0,
+                    squashed_loads_executed: 198,
+                    faults: 1,
+                    syscalls_redirected: 0,
+                    syscalls_to_os: 0,
+                },
+            ),
+            (
+                12,
+                43480,
+                CoreStats {
+                    committed: 2411,
+                    squashed: 624,
+                    branches: 432,
+                    mispredicts: 86,
+                    rob_stall_cycles: 37281,
+                    hfi_checks: 20539,
+                    serializations: 0,
+                    squashed_loads_executed: 22,
+                    faults: 1,
+                    syscalls_redirected: 0,
+                    syscalls_to_os: 0,
+                },
+            ),
+        ];
+        for (rob_size, cycles, stats) in pinned {
+            let config = CoreConfig {
+                rob_size,
+                ..CoreConfig::default()
+            };
+            let slots = rob_size.next_power_of_two() as u64;
+            // Stepping one cycle per call runs the same pipeline as one
+            // call, so the stepped run must end identical to a plain one.
+            let mut stepped = ring_wrap_machine(config);
+            let mut window = None;
+            while stepped.halted.is_none() && stepped.cycle < 1_000_000 {
+                let before = (stepped.head_seq, stepped.next_seq);
+                stepped.run(stepped.cycle + 1);
+                if stepped.stats.faults == 1 && window.is_none() {
+                    window = Some(before);
+                }
+            }
+            let (head, next) = window.expect("the out-of-bounds load faults");
+            assert_ne!(
+                head / slots,
+                (next - 1) / slots,
+                "rob {rob_size}: window {head}..{next}"
+            );
+            assert!(
+                stepped.next_seq > 8 * slots,
+                "rob {rob_size}: ring wrapped too few times"
+            );
+            let result = ring_wrap_machine(config).run(1_000_000);
+            assert_eq!(result.stop, Stop::Halted);
+            assert_eq!(result.regs[0], 37);
+            assert_pinned(&result, cycles, stats);
+            assert_eq!((stepped.cycle, stepped.stats), (cycles, stats));
+        }
     }
 }

@@ -5,6 +5,7 @@ use std::collections::HashMap;
 
 const PAGE_BITS: u32 = 12;
 const PAGE_SIZE: u64 = 1 << PAGE_BITS;
+const PAGE_BYTES: usize = PAGE_SIZE as usize;
 /// Entries of the page-translation cache (a power of two).
 const CACHE_ENTRIES: usize = 16;
 
@@ -18,11 +19,12 @@ const CACHE_ENTRIES: usize = 16;
 /// low bits of the page number: a kernel that streams through a few
 /// buffers keeps each buffer's current page resident, so most reads and
 /// writes skip the `HashMap`, and a non-page-crossing access touches its
-/// page once instead of once per byte.
+/// page once instead of once per byte. A cached access whose 8-byte word
+/// lies inside its page is one fixed-width load or store.
 #[derive(Debug, Default, Clone)]
 pub struct SparseMemory {
     page_table: HashMap<u64, u32>,
-    storage: Vec<Box<[u8]>>,
+    storage: Vec<Box<[u8; PAGE_BYTES]>>,
     /// The translation cache, entry `page number % CACHE_ENTRIES`: the
     /// cached page number plus one (zero marks an empty entry; page
     /// numbers are below 2^52) and its storage slot. Slots are stable
@@ -70,8 +72,9 @@ impl SparseMemory {
             Some(&slot) => slot,
             None => {
                 let slot = self.storage.len() as u32;
+                let page = vec![0u8; PAGE_BYTES].into_boxed_slice();
                 self.storage
-                    .push(vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
+                    .push(page.try_into().expect("a page is PAGE_BYTES long"));
                 self.page_table.insert(page_no, slot);
                 slot
             }
@@ -95,10 +98,29 @@ impl SparseMemory {
     }
 
     /// Reads `size` bytes (1–8) little-endian, zero-extended to u64.
+    ///
+    /// A translation-cache hit whose 8-byte word lies inside the page
+    /// loads that word and zero-extends it; any other read takes
+    /// [`Self::read_slow`].
+    #[inline]
     pub fn read(&self, addr: u64, size: u8) -> u64 {
         debug_assert!(matches!(size, 1 | 2 | 4 | 8));
         let offset = (addr & (PAGE_SIZE - 1)) as usize;
-        if offset + size as usize <= PAGE_SIZE as usize {
+        if offset <= PAGE_BYTES - 8 {
+            if let Some(slot) = self.cached(addr >> PAGE_BITS) {
+                let page = &self.storage[slot as usize];
+                let word: [u8; 8] = page[offset..offset + 8].try_into().expect("8 bytes");
+                return zero_extend(u64::from_le_bytes(word), size);
+            }
+        }
+        self.read_slow(addr, size)
+    }
+
+    /// [`Self::read`] for a page-crossing word or a translation-cache
+    /// miss.
+    fn read_slow(&self, addr: u64, size: u8) -> u64 {
+        let offset = (addr & (PAGE_SIZE - 1)) as usize;
+        if offset + size as usize <= PAGE_BYTES {
             let Some(slot) = self.slot_of(addr >> PAGE_BITS) else {
                 return 0;
             };
@@ -115,10 +137,35 @@ impl SparseMemory {
     }
 
     /// Writes the low `size` bytes (1–8) of `value` little-endian.
+    ///
+    /// A translation-cache hit whose 8-byte word lies inside the page
+    /// stores 1, 2, 4 or 8 bytes in place; any other write takes
+    /// [`Self::write_slow`].
+    #[inline]
     pub fn write(&mut self, addr: u64, value: u64, size: u8) {
         debug_assert!(matches!(size, 1 | 2 | 4 | 8));
         let offset = (addr & (PAGE_SIZE - 1)) as usize;
-        if offset + size as usize <= PAGE_SIZE as usize {
+        if offset <= PAGE_BYTES - 8 {
+            if let Some(slot) = self.cached(addr >> PAGE_BITS) {
+                let word = &mut self.storage[slot as usize][offset..offset + 8];
+                match size {
+                    1 => word[0] = value as u8,
+                    2 => word[..2].copy_from_slice(&(value as u16).to_le_bytes()),
+                    4 => word[..4].copy_from_slice(&(value as u32).to_le_bytes()),
+                    8 => word.copy_from_slice(&value.to_le_bytes()),
+                    _ => self.write_slow(addr, value, size),
+                }
+                return;
+            }
+        }
+        self.write_slow(addr, value, size);
+    }
+
+    /// [`Self::write`] for a page-crossing word, a translation-cache miss
+    /// or an odd size.
+    fn write_slow(&mut self, addr: u64, value: u64, size: u8) {
+        let offset = (addr & (PAGE_SIZE - 1)) as usize;
+        if offset + size as usize <= PAGE_BYTES {
             let slot = self.slot_mut(addr >> PAGE_BITS);
             let page = &mut self.storage[slot as usize];
             page[offset..offset + size as usize]
@@ -137,7 +184,7 @@ impl SparseMemory {
         let mut rest = bytes;
         while !rest.is_empty() {
             let offset = (addr & (PAGE_SIZE - 1)) as usize;
-            let (chunk, tail) = rest.split_at(rest.len().min(PAGE_SIZE as usize - offset));
+            let (chunk, tail) = rest.split_at(rest.len().min(PAGE_BYTES - offset));
             let slot = self.slot_mut(addr >> PAGE_BITS);
             self.storage[slot as usize][offset..offset + chunk.len()].copy_from_slice(chunk);
             addr = addr.wrapping_add(chunk.len() as u64);
@@ -152,7 +199,7 @@ impl SparseMemory {
         let mut rest = &mut out[..];
         while !rest.is_empty() {
             let offset = (addr & (PAGE_SIZE - 1)) as usize;
-            let (chunk, tail) = rest.split_at_mut(rest.len().min(PAGE_SIZE as usize - offset));
+            let (chunk, tail) = rest.split_at_mut(rest.len().min(PAGE_BYTES - offset));
             if let Some(slot) = self.slot_of(addr >> PAGE_BITS) {
                 chunk.copy_from_slice(&self.storage[slot as usize][offset..offset + chunk.len()]);
             }
@@ -166,6 +213,15 @@ impl SparseMemory {
     pub fn touched_pages(&self) -> usize {
         self.page_table.len()
     }
+}
+
+/// The low `size` bytes (1–8) of `value`, zero-extended: the value a
+/// `size`-byte load yields, whether it reads memory or takes a store's
+/// data by forwarding.
+#[inline(always)]
+pub(crate) fn zero_extend(value: u64, size: u8) -> u64 {
+    debug_assert!((1..=8).contains(&size));
+    value & (u64::MAX >> (64 - 8 * size as u32))
 }
 
 #[cfg(test)]
@@ -207,13 +263,13 @@ mod tests {
     fn bulk_bytes_cross_one_and_two_page_boundaries() {
         // Starts 5 bytes before a page boundary: the short image
         // crosses one boundary, the long one two.
-        for len in [10, PAGE_SIZE as usize + 10] {
+        for len in [10, PAGE_BYTES + 10] {
             let mut mem = SparseMemory::new();
             let base = 3 * PAGE_SIZE - 5;
             let image: Vec<u8> = (0..len).map(|i| (i * 7 + 1) as u8).collect();
             mem.write_bytes(base, &image);
             assert_eq!(mem.read_bytes(base, len), image, "len {len}");
-            assert_eq!(mem.touched_pages(), 2 + len / PAGE_SIZE as usize);
+            assert_eq!(mem.touched_pages(), 2 + len / PAGE_BYTES);
             for (i, &b) in image.iter().enumerate() {
                 assert_eq!(mem.read_u8(base + i as u64), b, "byte {i}");
             }
@@ -221,12 +277,9 @@ mod tests {
             // pages fill zeros around the written bytes.
             assert_eq!(mem.read_u8(base - 1), 0);
             assert_eq!(mem.read_u8(base + len as u64), 0);
-            let around = mem.read_bytes(base - PAGE_SIZE, len + 2 * PAGE_SIZE as usize);
-            assert_eq!(
-                &around[PAGE_SIZE as usize..PAGE_SIZE as usize + len],
-                &image[..]
-            );
-            assert!(around[..PAGE_SIZE as usize].iter().all(|&b| b == 0));
+            let around = mem.read_bytes(base - PAGE_SIZE, len + 2 * PAGE_BYTES);
+            assert_eq!(&around[PAGE_BYTES..PAGE_BYTES + len], &image[..]);
+            assert!(around[..PAGE_BYTES].iter().all(|&b| b == 0));
         }
     }
 
@@ -252,5 +305,75 @@ mod tests {
             }
         }
         assert_eq!(mem.touched_pages(), 41);
+    }
+
+    #[test]
+    fn fixed_width_paths_match_a_byte_wise_model_at_page_ends() {
+        // The model composes every access from `read_u8`/`write_u8`, the
+        // byte paths the fixed-width ones must agree with.
+        fn model_read(model: &SparseMemory, addr: u64, size: u8) -> u64 {
+            (0..size as u64).fold(0, |value, i| {
+                value | (model.read_u8(addr.wrapping_add(i)) as u64) << (8 * i)
+            })
+        }
+        fn model_write(model: &mut SparseMemory, addr: u64, value: u64, size: u8) {
+            for i in 0..size as u64 {
+                model.write_u8(addr.wrapping_add(i), (value >> (8 * i)) as u8);
+            }
+        }
+        // SplitMix64, so the test needs no crate beyond this one.
+        let mut state = 0x3E30_FF5E_7777_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut mem = SparseMemory::new();
+        let mut model = SparseMemory::new();
+        // Neighbouring pages, so a page-end access spills into a page
+        // that may not exist yet; pages 16 apart, which share a
+        // translation-cache entry; and the last page of the address
+        // space, whose successor wraps to page 0.
+        let pages = [3u64, 4, 5, 19, 35, 36, (u64::MAX >> PAGE_BITS)];
+        for step in 0..50_000 {
+            let page = pages[(next() % pages.len() as u64) as usize];
+            let offset = match next() % 4 {
+                0 => next() % PAGE_SIZE,
+                1 => next() % 8,
+                _ => PAGE_SIZE - 8 + next() % 8,
+            };
+            let addr = (page << PAGE_BITS) | offset;
+            let size = [1u8, 2, 4, 8][(next() % 4) as usize];
+            if next() % 3 == 0 {
+                let value = next();
+                mem.write(addr, value, size);
+                model_write(&mut model, addr, value, size);
+            } else {
+                assert_eq!(
+                    mem.read(addr, size),
+                    model_read(&model, addr, size),
+                    "{size}-byte read at {addr:#x}, step {step}"
+                );
+            }
+            assert_eq!(mem.touched_pages(), model.touched_pages(), "step {step}");
+        }
+        for &page in &pages {
+            let base = page << PAGE_BITS;
+            assert_eq!(
+                mem.read_bytes(base, PAGE_BYTES),
+                model.read_bytes(base, PAGE_BYTES)
+            );
+        }
+    }
+
+    #[test]
+    fn zero_extend_keeps_exactly_the_low_bytes() {
+        let value = 0x8877_6655_4433_2211;
+        assert_eq!(zero_extend(value, 1), 0x11);
+        assert_eq!(zero_extend(value, 2), 0x2211);
+        assert_eq!(zero_extend(value, 4), 0x4433_2211);
+        assert_eq!(zero_extend(value, 8), value);
     }
 }

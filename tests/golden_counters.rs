@@ -1,11 +1,11 @@
 //! Golden counter-exactness gate for the simulators.
 //!
-//! The hot-loop optimizations (ring-buffer ROB, zero-clone issue, delta
-//! undo journals, page/cache flattening, the event-driven issue stage,
-//! the block-stepped functional loop) must not change a single
-//! architectural counter: every figure in the reproduction depends on
-//! them. This test runs the Fig. 3 smoke grid, the two ROB-bound
-//! SPEC-like cells and the §6.4.1 syscall interposition kernels on the
+//! The hot-loop optimizations (slot-indexed ROB ring, zero-clone issue,
+//! delta undo journals, page/cache flattening, last-line cache memos,
+//! the event-driven issue stage, the block-stepped functional loop) must
+//! not change a single architectural counter: every figure in the
+//! reproduction depends on them. This test runs the whole Fig. 3
+//! SPEC-like grid and the §6.4.1 syscall interposition kernels on the
 //! cycle-level `Machine` and compares the *full* counter surface —
 //! cycles, committed, squashed, branches, mispredicts, ROB stalls,
 //! serializations, every cache and dTLB hit/miss count, HFI
@@ -71,27 +71,22 @@ fn record_line(label: &str, record: &RunRecord) -> String {
 fn collect_counters() -> String {
     let mut out = String::new();
 
-    // The Fig. 3 smoke grid: first three SPEC-like kernels under all
-    // three isolation schemes (matches `fig3_grid`'s smoke subset).
-    let kernels = {
-        let mut suite = speclike::suite(1);
-        suite.truncate(3);
-        suite
-    };
+    // The whole Fig. 3 grid on the cycle core: every SPEC-like kernel
+    // under all three isolation schemes, so every cell the benchmark's
+    // `fig3-cycle` workload runs is pinned. Among them are the two
+    // ROB-bound cells (456.hmmer, 462.libquantum), whose issue windows
+    // hold the most parked entries; only their Hfi runs stall `hmov`
+    // loads behind older stores, the path where `hfi_checks` counts
+    // every retry. The other tiers run the smoke grid: the first three
+    // kernels (matches `fig3_grid`'s smoke subset).
+    let grid = speclike::suite(1);
+    let kernels = &grid[..3];
     let schemes = [
         Isolation::GuardPages,
         Isolation::BoundsChecks,
         Isolation::Hfi,
     ];
-    // Plus the two ROB-bound cells, whose issue windows hold the most
-    // parked entries; only their Hfi runs stall `hmov` loads behind
-    // older stores, the path where `hfi_checks` counts every retry.
-    let rob_bound: Vec<_> = speclike::suite(1)
-        .into_iter()
-        .filter(|k| matches!(k.name.as_str(), "456.hmmer-like" | "462.libquantum-like"))
-        .collect();
-    assert_eq!(rob_bound.len(), 2, "ROB-bound kernels renamed?");
-    for kernel in kernels.iter().chain(&rob_bound) {
+    for kernel in &grid {
         for isolation in schemes {
             let run = run_on_machine(kernel, isolation);
             let label = format!("fig3/{}/{:?}", kernel.name, isolation);
@@ -102,7 +97,7 @@ fn collect_counters() -> String {
     // The same grid through the Appendix A.2 emulation transform on the
     // cycle core: pins the transform itself (hmov -> constant-base mov,
     // enter/exit -> cpuid) as well as the machine that runs it.
-    for kernel in &kernels {
+    for kernel in kernels {
         for isolation in schemes {
             let run = run_emulated(kernel, isolation);
             let label = format!("fig3-emulated/{}/{:?}", kernel.name, isolation);
@@ -115,7 +110,7 @@ fn collect_counters() -> String {
     // its warm mix under Hfi, and its two churn kernels under
     // GuardPages. `cycles` prints with `{}`, which round-trips the f64
     // sum exactly.
-    for kernel in &kernels {
+    for kernel in kernels {
         for isolation in schemes {
             let record = run_functional_record(kernel, isolation);
             let label = format!("fig3-functional/{}/{:?}", kernel.name, isolation);
