@@ -45,7 +45,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use hfi_bench::harness::{CellOutcome, Harness};
+use hfi_bench::harness::{CellOutcome, Cli, Flag};
 use hfi_bench::{compile_cached, print_table, FUNCTIONAL_LIMIT, MACHINE_LIMIT};
 use hfi_chaos::{
     classify, ChaosEngine, ChaosPlan, FaultClass, PanicHook, Rig, ServeFaultClass, ShadowMonitor,
@@ -838,9 +838,9 @@ fn context_for(name: &str, class: FaultClass, rep: u64) -> Vec<(&'static str, St
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let weaken = args.iter().any(|a| a == "--weaken");
-    let serve = args.iter().any(|a| a == "--serve");
+    let cli = Cli::from_env(&[Flag::Switch("--weaken"), Flag::Switch("--serve")]);
+    let weaken = cli.switch("--weaken");
+    let serve = cli.switch("--serve");
     let vehicle = if serve {
         Vehicle::Functional
     } else {
@@ -852,7 +852,7 @@ fn main() {
         (true, false) => "chaos-serve",
         (true, true) => "chaos-serve-weakened",
     };
-    let mut harness = Harness::from_env(figure);
+    let mut harness = cli.harness(figure);
 
     let targets = targets(harness.smoke(), vehicle);
     let reps = harness.iters(3, 1);

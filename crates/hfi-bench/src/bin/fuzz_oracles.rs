@@ -42,7 +42,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use hfi_bench::fuzzgen::{build_program, fuzz_spec, random_genome, shrink, Genome};
-use hfi_bench::harness::Harness;
+use hfi_bench::harness::{Cli, Flag};
 use hfi_bench::print_table;
 use hfi_chaos::{
     classify, ChaosEngine, ChaosPlan, FaultClass, Rig, ShadowMonitor, SiteCounter, Verdict,
@@ -384,13 +384,14 @@ fn shrink_violation(violated: &Violated, genome: &Genome) -> Genome {
 }
 
 fn main() {
-    let weaken_verifier = std::env::args().skip(1).any(|a| a == "--weaken-verifier");
+    let cli = Cli::from_env(&[Flag::Switch("--weaken-verifier")]);
+    let weaken_verifier = cli.switch("--weaken-verifier");
     let figure = if weaken_verifier {
         "fuzz-oracles-weakened"
     } else {
         "fuzz-oracles"
     };
-    let mut harness = Harness::from_env(figure);
+    let mut harness = cli.harness(figure);
     let cases = harness.iters(1000, 200);
     let sweep_seed = harness.seed_or(0x48_46_49); // "HFI"
 

@@ -17,65 +17,33 @@
 //!
 //! Flags (plus the shared harness flags, `--smoke`, `--jobs N`):
 //!
-//! * `--check <baseline.json>` — gate the executed functional-tier
-//!   round trips against the committed baseline (they are deterministic
-//!   simulator cycles, so the comparison is exact), on top of the
-//!   always-on elision invariant below.
+//! * `--check <baseline.json>` — gate the executed round trips against
+//!   a previous summary through [`hfi_bench::gate`].
 //! * `--out <path>` — output path (default `BENCH_transitions.json`).
 //!
 //! # Gate semantics
 //!
-//! Two checks, both fatal:
-//!
 //! * **Elision invariant** (always on): the ZeroCost scheme's executed
 //!   round trip must be at most *half* the FullSpringboard round trip
 //!   on both tiers — the verified-elision payoff the tentpole claims.
-//! * **Baseline** (`--check`): per scheme, `rt_func_<label>` must match
-//!   the baseline exactly; `rt_cycle_<label>` may drift ±25% (pipeline
-//!   model churn moves it legitimately, cost-model regressions blow
-//!   through it).
+//! * **Baseline** (`--check`): per scheme, `rt_func_<label>` and
+//!   `rt_cycle_<label>` must equal the baseline exactly. Both tiers are
+//!   deterministic simulators, so any change is a diff to explain.
 
-use hfi_bench::{print_table, transitions, Harness};
+use hfi_bench::gate::{self, Gate, Rule, Summary};
+use hfi_bench::{print_table, transitions, Cli};
 use hfi_core::{CostModel, TransitionScheme};
 use hfi_wasm::Transition;
 
-fn extract_json_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let start = json.find(&needle)? + needle.len();
-    let rest = &json[start..];
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && c != '+' && c != 'e' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn main() {
-    let mut harness = Harness::from_env("micro_transitions");
-    let mut check: Option<String> = None;
-    let mut out_path = "BENCH_transitions.json".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--check" | "--baseline" => check = args.next(),
-            "--out" => {
-                if let Some(p) = args.next() {
-                    out_path = p;
-                }
-            }
-            _ => {}
-        }
+    let cli = Cli::from_env(&gate::FLAGS);
+    let mut harness = cli.harness("micro_transitions");
+    let mut rules = Vec::new();
+    for scheme in TransitionScheme::ALL {
+        rules.push((format!("rt_func_{}", scheme.label()), Rule::Exact));
+        rules.push((format!("rt_cycle_{}", scheme.label()), Rule::Exact));
     }
-    // Read the baseline before writing the output so gating the default
-    // path never compares a run to itself.
-    let baseline = check.as_ref().map(|path| {
-        std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!(
-                "[transitions] ERROR: cannot read baseline {path}: {e}\n\
-                 [transitions] run once without --check to record a baseline first"
-            );
-            std::process::exit(2);
-        })
-    });
+    let mut gate = Gate::load(&cli, "transitions", "BENCH_transitions.json", rules);
 
     // --- The modeled spectrum (kept: the paper's §2 context table). ---
     let costs = CostModel::default();
@@ -182,115 +150,49 @@ fn main() {
         ]);
     }
 
-    // --- BENCH_transitions.json. ---
-    let mut json = String::from("{\"figure\":\"transitions\"");
-    json.push_str(&format!(
-        ",\"mode\":\"{}\"",
-        if harness.smoke() { "smoke" } else { "full" }
-    ));
+    // --- BENCH_transitions.json and its gate. ---
+    let mut summary = gate.summary(&harness);
     for m in &measured {
-        json.push_str(&format!(
-            ",\"rt_func_{0}\":{1},\"rt_cycle_{0}\":{2}",
-            m.scheme.label(),
-            m.round_trip_functional,
-            m.round_trip_cycle
-        ));
+        let label = m.scheme.label();
+        summary = summary
+            .int(&format!("rt_func_{label}"), m.round_trip_functional)
+            .int(&format!("rt_cycle_{label}"), m.round_trip_cycle);
     }
-    json.push_str(",\"amortization\":[");
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(&format!(
-            "{{\"scheme\":\"{}\",\"scale\":{},\"body_cycles\":{},\"total_cycles\":{},\
-             \"overhead_cycles\":{},\"overhead_pct\":{:.3}}}",
-            p.scheme.label(),
-            p.scale,
-            p.body_cycles,
-            p.total_cycles,
-            p.overhead_cycles,
-            p.overhead_pct
-        ));
-    }
-    json.push_str("]}");
-    std::fs::write(&out_path, format!("{json}\n")).expect("write transitions json");
-    eprintln!("[transitions] wrote {out_path}");
+    let summary = summary.array(
+        "amortization",
+        points.iter().map(|p| {
+            Summary::default()
+                .text("scheme", p.scheme.label())
+                .int("scale", p.scale.into())
+                .int("body_cycles", p.body_cycles)
+                .int("total_cycles", p.total_cycles)
+                .int("overhead_cycles", p.overhead_cycles)
+                .num("overhead_pct", p.overhead_pct, 3)
+        }),
+    );
     harness.finish().expect("write bench records");
 
-    // --- Gates. ---
-    let mut failed = false;
-    let by = |s: TransitionScheme| {
-        measured
-            .iter()
-            .find(|m| m.scheme == s)
-            .expect("all schemes measured")
-    };
-    let zero = by(TransitionScheme::ZeroCost);
-    let spring = by(TransitionScheme::FullSpringboard);
-    for (tier, z, s) in [
+    let by = |s: TransitionScheme| measured.iter().find(|m| m.scheme == s).expect("measured");
+    let (zero, spring) = (
+        by(TransitionScheme::ZeroCost),
+        by(TransitionScheme::FullSpringboard),
+    );
+    let tiers = [
         (
-            "functional",
+            "func",
             zero.round_trip_functional,
             spring.round_trip_functional,
         ),
         ("cycle", zero.round_trip_cycle, spring.round_trip_cycle),
-    ] {
-        println!(
-            "  elision [{tier}]: zero-cost {z} vs full-springboard {s} ({:.1}x)",
-            s as f64 / z.max(1) as f64
+    ];
+    for (tier, z, s) in tiers {
+        let bound = format!("<= {s} (rt_{tier}_full-springboard)");
+        gate.check(
+            &format!("elision: 2 x rt_{tier}_zero-cost"),
+            z * 2,
+            bound,
+            z * 2 <= s,
         );
-        if z * 2 > s {
-            eprintln!(
-                "[transitions] FAIL: elided round trip must be <= half the springboard's \
-                 ({tier}: {z} * 2 > {s})"
-            );
-            failed = true;
-        }
     }
-    if let Some(baseline) = baseline {
-        for m in &measured {
-            let func_key = format!("rt_func_{}", m.scheme.label());
-            let cycle_key = format!("rt_cycle_{}", m.scheme.label());
-            let missing = |key: &str| -> f64 {
-                eprintln!(
-                    "[transitions] ERROR: no \"{key}\" in the baseline; re-record it \
-                     with this binary first"
-                );
-                std::process::exit(2);
-            };
-            let base_func =
-                extract_json_number(&baseline, &func_key).unwrap_or_else(|| missing(&func_key));
-            let base_cycle =
-                extract_json_number(&baseline, &cycle_key).unwrap_or_else(|| missing(&cycle_key));
-            // Functional cycles are a deterministic cost-model sum:
-            // any drift is a real transition-cost change.
-            if m.round_trip_functional as f64 != base_func {
-                eprintln!(
-                    "[transitions] FAIL: {} functional round trip changed: {} -> {} \
-                     (re-record the baseline if intentional)",
-                    m.scheme.label(),
-                    base_func,
-                    m.round_trip_functional
-                );
-                failed = true;
-            }
-            let lo = base_cycle * 0.75;
-            let hi = base_cycle * 1.25;
-            let measured_cycle = m.round_trip_cycle as f64;
-            if measured_cycle < lo || measured_cycle > hi {
-                eprintln!(
-                    "[transitions] FAIL: {} cycle-machine round trip drifted past 25%: \
-                     {} -> {}",
-                    m.scheme.label(),
-                    base_cycle,
-                    m.round_trip_cycle
-                );
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!("  transition checks: OK");
+    gate.finish(summary);
 }

@@ -22,9 +22,9 @@
 //!   verifier accepts, per tenant. Default leaves the compiler default
 //!   (so committed baselines stay comparable). Non-HFI schemes ignore
 //!   the flag — they have no HFI springboard to vary.
-//! * `--check <baseline.json>` (alias `--baseline`) — gate p99 latency
-//!   (at the lowest Poisson load) and achieved throughput (at the
-//!   highest) per scheme against the baseline file.
+//! * `--check <baseline.json>` — gate p99 latency (at the lowest
+//!   Poisson load) and achieved throughput (at the highest) per scheme
+//!   against a previous summary through [`hfi_bench::gate`].
 //! * `--out <path>` — output path (default `BENCH_serving.json`).
 //! * `--degrade` — append the graceful-degradation sweep: offered load
 //!   from 0.5x to 3x of measured capacity, each level run clean and
@@ -51,17 +51,21 @@
 //! `--check` compares, per scheme, `p99_ms_<scheme>` (must not grow by
 //! more than [`REGRESSION_BUDGET`] plus [`P99_SLACK_MS`] of absolute
 //! slack) and `achieved_rps_<scheme>` (must not shrink by more than
-//! the budget). The baseline is read before the output file is
-//! written, so gating against the committed `BENCH_serving.json` never
-//! compares a run to itself; a missing or malformed baseline is a
-//! usage error (exit 2). Latency budgets are wider than the throughput
-//! benchmark's because tail latency on a shared CI host is inherently
-//! noisier than aggregate sim-MIPS.
+//! the budget); with `--degrade`, also the faulty variant's
+//! `degrade_faulty_<load>_healthy_p99_ms` at 0.5x and 1x, under the
+//! p99 budget, so a baseline recorded without `--degrade` exits 2.
+//! Latency budgets are wider than the throughput benchmark's because
+//! tail latency on a shared CI host is inherently noisier than
+//! aggregate sim-MIPS. The in-run invariants (correct results, exact
+//! outcome accounting, HFI density, and the degradation sweep's) are
+//! rows of the same gate table.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use hfi_bench::{compile_cached, median, print_table, Harness, FIG3_SCHEMES, FUNCTIONAL_LIMIT};
+use hfi_bench::gate::{self, Gate, Rule, Summary};
+use hfi_bench::harness::usage_error;
+use hfi_bench::{compile_cached, median, print_table, Cli, Flag, FIG3_SCHEMES, FUNCTIONAL_LIMIT};
 use hfi_chaos::PanicHook;
 use hfi_core::TransitionScheme;
 use hfi_serve::{
@@ -109,6 +113,12 @@ const REGRESSION_BUDGET: f64 = 0.50;
 /// checks besides), so the generous slack costs no detection power.
 const P99_SLACK_MS: f64 = 5.0;
 
+/// The rule every p99 latency gate applies.
+const P99_RULE: Rule = Rule::Ceiling {
+    frac: REGRESSION_BUDGET,
+    slack: P99_SLACK_MS,
+};
+
 /// Tenant floor: every scheme gets at least this many tenants so the
 /// density comparison is about address space, not workload size.
 const TENANT_FLOOR: usize = 1200;
@@ -155,21 +165,16 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx]
 }
 
-fn extract_json_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let start = json.find(&needle)? + needle.len();
-    let rest = &json[start..];
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && c != '+' && c != 'e' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Paces the arrival schedule onto the scheduler in host time and
+/// Paces the arrival schedule onto the scheduler in host time,
+/// submitting `request(index, arrival, arrival_ns)` for each arrival, and
 /// returns the epoch offset arrivals were rebased to.
-fn drive(scheduler: &Scheduler, arrivals: &[Arrival]) -> u64 {
+fn drive(
+    scheduler: &Scheduler,
+    arrivals: &[Arrival],
+    mut request: impl FnMut(usize, &Arrival, u64) -> Request,
+) -> u64 {
     let epoch = scheduler.now_ns();
-    for arrival in arrivals {
+    for (idx, arrival) in arrivals.iter().enumerate() {
         let target = epoch + arrival.at_ns;
         loop {
             let now = scheduler.now_ns();
@@ -183,13 +188,7 @@ fn drive(scheduler: &Scheduler, arrivals: &[Arrival]) -> u64 {
                 std::hint::spin_loop();
             }
         }
-        scheduler.submit(Request {
-            tenant: arrival.tenant,
-            arrival_ns: target,
-            limit: FUNCTIONAL_LIMIT,
-            deadline: None,
-            chaos: None,
-        });
+        scheduler.submit(request(idx, arrival, target));
     }
     epoch
 }
@@ -211,6 +210,8 @@ struct DegradeCell {
     achieved_rps: f64,
     offered_rps: f64,
     quarantined: u64,
+    /// Healthy requests that finished with a wrong result.
+    wrong: u64,
 }
 
 impl DegradeCell {
@@ -243,13 +244,12 @@ const WEDGE_PERIOD: usize = 32;
 /// induced faults (rogue tenant 0 panics on dispatch; every
 /// [`WEDGE_PERIOD`]th request is a runaway under a short deadline),
 /// behind bounded queues and per-tenant breakers. Healthy-tenant
-/// latency excludes the rogues; every submission is accounted for.
+/// latency excludes the rogues; [`degrade_rows`] gates the outcome.
 fn run_degrade(
     kernels: &[hfi_wasm::Kernel],
     seed: u64,
     workers: usize,
     smoke: bool,
-    failures: &mut u64,
 ) -> (f64, Vec<DegradeCell>) {
     // The injected panics are caught and classified; keep their default
     // backtrace spam out of the sweep's stderr.
@@ -363,21 +363,7 @@ fn run_degrade(
             };
             let scheduler = Scheduler::with_config(Arc::clone(&pools), workers, config);
             let mut hook_rng = Rng::new(split_mix64(&mut rng_seed));
-            let epoch = scheduler.now_ns();
-            for (idx, arrival) in arrivals.iter().enumerate() {
-                let target = epoch + arrival.at_ns;
-                loop {
-                    let now = scheduler.now_ns();
-                    if now >= target {
-                        break;
-                    }
-                    let gap = target - now;
-                    if gap > 200_000 {
-                        std::thread::sleep(Duration::from_nanos(gap - 100_000));
-                    } else {
-                        std::hint::spin_loop();
-                    }
-                }
+            let epoch = drive(&scheduler, &arrivals, |idx, arrival, arrival_ns| {
                 let wedged = faulty && idx % WEDGE_PERIOD == WEDGE_PERIOD - 1;
                 let tenant = if wedged { wedge_tenant } else { arrival.tenant };
                 let chaos: Option<Box<dyn hfi_sim::ChaosHook>> =
@@ -386,9 +372,9 @@ fn run_degrade(
                     } else {
                         None
                     };
-                scheduler.submit(Request {
+                Request {
                     tenant,
-                    arrival_ns: target,
+                    arrival_ns,
                     limit: if wedged { u64::MAX } else { FUNCTIONAL_LIMIT },
                     deadline: Some(if wedged {
                         WEDGE_DEADLINE
@@ -396,8 +382,8 @@ fn run_degrade(
                         DEGRADE_DEADLINE
                     }),
                     chaos,
-                });
-            }
+                }
+            });
             let completions = scheduler.finish();
             let mut cell = DegradeCell {
                 variant,
@@ -415,6 +401,7 @@ fn run_degrade(
                 achieved_rps: 0.0,
                 offered_rps: rate,
                 quarantined: pools.stats().quarantined,
+                wrong: 0,
             };
             let mut healthy_ms: Vec<f64> = Vec::new();
             let mut last_finish_ns = epoch;
@@ -430,7 +417,7 @@ fn run_degrade(
                                 .push((completion.finish_ns - completion.arrival_ns) as f64 / 1e6);
                             let spec = &pools.tenants()[completion.tenant];
                             if *stop != Stop::Halted || spec.expected != Some(*r0) {
-                                *failures += 1;
+                                cell.wrong += 1;
                                 eprintln!(
                                     "[serving] FAIL: degrade {variant}/{mult}: {} returned \
                                      {r0} ({stop:?}), expected {:?}",
@@ -452,159 +439,92 @@ fn run_degrade(
             cell.healthy_p99_ms = percentile(&healthy_ms, 0.99);
             let span_s = (last_finish_ns.saturating_sub(epoch)).max(1) as f64 / 1e9;
             cell.achieved_rps = cell.done as f64 / span_s;
-            if completions.len() as u64 != cell.offered || cell.accounted() != cell.offered {
-                *failures += 1;
-                eprintln!(
-                    "[serving] FAIL: degrade {variant}/{mult}: offered {} but {} completions, \
-                     {} accounted — requests were lost",
-                    cell.offered,
-                    completions.len(),
-                    cell.accounted()
-                );
-            }
-            // In a fault-free run nothing may panic or trip a breaker
-            // (deadline expiry under deep overload is legitimate).
-            if !faulty && (cell.panicked > 0 || cell.circuit_open > 0 || cell.rejected > 0) {
-                *failures += 1;
-                eprintln!(
-                    "[serving] FAIL: degrade clean/{mult}: panicked={} circuit_open={} \
-                     rejected={} in a fault-free run",
-                    cell.panicked, cell.circuit_open, cell.rejected
-                );
-            }
             cells.push(cell);
         }
     }
 
-    // Cross-cell invariants of the faulty sweep: the induced faults
-    // actually happened and were contained as their own outcome class.
-    let faulty_total = |f: fn(&DegradeCell) -> u64| -> u64 {
-        cells.iter().filter(|c| c.variant == "faulty").map(f).sum()
+    (capacity_rps, cells)
+}
+
+/// The degradation sweep's in-run invariants, as gate rows.
+fn degrade_rows(gate: &mut Gate, cells: &[DegradeCell]) {
+    let total = |variant: &str, f: fn(&DegradeCell) -> u64| -> u64 {
+        cells.iter().filter(|c| c.variant == variant).map(f).sum()
     };
-    if faulty_total(|c| c.panicked) == 0 {
-        *failures += 1;
-        eprintln!("[serving] FAIL: degrade faulty sweep induced no contained panic");
+    // Every submission is accounted for, healthy results are right, and
+    // a fault-free run neither panics nor trips a breaker (deadline
+    // expiry under deep overload is legitimate).
+    let lost = cells.iter().filter(|c| c.accounted() != c.offered).count() as u64;
+    let wrong = cells.iter().map(|c| c.wrong).sum();
+    let contained = total("clean", |c| c.panicked + c.circuit_open + c.rejected);
+    for (name, n) in [
+        ("degrade: cells with lost requests", lost),
+        ("degrade: wrong healthy results", wrong),
+        (
+            "degrade clean: panicked + circuit_open + rejected",
+            contained,
+        ),
+    ] {
+        gate.check(name, n, "= 0", n == 0);
     }
-    if faulty_total(|c| c.deadline) == 0 {
-        *failures += 1;
-        eprintln!("[serving] FAIL: degrade faulty sweep cancelled no wedged request");
-    }
-    if faulty_total(|c| c.circuit_open) == 0 {
-        *failures += 1;
-        eprintln!("[serving] FAIL: degrade faulty sweep never opened the rogue's breaker");
+    // The induced faults actually happened and were contained as their
+    // own outcome class.
+    for (name, f) in [
+        ("panicked", (|c| c.panicked) as fn(&DegradeCell) -> u64),
+        ("deadline_exceeded", |c| c.deadline),
+        ("circuit_open", |c| c.circuit_open),
+    ] {
+        let n = total("faulty", f);
+        gate.check(&format!("degrade faulty: {name}"), n, "> 0", n > 0);
     }
     // Healthy-tenant p99 under faults at sub-saturation load: the gate
     // the whole containment layer exists for.
     for mult in ["05x", "1x"] {
-        let clean = cells
-            .iter()
-            .find(|c| c.variant == "clean" && c.mult == mult)
-            .expect("clean cell exists");
-        let faulty = cells
-            .iter()
-            .find(|c| c.variant == "faulty" && c.mult == mult)
-            .expect("faulty cell exists");
-        let ceiling = clean.healthy_p99_ms * (1.0 + REGRESSION_BUDGET) + P99_SLACK_MS;
-        if faulty.healthy_p99_ms.is_nan() || faulty.healthy_p99_ms > ceiling {
-            *failures += 1;
-            eprintln!(
-                "[serving] FAIL: degrade {mult}: healthy-tenant p99 under faults \
-                 {:.2} ms exceeds ceiling {ceiling:.2} ms (clean {:.2} ms)",
-                faulty.healthy_p99_ms, clean.healthy_p99_ms
-            );
-        }
+        let p99 = |variant: &str| format!("degrade_{variant}_{mult}_healthy_p99_ms");
+        gate.relative(p99("faulty"), p99("clean"), P99_RULE);
     }
-    (capacity_rps, cells)
 }
 
 fn main() {
-    let harness = Harness::from_env("serving");
+    let flags = [
+        Flag::Switch("--degrade"),
+        Flag::Value("--workers"),
+        Flag::Value("--scheme"),
+    ];
+    let cli = Cli::from_env(&[&gate::FLAGS[..], &flags].concat());
+    let harness = cli.harness("serving");
     let seed = harness.seed_or(0x5EED_F00D);
-    let mut check: Option<String> = None;
-    let mut out_path = "BENCH_serving.json".to_string();
-    let mut scheme_choice = SchemeChoice::Default;
-    let mut degrade = false;
-    let mut workers = std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(4);
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--degrade" => degrade = true,
-            "--check" | "--baseline" => check = args.next(),
-            "--out" => {
-                if let Some(p) = args.next() {
-                    out_path = p;
-                }
-            }
-            "--workers" => {
-                if let Some(w) = args.next() {
-                    workers = w.parse().unwrap_or_else(|_| {
-                        eprintln!("[serving] ERROR: invalid --workers value {w:?}");
-                        std::process::exit(2);
-                    });
-                }
-            }
-            "--scheme" => {
-                if let Some(s) = args.next() {
-                    scheme_choice = match s.as_str() {
-                        "auto" => SchemeChoice::Auto,
-                        label => match TransitionScheme::parse(label) {
-                            Some(scheme) => SchemeChoice::Fixed(scheme),
-                            None => {
-                                eprintln!(
-                                    "[serving] ERROR: unknown --scheme {label:?}; expected \
-                                     'auto' or one of: {}",
-                                    TransitionScheme::ALL
-                                        .iter()
-                                        .map(|t| t.label())
-                                        .collect::<Vec<_>>()
-                                        .join(", ")
-                                );
-                                std::process::exit(2);
-                            }
-                        },
-                    };
-                }
-            }
-            _ => {}
-        }
-    }
-    let scheme_label = scheme_choice.label();
-
-    // Read the baseline before the output file is written (gating the
-    // default output path must compare against the committed run) and
-    // before measuring (a mispointed path fails fast).
-    let baseline: Option<Vec<(String, f64, f64)>> = check.as_ref().map(|baseline_path| {
-        let text = match std::fs::read_to_string(baseline_path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!(
-                    "[serving] ERROR: cannot read baseline {baseline_path}: {e}\n\
-                     [serving] run once without --check to record a baseline first"
-                );
-                std::process::exit(2);
-            }
-        };
-        FIG3_SCHEMES
-            .iter()
-            .map(|scheme| {
-                let name = format!("{scheme:?}").to_lowercase();
-                let missing = |key: &str| -> f64 {
-                    eprintln!(
-                        "[serving] ERROR: no \"{key}\" field in baseline {baseline_path}\n\
-                         [serving] re-record the baseline with this binary first"
-                    );
-                    std::process::exit(2);
-                };
-                let p99_key = format!("p99_ms_{name}");
-                let rps_key = format!("achieved_rps_{name}");
-                let p99 = extract_json_number(&text, &p99_key).unwrap_or_else(|| missing(&p99_key));
-                let rps = extract_json_number(&text, &rps_key).unwrap_or_else(|| missing(&rps_key));
-                (name, p99, rps)
-            })
-            .collect()
+    let degrade = cli.switch("--degrade");
+    let workers = cli.parsed("--workers").unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(usize::from)
+            .unwrap_or(4)
     });
+    let scheme_choice = match cli.value("--scheme") {
+        None => SchemeChoice::Default,
+        Some("auto") => SchemeChoice::Auto,
+        Some(label) => SchemeChoice::Fixed(TransitionScheme::parse(label).unwrap_or_else(|| {
+            let labels: Vec<&str> = TransitionScheme::ALL.iter().map(|t| t.label()).collect();
+            usage_error(&format!(
+                "unknown --scheme {label:?}; expected 'auto' or one of: {}",
+                labels.join(", ")
+            ))
+        })),
+    };
+    let scheme_label = scheme_choice.label();
+    let mut rules = Vec::new();
+    for scheme in FIG3_SCHEMES {
+        let name = format!("{scheme:?}").to_lowercase();
+        rules.push((format!("p99_ms_{name}"), P99_RULE));
+        rules.push((
+            format!("achieved_rps_{name}"),
+            Rule::Floor(REGRESSION_BUDGET),
+        ));
+    }
+    for mult in ["05x", "1x"].iter().filter(|_| degrade) {
+        rules.push((format!("degrade_faulty_{mult}_healthy_p99_ms"), P99_RULE));
+    }
+    let mut gate = Gate::load(&cli, "serving", "BENCH_serving.json", rules);
 
     // The verifyset kernel suites; smoke keeps the three cheapest
     // sightglass kernels so CI debug runs stay fast.
@@ -664,7 +584,8 @@ fn main() {
 
     let mut level_results: Vec<LevelResult> = Vec::new();
     let mut scheme_results: Vec<SchemeResult> = Vec::new();
-    let mut correctness_failures = 0u64;
+    let mut wrong = 0u64;
+    let mut lost_levels = 0u64;
 
     for scheme in FIG3_SCHEMES {
         let scheme_name = format!("{scheme:?}").to_lowercase();
@@ -736,7 +657,13 @@ fn main() {
         let mut warm_setup_ns: Vec<f64> = Vec::new();
         for (level_name, arrivals) in &schedules {
             let scheduler = Scheduler::new(Arc::clone(&pools), workers);
-            let epoch = drive(&scheduler, arrivals);
+            let epoch = drive(&scheduler, arrivals, |_, arrival, arrival_ns| Request {
+                tenant: arrival.tenant,
+                arrival_ns,
+                limit: FUNCTIONAL_LIMIT,
+                deadline: None,
+                chaos: None,
+            });
             let completions = scheduler.finish();
 
             let mut latencies_ms: Vec<f64> = Vec::with_capacity(completions.len());
@@ -760,7 +687,7 @@ fn main() {
                         }
                         let spec = &pools.tenants()[completion.tenant];
                         if *stop != Stop::Halted || spec.expected != Some(*r0) {
-                            correctness_failures += 1;
+                            wrong += 1;
                             eprintln!(
                                 "[serving] FAIL: {} returned {r0} ({stop:?}), expected {:?}",
                                 spec.name, spec.expected
@@ -769,24 +696,12 @@ fn main() {
                     }
                     Outcome::Overloaded => overloaded += 1,
                     Outcome::Shed => shed += 1,
-                    Outcome::Rejected { verified, stale } => {
-                        correctness_failures += 1;
-                        eprintln!(
-                            "[serving] FAIL: verified tenant rejected at admission \
-                             (verified: {verified:?}, stale: {stale})"
-                        );
-                    }
-                    // The main sweep configures no deadlines, caps, or
-                    // fault injection, so the containment outcomes are
-                    // scheduler bugs here, not load effects.
-                    other @ (Outcome::DeadlineExceeded { .. }
-                    | Outcome::CircuitOpen
-                    | Outcome::Panicked { .. }) => {
-                        correctness_failures += 1;
-                        eprintln!(
-                            "[serving] FAIL: unexpected containment outcome {other:?} \
-                             in the fault-free sweep"
-                        );
+                    // The main sweep serves verified tenants with no
+                    // deadlines, caps, or fault injection, so a rejection
+                    // or a containment outcome is a bug, not a load effect.
+                    other => {
+                        wrong += 1;
+                        eprintln!("[serving] FAIL: {other:?} in the fault-free sweep");
                     }
                 }
             }
@@ -797,18 +712,12 @@ fn main() {
             // accounted for by some outcome — shed and overloaded
             // requests are *counted against the offered load*, never
             // silently dropped from the denominator.
-            if completions.len() != arrivals.len() {
-                correctness_failures += 1;
-                eprintln!(
-                    "[serving] FAIL: {} arrivals but {} completions at {scheme_name}/{level_name}",
-                    arrivals.len(),
-                    completions.len()
-                );
-            }
+            lost_levels += u64::from(completions.len() != arrivals.len());
             eprintln!(
-                "[serving] {scheme_name}/{level_name}: offered={} done={done} \
+                "[serving] {scheme_name}/{level_name}: offered={} completed={} done={done} \
                  overloaded={overloaded} shed={shed}",
-                arrivals.len()
+                arrivals.len(),
+                completions.len()
             );
             level_results.push(LevelResult {
                 scheme: scheme_name.clone(),
@@ -838,16 +747,7 @@ fn main() {
 
     // The graceful-degradation sweep rides the same output file so one
     // committed baseline carries both gates.
-    let mut degrade_failures = 0u64;
-    let degrade_results = degrade.then(|| {
-        run_degrade(
-            &kernels,
-            seed,
-            workers,
-            harness.smoke(),
-            &mut degrade_failures,
-        )
-    });
+    let degrade_results = degrade.then(|| run_degrade(&kernels, seed, workers, harness.smoke()));
 
     let rows: Vec<Vec<String>> = level_results
         .iter()
@@ -921,224 +821,130 @@ fn main() {
     // Poisson load and achieved throughput at the highest.
     let lowest = format!("poisson-{:.0}", poisson_loads[0]);
     let highest = format!("poisson-{:.0}", poisson_loads[poisson_loads.len() - 1]);
-    let mut json = String::from("{");
-    json.push_str(&format!(
-        "\"figure\":\"serving\",\"mode\":\"{}\",\"seed\":{seed},\"workers\":{workers},\
-         \"tenants\":{tenant_count},\"tier\":\"{}\",\"transition_scheme\":\"{scheme_label}\"",
-        if harness.smoke() { "smoke" } else { "full" },
-        Tier::Functional.as_str()
-    ));
+    let level = |scheme: &str, name: &str| {
+        let mut found = level_results.iter().filter(|r| r.scheme == scheme);
+        found
+            .find(|r| r.level == name)
+            .expect("every level measured")
+    };
+    let tier = Tier::Functional.as_str();
+    let mut summary = gate
+        .summary(&harness)
+        .int("seed", seed)
+        .int("workers", workers as u64)
+        .int("tenants", tenant_count as u64)
+        .text("tier", tier)
+        .text("transition_scheme", &scheme_label);
     for s in &scheme_results {
-        let p99 = level_results
-            .iter()
-            .find(|r| r.scheme == s.scheme && r.level == lowest)
-            .map(|r| r.p99_ms)
-            .unwrap_or(f64::NAN);
-        let rps = level_results
-            .iter()
-            .find(|r| r.scheme == s.scheme && r.level == highest)
-            .map(|r| r.achieved_rps)
-            .unwrap_or(f64::NAN);
         let warm = level_results
             .iter()
             .filter(|r| r.scheme == s.scheme)
             .map(|r| r.warm_hit_rate)
             .sum::<f64>()
             / schedules.len() as f64;
-        json.push_str(&format!(
-            ",\"p99_ms_{0}\":{p99:.3},\"achieved_rps_{0}\":{rps:.1},\"density_{0}\":{1},\
-             \"warm_hit_rate_{0}\":{warm:.4},\"setup_warm_p50_us_{0}\":{2:.2},\
-             \"setup_cold_p50_us_{0}\":{3:.2}",
-            s.scheme, s.density, s.setup_warm_p50_us, s.setup_cold_p50_us
-        ));
+        let name = &s.scheme;
+        summary = summary
+            .num(&format!("p99_ms_{name}"), level(name, &lowest).p99_ms, 3)
+            .num(
+                &format!("achieved_rps_{name}"),
+                level(name, &highest).achieved_rps,
+                1,
+            )
+            .int(&format!("density_{name}"), s.density)
+            .num(&format!("warm_hit_rate_{name}"), warm, 4)
+            .num(&format!("setup_warm_p50_us_{name}"), s.setup_warm_p50_us, 2)
+            .num(&format!("setup_cold_p50_us_{name}"), s.setup_cold_p50_us, 2);
     }
     if let Some((capacity_rps, cells)) = &degrade_results {
-        json.push_str(&format!(",\"degrade_capacity_rps\":{capacity_rps:.1}"));
+        summary = summary.num("degrade_capacity_rps", *capacity_rps, 1);
         for c in cells {
-            json.push_str(&format!(
-                ",\"degrade_{0}_{1}_healthy_p99_ms\":{2:.3},\
-                 \"degrade_{0}_{1}_achieved_rps\":{3:.1},\"degrade_{0}_{1}_shed\":{4}",
-                c.variant,
-                c.mult,
-                c.healthy_p99_ms,
-                c.achieved_rps,
-                c.shed + c.deadline + c.circuit_open + c.overloaded
-            ));
+            let key = |what: &str| format!("degrade_{}_{}_{what}", c.variant, c.mult);
+            summary = summary
+                .num(&key("healthy_p99_ms"), c.healthy_p99_ms, 3)
+                .num(&key("achieved_rps"), c.achieved_rps, 1)
+                .int(
+                    &key("shed"),
+                    c.shed + c.deadline + c.circuit_open + c.overloaded,
+                );
         }
     }
-    let tier = Tier::Functional.as_str();
-    json.push_str(",\"cells\":[");
-    for (i, r) in level_results.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(&format!(
-            "{{\"scheme\":\"{}\",\"level\":\"{}\",\"seed\":{seed},\"tier\":\"{tier}\",\
-             \"transition_scheme\":\"{scheme_label}\",\
-             \"offered_rps\":{:.1},\"achieved_rps\":{:.1},\
-             \"p50_ms\":{:.3},\"p99_ms\":{:.3},\"p999_ms\":{:.3},\"warm_hit_rate\":{:.4},\
-             \"stolen\":{},\"done\":{},\"overloaded\":{},\"shed\":{},\"requests\":{}}}",
-            r.scheme,
-            r.level,
-            r.offered_rps,
-            r.achieved_rps,
-            r.p50_ms,
-            r.p99_ms,
-            r.p999_ms,
-            r.warm_hit_rate,
-            r.stolen,
-            r.done,
-            r.overloaded,
-            r.shed,
-            r.requests
-        ));
-    }
-    json.push(']');
+    summary = summary.array(
+        "cells",
+        level_results.iter().map(|r| {
+            Summary::default()
+                .text("scheme", &r.scheme)
+                .text("level", &r.level)
+                .int("seed", seed)
+                .text("tier", tier)
+                .text("transition_scheme", &scheme_label)
+                .num("offered_rps", r.offered_rps, 1)
+                .num("achieved_rps", r.achieved_rps, 1)
+                .num("p50_ms", r.p50_ms, 3)
+                .num("p99_ms", r.p99_ms, 3)
+                .num("p999_ms", r.p999_ms, 3)
+                .num("warm_hit_rate", r.warm_hit_rate, 4)
+                .int("stolen", r.stolen)
+                .int("done", r.done)
+                .int("overloaded", r.overloaded)
+                .int("shed", r.shed)
+                .int("requests", r.requests)
+        }),
+    );
     if let Some((_, cells)) = &degrade_results {
-        json.push_str(",\"degrade_cells\":[");
-        for (i, c) in cells.iter().enumerate() {
-            if i > 0 {
-                json.push(',');
-            }
-            json.push_str(&format!(
-                "{{\"variant\":\"{}\",\"load\":\"{}\",\"seed\":{seed},\
-                 \"offered\":{},\"offered_rps\":{:.1},\"achieved_rps\":{:.1},\
-                 \"healthy_p50_ms\":{:.3},\"healthy_p99_ms\":{:.3},\
-                 \"done\":{},\"deadline_exceeded\":{},\"circuit_open\":{},\"panicked\":{},\
-                 \"shed\":{},\"overloaded\":{},\"rejected\":{},\"quarantined\":{}}}",
-                c.variant,
-                c.mult,
-                c.offered,
-                c.offered_rps,
-                c.achieved_rps,
-                c.healthy_p50_ms,
-                c.healthy_p99_ms,
-                c.done,
-                c.deadline,
-                c.circuit_open,
-                c.panicked,
-                c.shed,
-                c.overloaded,
-                c.rejected,
-                c.quarantined
-            ));
-        }
-        json.push(']');
+        summary = summary.array(
+            "degrade_cells",
+            cells.iter().map(|c| {
+                Summary::default()
+                    .text("variant", c.variant)
+                    .text("load", c.mult)
+                    .int("seed", seed)
+                    .int("offered", c.offered)
+                    .num("offered_rps", c.offered_rps, 1)
+                    .num("achieved_rps", c.achieved_rps, 1)
+                    .num("healthy_p50_ms", c.healthy_p50_ms, 3)
+                    .num("healthy_p99_ms", c.healthy_p99_ms, 3)
+                    .int("done", c.done)
+                    .int("deadline_exceeded", c.deadline)
+                    .int("circuit_open", c.circuit_open)
+                    .int("panicked", c.panicked)
+                    .int("shed", c.shed)
+                    .int("overloaded", c.overloaded)
+                    .int("rejected", c.rejected)
+                    .int("quarantined", c.quarantined)
+            }),
+        );
     }
-    json.push('}');
-    std::fs::write(&out_path, format!("{json}\n")).expect("write serving json");
-    eprintln!("[serving] wrote {out_path}");
 
     // Invariants this benchmark exists to demonstrate.
-    let mut failed = correctness_failures > 0;
-    if correctness_failures > 0 {
-        eprintln!("[serving] FAIL: {correctness_failures} correctness failure(s)");
-    }
-    if degrade_failures > 0 {
-        eprintln!("[serving] FAIL: {degrade_failures} degradation invariant violation(s)");
-        failed = true;
-    }
-    let hfi = scheme_results
-        .iter()
-        .find(|s| s.scheme == "hfi")
-        .expect("hfi scheme measured");
-    let guard = scheme_results
-        .iter()
-        .find(|s| s.scheme == "guardpages")
-        .expect("guardpages scheme measured");
-    if hfi.density < 1000 {
-        eprintln!(
-            "[serving] FAIL: HFI sustained only {} concurrent sandboxes (need >= 1000)",
-            hfi.density
-        );
-        failed = true;
-    }
-    if hfi.density <= guard.density {
-        eprintln!(
-            "[serving] FAIL: HFI density {} must exceed GuardPages density {}",
-            hfi.density, guard.density
-        );
-        failed = true;
-    }
-    println!(
-        "  density check: hfi {} > guardpages {} (floor 1000)",
-        hfi.density, guard.density
+    gate.check(
+        "wrong, rejected or contained requests",
+        wrong,
+        "= 0",
+        wrong == 0,
     );
-
-    if let Some(baseline) = baseline {
-        for (scheme, base_p99, base_rps) in baseline {
-            let measured_p99 = level_results
-                .iter()
-                .find(|r| r.scheme == scheme && r.level == lowest)
-                .map(|r| r.p99_ms)
-                .unwrap_or(f64::NAN);
-            let measured_rps = level_results
-                .iter()
-                .find(|r| r.scheme == scheme && r.level == highest)
-                .map(|r| r.achieved_rps)
-                .unwrap_or(f64::NAN);
-            let p99_ceiling = base_p99 * (1.0 + REGRESSION_BUDGET) + P99_SLACK_MS;
-            let rps_floor = base_rps * (1.0 - REGRESSION_BUDGET);
-            println!(
-                "  gate[{scheme}]: p99 {base_p99:.2} -> {measured_p99:.2} ms \
-                 (ceiling {p99_ceiling:.2}); rps {base_rps:.0} -> {measured_rps:.0} \
-                 (floor {rps_floor:.0})"
-            );
-            // NaN (scheme missing from this run) must fail the gate.
-            if measured_p99.is_nan() || measured_p99 > p99_ceiling {
-                eprintln!(
-                    "[serving] FAIL: {scheme} p99 regressed more than {:.0}% \
-                     ({measured_p99:.2} > {p99_ceiling:.2} ms)",
-                    REGRESSION_BUDGET * 100.0
-                );
-                failed = true;
-            }
-            if measured_rps.is_nan() || measured_rps < rps_floor {
-                eprintln!(
-                    "[serving] FAIL: {scheme} throughput regressed more than {:.0}% \
-                     ({measured_rps:.0} < {rps_floor:.0} rps)",
-                    REGRESSION_BUDGET * 100.0
-                );
-                failed = true;
-            }
-        }
+    gate.check(
+        "levels with lost requests",
+        lost_levels,
+        "= 0",
+        lost_levels == 0,
+    );
+    let density = |name: &str| {
+        scheme_results
+            .iter()
+            .find(|s| s.scheme == name)
+            .expect("every scheme measured")
+            .density
+    };
+    let (hfi, guard) = (density("hfi"), density("guardpages"));
+    gate.check("density_hfi", hfi, ">= 1000", hfi >= 1000);
+    gate.check(
+        "density_hfi vs density_guardpages",
+        hfi,
+        format!("> {guard}"),
+        hfi > guard,
+    );
+    if let Some((_, cells)) = &degrade_results {
+        degrade_rows(&mut gate, cells);
     }
-    // Degrade gate against the committed baseline: healthy-tenant p99
-    // under faults at sub-saturation loads must not regress. Baselines
-    // recorded before the degradation sweep existed lack these keys and
-    // are skipped with a note (the next re-record picks them up).
-    if let (Some((_, cells)), Some(baseline_path)) = (&degrade_results, check.as_ref()) {
-        let text = std::fs::read_to_string(baseline_path).unwrap_or_default();
-        for mult in ["05x", "1x"] {
-            let key = format!("degrade_faulty_{mult}_healthy_p99_ms");
-            let Some(base_p99) = extract_json_number(&text, &key) else {
-                eprintln!(
-                    "[serving] note: baseline {baseline_path} predates the degradation sweep \
-                     (no \"{key}\"); skipping the degrade gate"
-                );
-                break;
-            };
-            let measured = cells
-                .iter()
-                .find(|c| c.variant == "faulty" && c.mult == mult)
-                .map(|c| c.healthy_p99_ms)
-                .unwrap_or(f64::NAN);
-            let ceiling = base_p99 * (1.0 + REGRESSION_BUDGET) + P99_SLACK_MS;
-            println!(
-                "  gate[degrade/{mult}]: healthy p99 under faults {base_p99:.2} -> \
-                 {measured:.2} ms (ceiling {ceiling:.2})"
-            );
-            if measured.is_nan() || measured > ceiling {
-                eprintln!(
-                    "[serving] FAIL: degrade {mult} healthy p99 regressed \
-                     ({measured:.2} > {ceiling:.2} ms)"
-                );
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!("  serving checks: OK");
+    gate.finish(summary);
 }

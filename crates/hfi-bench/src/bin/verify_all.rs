@@ -29,14 +29,15 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use hfi_bench::harness::Harness;
+use hfi_bench::harness::{Cli, Flag};
 use hfi_bench::print_table;
 use hfi_bench::verifyset::{all_targets, mutant_killed, mutants_for, verify_target, VerifyTarget};
 use hfi_verify::{proof_cache_stats, reset_proof_cache, Mutant, MutationClass, Proof, Violation};
 
 fn main() {
-    let harness = Harness::from_env("verify-all");
-    let want_mutants = std::env::args().skip(1).any(|a| a == "--mutants");
+    let cli = Cli::from_env(&[Flag::Switch("--mutants")]);
+    let harness = cli.harness("verify-all");
+    let want_mutants = cli.switch("--mutants");
 
     let targets = all_targets(harness.smoke());
 

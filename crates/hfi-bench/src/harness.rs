@@ -68,6 +68,11 @@
 //! * `--seed N` / `HFI_SEED=N` — RNG seed for binaries with stochastic
 //!   inputs (the serving load generator, the chaos campaign plans);
 //!   each binary documents its own default ([`Harness::seed_or`]).
+//!
+//! This is the one argument parser: a binary with flags of its own
+//! declares them ([`Flag`]) to [`Cli::from_env`] and builds its harness
+//! with [`Cli::harness`]. Value flags take `--flag v` or `--flag=v`; an
+//! undeclared flag or a flag without its value exits 2.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -83,7 +88,7 @@ use std::time::{Duration, Instant};
 use hfi_sim::RunRecord;
 
 /// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -384,115 +389,152 @@ pub struct Harness {
     seed: Option<u64>,
 }
 
-/// Parsed harness-relevant command-line flags.
-#[derive(Debug, Default, PartialEq, Eq)]
-struct CliConfig {
-    jobs: Option<usize>,
-    smoke: bool,
-    resume: bool,
-    deadline_ms: Option<u64>,
-    retries: Option<u32>,
-    seed: Option<u64>,
+/// A command-line flag: its name and whether it takes a value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flag {
+    /// A bare switch, e.g. `--smoke`.
+    Switch(&'static str),
+    /// A flag with a value, given as `--flag v` or `--flag=v`.
+    Value(&'static str),
 }
 
-fn parse_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
-    let value = value.ok_or_else(|| format!("{flag} requires a value"))?;
-    value
-        .parse()
-        .map_err(|_| format!("invalid {flag} value {value:?}: expected a non-negative integer"))
+/// The flags the harness owns; every binary accepts them.
+const HARNESS_FLAGS: [Flag; 6] = [
+    Flag::Switch("--smoke"),
+    Flag::Switch("--resume"),
+    Flag::Value("--jobs"),
+    Flag::Value("--cell-deadline"),
+    Flag::Value("--cell-retries"),
+    Flag::Value("--seed"),
+];
+
+/// A parsed command line: each flag given, harness-owned or declared
+/// by the binary, with its value (empty for a switch).
+#[derive(Debug, Default)]
+pub struct Cli {
+    given: Vec<(&'static str, String)>,
 }
 
-/// Parses the harness flags out of an argument stream, ignoring flags
-/// it does not own (binaries add their own). A malformed value for a
-/// flag the harness *does* own is an error — silently falling through
-/// to a default turns a typo into a misconfigured sweep.
-fn parse_cli(args: impl Iterator<Item = String>) -> Result<CliConfig, String> {
-    let mut cfg = CliConfig::default();
+/// Prints `msg` as a usage error and exits with status 2.
+pub fn usage_error(msg: &str) -> ! {
+    eprintln!("[harness] ERROR: {msg}");
+    std::process::exit(2);
+}
+
+/// Parses an argument stream against the harness's flags plus the
+/// binary's `flags`. An undeclared flag, a flag without its value and a
+/// malformed harness value are all errors: silently ignoring any of
+/// them turns a typo into a misconfigured run or a skipped gate.
+fn parse_cli(args: impl Iterator<Item = String>, flags: &[Flag]) -> Result<Cli, String> {
+    let mut cli = Cli::default();
     let mut args = args;
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => cfg.smoke = true,
-            "--resume" => cfg.resume = true,
-            "--jobs" => cfg.jobs = Some(parse_value("--jobs", args.next())?),
-            "--cell-deadline" => {
-                cfg.deadline_ms = Some(parse_value("--cell-deadline", args.next())?)
+        let (name, inline) = match arg.split_once('=') {
+            Some((name, value)) => (name, Some(value.to_string())),
+            None => (arg.as_str(), None),
+        };
+        let (flag, value) = match HARNESS_FLAGS
+            .iter()
+            .chain(flags)
+            .find(|f| matches!(f, Flag::Switch(n) | Flag::Value(n) if *n == name))
+        {
+            None => return Err(format!("unknown argument {arg:?}")),
+            Some(Flag::Switch(_)) if inline.is_some() => {
+                return Err(format!("{name} takes no value"))
             }
-            "--cell-retries" => cfg.retries = Some(parse_value("--cell-retries", args.next())?),
-            "--seed" => cfg.seed = Some(parse_value("--seed", args.next())?),
-            a if a.starts_with("--jobs=") => {
-                cfg.jobs = Some(parse_value(
-                    "--jobs",
-                    Some(a["--jobs=".len()..].to_string()),
-                )?);
+            Some(Flag::Switch(flag)) => (*flag, String::new()),
+            Some(Flag::Value(flag)) => {
+                match inline.or_else(|| args.next().filter(|v| !v.starts_with("--"))) {
+                    Some(value) => (*flag, value),
+                    None => return Err(format!("{name} requires a value")),
+                }
             }
-            a if a.starts_with("--cell-deadline=") => {
-                cfg.deadline_ms = Some(parse_value(
-                    "--cell-deadline",
-                    Some(a["--cell-deadline=".len()..].to_string()),
-                )?);
-            }
-            a if a.starts_with("--cell-retries=") => {
-                cfg.retries = Some(parse_value(
-                    "--cell-retries",
-                    Some(a["--cell-retries=".len()..].to_string()),
-                )?);
-            }
-            a if a.starts_with("--seed=") => {
-                cfg.seed = Some(parse_value(
-                    "--seed",
-                    Some(a["--seed=".len()..].to_string()),
-                )?);
-            }
-            _ => {}
-        }
+        };
+        cli.given.push((flag, value));
     }
-    Ok(cfg)
+    for flag in ["--jobs", "--cell-deadline", "--cell-retries", "--seed"] {
+        cli.number::<u64>(flag, None)?;
+    }
+    Ok(cli)
 }
 
-impl Harness {
-    /// A harness configured from the command-line flags and environment
-    /// documented in the module doc (flags win over environment).
-    ///
-    /// Exits with status 2 and a clear message on a malformed value —
-    /// a typo in `--jobs` must not silently run the sweep sequentially.
-    pub fn from_env(figure: &str) -> Self {
-        match Self::try_from_env(figure) {
-            Ok(harness) => harness,
-            Err(msg) => {
-                eprintln!("[harness] ERROR: {msg}");
-                std::process::exit(2);
-            }
-        }
+impl Cli {
+    /// Parses the process's arguments against the harness's flags plus
+    /// the binary's own `flags`; exits 2 on a usage error.
+    pub fn from_env(flags: &[Flag]) -> Cli {
+        parse_cli(std::env::args().skip(1), flags).unwrap_or_else(|msg| usage_error(&msg))
     }
 
-    fn try_from_env(figure: &str) -> Result<Self, String> {
-        let mut cfg = parse_cli(std::env::args().skip(1))?;
-        if cfg.jobs.is_none() {
-            if let Ok(v) = std::env::var("HFI_JOBS") {
-                cfg.jobs = Some(v.parse().map_err(|_| {
-                    format!("invalid HFI_JOBS value {v:?}: expected a non-negative integer")
-                })?);
-            }
-        }
-        if cfg.seed.is_none() {
-            if let Ok(v) = std::env::var("HFI_SEED") {
-                cfg.seed = Some(v.parse().map_err(|_| {
-                    format!("invalid HFI_SEED value {v:?}: expected a non-negative integer")
-                })?);
-            }
-        }
-        let env_truthy = |name: &str| std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0");
-        let smoke = cfg.smoke || env_truthy("HFI_SMOKE");
-        let resume = cfg.resume || env_truthy("HFI_RESUME");
+    /// Whether the switch `name` was given.
+    pub fn switch(&self, name: &str) -> bool {
+        self.given.iter().any(|(flag, _)| *flag == name)
+    }
 
-        let mut harness = Self::new(figure, cfg.jobs.unwrap_or(1), smoke).with_streaming();
-        harness.cell_deadline = cfg.deadline_ms.map(Duration::from_millis);
-        harness.cell_retries = cfg.retries.unwrap_or(0);
-        harness.seed = cfg.seed;
-        if resume {
+    /// The value of the flag `name` (the last one given wins).
+    pub fn value(&self, name: &str) -> Option<&str> {
+        self.given
+            .iter()
+            .rev()
+            .find(|(flag, _)| *flag == name)
+            .map(|(_, value)| value.as_str())
+    }
+
+    /// The value of `name` parsed as a non-negative integer; exits 2 if
+    /// it is malformed.
+    pub fn parsed<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        self.number(name, None)
+            .unwrap_or_else(|msg| usage_error(&msg))
+    }
+
+    /// The flag `name` as a non-negative integer, else the environment
+    /// variable `env`, if either is set.
+    fn number<T: std::str::FromStr>(
+        &self,
+        name: &str,
+        env: Option<&str>,
+    ) -> Result<Option<T>, String> {
+        let given = self.value(name).map(|value| (name, value.to_string()));
+        let Some((source, value)) = given.or_else(|| Some((env?, std::env::var(env?).ok()?)))
+        else {
+            return Ok(None);
+        };
+        value.parse().map(Some).map_err(|_| {
+            format!("invalid {source} value {value:?}: expected a non-negative integer")
+        })
+    }
+
+    /// The harness for `figure`, configured from this command line and
+    /// the environment (flags win over environment); exits 2 on a
+    /// malformed environment value.
+    pub fn harness(&self, figure: &str) -> Harness {
+        self.try_harness(figure)
+            .unwrap_or_else(|msg| usage_error(&msg))
+    }
+
+    fn try_harness(&self, figure: &str) -> Result<Harness, String> {
+        let env_truthy = |name: &str| std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0");
+        let jobs = self.number("--jobs", Some("HFI_JOBS"))?.unwrap_or(1);
+        let smoke = self.switch("--smoke") || env_truthy("HFI_SMOKE");
+        let mut harness = Harness::new(figure, jobs, smoke).with_streaming();
+        harness.cell_deadline = self
+            .number("--cell-deadline", None)?
+            .map(Duration::from_millis);
+        harness.cell_retries = self.number("--cell-retries", None)?.unwrap_or(0);
+        harness.seed = self.number("--seed", Some("HFI_SEED"))?;
+        if self.switch("--resume") || env_truthy("HFI_RESUME") {
             harness = harness.with_resume();
         }
         Ok(harness)
+    }
+}
+
+impl Harness {
+    /// A harness for a binary with no flags of its own, configured from
+    /// the command line and the environment documented in the module
+    /// doc. Exits 2 on an undeclared flag or a malformed value — a typo
+    /// in `--jobs` must not silently run the sweep sequentially.
+    pub fn from_env(figure: &str) -> Self {
+        Cli::from_env(&[]).harness(figure)
     }
 
     /// A harness with explicit settings (tests use this; binaries use
@@ -906,28 +948,50 @@ mod tests {
 
     #[test]
     fn malformed_jobs_values_are_rejected() {
-        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let parse = |a: &[&str], flags: &[Flag]| parse_cli(a.iter().map(|s| s.to_string()), flags);
         // `--jobs garbage` and `--jobs=garbage` must both be hard
         // errors, not a silent fall-through to the sequential default.
-        assert!(parse_cli(args(&["--jobs", "garbage"]).into_iter()).is_err());
-        assert!(parse_cli(args(&["--jobs=garbage"]).into_iter()).is_err());
-        assert!(parse_cli(args(&["--jobs"]).into_iter()).is_err());
-        assert!(parse_cli(args(&["--cell-deadline=soon"]).into_iter()).is_err());
-        assert!(parse_cli(args(&["--cell-retries", "-1"]).into_iter()).is_err());
+        assert!(parse(&["--jobs", "garbage"], &[]).is_err());
+        assert!(parse(&["--jobs=garbage"], &[]).is_err());
+        assert!(parse(&["--jobs"], &[]).is_err());
+        assert!(parse(&["--cell-deadline=soon"], &[]).is_err());
+        assert!(parse(&["--cell-retries", "-1"], &[]).is_err());
 
-        let ok = parse_cli(args(&["--jobs", "4", "--smoke", "--resume"]).into_iter()).unwrap();
-        assert_eq!(ok.jobs, Some(4));
-        assert!(ok.smoke && ok.resume);
-        let ok = parse_cli(args(&["--jobs=0", "--cell-deadline", "250"]).into_iter()).unwrap();
-        assert_eq!(ok.jobs, Some(0));
-        assert_eq!(ok.deadline_ms, Some(250));
-        assert!(parse_cli(args(&["--seed", "garbage"]).into_iter()).is_err());
-        let ok = parse_cli(args(&["--seed=42"]).into_iter()).unwrap();
-        assert_eq!(ok.seed, Some(42));
+        let ok = parse(&["--jobs", "4", "--smoke", "--resume"], &[]).unwrap();
+        assert_eq!(ok.number("--jobs", None), Ok(Some(4)));
+        assert!(ok.switch("--smoke") && ok.switch("--resume"));
+        let ok = parse(&["--jobs=0", "--cell-deadline", "250"], &[]).unwrap();
+        assert_eq!(ok.number("--jobs", None), Ok(Some(0)));
+        assert_eq!(ok.number("--cell-deadline", None), Ok(Some(250)));
+        assert!(parse(&["--seed", "garbage"], &[]).is_err());
+        let ok = parse(&["--seed=42"], &[]).unwrap();
+        assert_eq!(ok.number("--seed", None), Ok(Some(42)));
         assert_eq!(Harness::new("test", 1, false).with_seed(7).seed_or(0), 7);
         assert_eq!(Harness::new("test", 1, false).seed_or(9), 9);
-        // Foreign flags pass through untouched.
-        assert!(parse_cli(args(&["--mutants", "--check", "x.json"]).into_iter()).is_ok());
+
+        // Undeclared flags are errors, not pass-throughs: a misspelt
+        // `--check` must not run the binary with its gate disarmed.
+        assert!(parse(&["--mutants", "--check", "x.json"], &[]).is_err());
+        let gated = [Flag::Switch("--degrade"), Flag::Value("--check")];
+        assert!(parse(&["--smoke", "--chek", "base.json"], &gated).is_err());
+        assert!(parse(&["--smoke", "base.json"], &gated).is_err());
+        // A value flag without its value, at the end or before the next
+        // flag, and a switch given a value are errors too.
+        assert!(parse(&["--smoke", "--check"], &gated).is_err());
+        assert!(parse(&["--check", "--smoke"], &gated).is_err());
+        assert!(parse(&["--degrade=yes"], &gated).is_err());
+
+        // Declared flags parse in both value forms; the last one wins.
+        let ok = parse(
+            &["--check", "a.json", "--degrade", "--check=b.json"],
+            &gated,
+        )
+        .unwrap();
+        assert!(ok.switch("--degrade"));
+        assert_eq!(ok.value("--check"), Some("b.json"));
+        let ok = parse(&["--smoke"], &gated).unwrap();
+        assert!(!ok.switch("--degrade"));
+        assert_eq!(ok.value("--check"), None);
     }
 
     #[test]

@@ -12,12 +12,15 @@
 //!   the kernel's Rust reference, and capture the full counter surface.
 //! * Shared figure grids ([`fig3_grid`], [`fig2_grid`]) used by both
 //!   the binaries and the cross-executor integration tests.
+//! * [`gate`] — the one path from a measurement to a committed
+//!   `BENCH_*.json` and its verdict against a baseline.
 //! * Plain-text table output and summary statistics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fuzzgen;
+pub mod gate;
 pub mod harness;
 pub mod transitions;
 pub mod verifyset;
@@ -29,7 +32,7 @@ use hfi_sim::{Emulated, Executor, Functional, Machine, RunRecord, Stop};
 use hfi_wasm::compiler::{compile, CompileOptions, CompiledKernel, Isolation};
 use hfi_wasm::kernels::{sightglass, speclike, Kernel};
 
-pub use harness::{run_supervised, CellOutcome, GridOptions, Harness};
+pub use harness::{run_supervised, CellOutcome, Cli, Flag, GridOptions, Harness};
 
 /// Cache key for [`compile_cached`]: a cheap structural fingerprint of
 /// the kernel (name alone is not unique — suites are parameterized by
