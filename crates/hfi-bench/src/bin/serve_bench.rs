@@ -512,7 +512,13 @@ fn main() {
         })),
     };
     let scheme_label = scheme_choice.label();
-    let mut rules = Vec::new();
+    // A baseline recorded with other workers or another seed measures a
+    // different run, so its latency and throughput rows would not mean
+    // anything.
+    let mut rules = vec![
+        ("workers".to_string(), Rule::Exact),
+        ("seed".to_string(), Rule::Exact),
+    ];
     for scheme in FIG3_SCHEMES {
         let name = format!("{scheme:?}").to_lowercase();
         rules.push((format!("p99_ms_{name}"), P99_RULE));

@@ -4,14 +4,16 @@
 //! One pool entry per tenant holds ready-to-run executor instances. A
 //! **warm hit** pops an instance whose program and decode plan are
 //! already resolved and whose heap image is already loaded — the
-//! request pays a queue pop. A **cold build** pays the tenant's
-//! compile (memoized process-wide by the caller-supplied compile
-//! function, so only the first tenant of a kernel × options pair pays
-//! the real compiler), the verify-before-admit check, executor
-//! construction, and the heap image. This is `hfi-faas::lifecycle`'s
-//! cheap-teardown story *measured*: teardown of a reused instance is
-//! [`hfi_sim::Functional::reset`] plus re-preparing the heap, not a
-//! recompile.
+//! request pays a queue pop. A **cold build** pays the verify-before-
+//! admit check, an executor (a new one for a fresh slot, the victim's
+//! retargeted one for a recycled slot), and the heap image. A tenant's
+//! program is resolved once, on its first cold build: its compile
+//! function (memoized process-wide by the caller, so only the first
+//! tenant of a kernel × options pair pays the real compiler) is not
+//! called again. This is `hfi-faas::lifecycle`'s cheap-teardown story
+//! *measured*: teardown of a reused instance is an in-place executor
+//! reset ([`hfi_sim::Functional::reset`], [`hfi_sim::Machine::reset`])
+//! plus re-preparing the heap, not a recompile and not a rebuild.
 //!
 //! Address-space accounting is not re-modeled here: every live instance
 //! holds a real sandbox in a per-scheme [`SandboxRuntime`], so a
@@ -23,21 +25,23 @@
 //! exhaustion), so when a cold build cannot reserve address space the
 //! pool *recycles*: it takes the least-recently-used idle instance of
 //! the same scheme and repurposes its live sandbox slot for the new
-//! tenant — fresh engine, fresh heap image, same reservation. At the
-//! cap, a scheme serves its whole tenant set through a fixed set of
-//! resident slots; the churn shows up as a depressed warm-hit rate.
+//! tenant — the victim's executor retargeted to the new program and
+//! reset, a fresh heap image, the same reservation. At the cap, a
+//! scheme serves its whole tenant set through a fixed set of resident
+//! slots; the churn shows up as a depressed warm-hit rate.
 //!
 //! Every checkout stamps the instance's **generation** (reuse count).
 //! Reuse safety — a tenant must never observe a prior tenant's memory,
-//! register, or HFI region state — rests on `Functional::reset` and is
-//! pinned by the `warm_pool_safety` property test: fresh-vs-reused
-//! counters and final memory must be bit-identical.
+//! register, or HFI region state — rests on the executors' resets and
+//! is pinned by the `warm_pool_safety` and `recycled_slots` tests:
+//! fresh-vs-reused and fresh-vs-recycled counters and final memory
+//! must be bit-identical.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use hfi_sim::{Executor, Functional, Machine, Program};
+use hfi_sim::{Executor, Functional, Machine, Program, SparseMemory};
 use hfi_wasm::compiler::{CompileOptions, CompiledKernel, Isolation, VerifyVerdict};
 use hfi_wasm::kernels::Kernel;
 use hfi_wasm::runtime::{SandboxId, SandboxRuntime};
@@ -170,8 +174,9 @@ impl AdmitPolicy {
 
 /// Where a tenant's program comes from.
 pub enum TenantSource {
-    /// A benchmark kernel compiled on (first) admission via the
-    /// caller-supplied compile function — pass
+    /// A benchmark kernel, compiled by the caller-supplied compile
+    /// function on the tenant's first cold build; the pools keep the
+    /// program and verdict for every later one. Pass
     /// `hfi_bench::compile_cached` so all tenants of one kernel ×
     /// options pair share a single `Arc<Program>` and its memoized
     /// plans.
@@ -305,6 +310,37 @@ enum Engine {
 }
 
 impl Engine {
+    /// A new executor for `program` on `tier`.
+    fn new(tier: Tier, program: &Arc<Program>) -> Engine {
+        match tier {
+            Tier::Cycle => Engine::Cycle(Box::new(Machine::new(Arc::clone(program)))),
+            Tier::Functional => Engine::Func(Box::new(Functional::new(Arc::clone(program)))),
+        }
+    }
+
+    /// This executor pointed at `program` and reset, when it already
+    /// runs on `tier`; a new one otherwise.
+    fn retarget(self, tier: Tier, program: &Arc<Program>) -> Engine {
+        match (self, tier) {
+            (Engine::Cycle(mut m), Tier::Cycle) => {
+                m.retarget(program);
+                Engine::Cycle(m)
+            }
+            (Engine::Func(mut f), Tier::Functional) => {
+                f.retarget(program);
+                Engine::Func(f)
+            }
+            _ => Engine::new(tier, program),
+        }
+    }
+
+    fn reset(&mut self) {
+        match self {
+            Engine::Cycle(m) => m.reset(),
+            Engine::Func(f) => f.reset(),
+        }
+    }
+
     fn executor_mut(&mut self) -> &mut dyn Executor {
         match self {
             Engine::Cycle(m) => m.as_mut(),
@@ -316,9 +352,7 @@ impl Engine {
 /// A live, prepared sandbox instance owned by a pool (or leased out).
 pub struct WarmInstance {
     engine: Engine,
-    program: Arc<Program>,
     sandbox: SandboxId,
-    isolation: Isolation,
     generation: u64,
     /// Pool-unique identity, stamped at cold build. Two instances of
     /// the same tenant can share a generation (both start at 0); the
@@ -339,6 +373,15 @@ impl WarmInstance {
         match &mut self.engine {
             Engine::Func(f) => Some(f.as_mut()),
             Engine::Cycle(_) => None,
+        }
+    }
+
+    /// The instance's guest memory, on either tier (state inspection in
+    /// tests).
+    pub fn memory(&self) -> &SparseMemory {
+        match &self.engine {
+            Engine::Cycle(m) => &m.mem,
+            Engine::Func(f) => &f.mem,
         }
     }
 
@@ -435,15 +478,106 @@ pub struct PoolStats {
     pub quarantined: u64,
 }
 
+/// One idle instance's place in its scheme's release order: its tenant
+/// and its neighbours, as indices into [`IdleOrder::nodes`].
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    tenant: usize,
+    prev: u32,
+    next: u32,
+}
+
+/// The release order of the idle instances, oldest first, one list per
+/// isolation scheme: an exact LRU with one entry per idle instance. Each
+/// list is circular and doubly linked through a slab, behind a sentinel
+/// node of its own (node `k` for `Isolation::ALL[k]`), so a warm hit
+/// unlinks its instance and a recycle takes its scheme's oldest, both in
+/// O(1) and without allocating once the slab has grown to the pools'
+/// most idle instances.
+#[derive(Debug)]
+struct IdleOrder {
+    nodes: Vec<Node>,
+    /// Unlinked nodes, reused before the slab grows.
+    free: Vec<u32>,
+}
+
+impl IdleOrder {
+    fn new() -> Self {
+        let sentinels = 0..Isolation::ALL.len() as u32;
+        IdleOrder {
+            nodes: sentinels
+                .map(|k| Node {
+                    tenant: usize::MAX,
+                    prev: k,
+                    next: k,
+                })
+                .collect(),
+            free: Vec::new(),
+        }
+    }
+
+    fn sentinel(isolation: Isolation) -> u32 {
+        let k = Isolation::ALL
+            .iter()
+            .position(|&scheme| scheme == isolation);
+        k.expect("Isolation::ALL lists every scheme") as u32
+    }
+
+    /// Lists a newly idle instance of `tenant` as the newest of
+    /// `isolation`; returns its node.
+    fn push_newest(&mut self, isolation: Isolation, tenant: usize) -> u32 {
+        let sentinel = Self::sentinel(isolation);
+        let newest = self.nodes[sentinel as usize].prev;
+        let node = Node {
+            tenant,
+            prev: newest,
+            next: sentinel,
+        };
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.nodes[id as usize] = node;
+                id
+            }
+            None => {
+                self.nodes.push(node);
+                self.nodes.len() as u32 - 1
+            }
+        };
+        self.nodes[newest as usize].next = id;
+        self.nodes[sentinel as usize].prev = id;
+        id
+    }
+
+    /// The oldest idle instance of `isolation`: its node and tenant.
+    fn oldest(&self, isolation: Isolation) -> Option<(u32, usize)> {
+        let sentinel = Self::sentinel(isolation);
+        let oldest = self.nodes[sentinel as usize].next;
+        (oldest != sentinel).then(|| (oldest, self.nodes[oldest as usize].tenant))
+    }
+
+    fn unlink(&mut self, id: u32) {
+        let Node { prev, next, .. } = self.nodes[id as usize];
+        self.nodes[prev as usize].next = next;
+        self.nodes[next as usize].prev = prev;
+        self.free.push(id);
+    }
+
+    /// Idle instances listed.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.nodes.len() - self.free.len() - Isolation::ALL.len()
+    }
+}
+
 struct PoolsState {
     spaces: HashMap<Isolation, SandboxRuntime>,
-    idle: Vec<Vec<WarmInstance>>,
-    /// Approximate LRU over idle instances: tenant indices in release
-    /// order; stale entries (empty idle lists) are skipped on recycle.
-    lru: VecDeque<usize>,
+    /// Idle instances per tenant, oldest release first, each with its
+    /// node in `order`.
+    idle: Vec<VecDeque<(u32, WarmInstance)>>,
+    order: IdleOrder,
     /// Per-tenant quarantine: instances whose lease ended in a panic.
     /// Deliberately a dead end — entries never return to `idle`, never
-    /// appear in `lru`, and their sandbox slots are never recycled, so
+    /// appear in `order`, and their sandbox slots are never recycled, so
     /// a poisoned instance (and its address space) is provably out of
     /// circulation. Kept (rather than dropped) as postmortem evidence.
     quarantine: Vec<Vec<WarmInstance>>,
@@ -457,6 +591,9 @@ struct PoolsState {
 /// modeled sandbox accounting, never a kernel run).
 pub struct WarmPools {
     tenants: Arc<Vec<TenantSpec>>,
+    /// Each kernel-sourced tenant's compiled program and verdict, from
+    /// its first cold build.
+    compiled: Box<[OnceLock<CompiledKernel>]>,
     va_bits: u32,
     max_heap: u64,
     admit: AdmitPolicy,
@@ -473,17 +610,19 @@ impl WarmPools {
         max_heap: u64,
         admit: AdmitPolicy,
     ) -> Self {
-        let idle = tenants.iter().map(|_| Vec::new()).collect();
+        let idle = tenants.iter().map(|_| VecDeque::new()).collect();
         let quarantine = tenants.iter().map(|_| Vec::new()).collect();
+        let compiled = tenants.iter().map(|_| OnceLock::new()).collect();
         WarmPools {
             tenants,
+            compiled,
             va_bits,
             max_heap,
             admit,
             state: Mutex::new(PoolsState {
                 spaces: HashMap::new(),
                 idle,
-                lru: VecDeque::new(),
+                order: IdleOrder::new(),
                 quarantine,
                 next_serial: 0,
                 stats: PoolStats::default(),
@@ -512,48 +651,48 @@ impl WarmPools {
         state.spaces.values().map(|s| s.live_count() as u64).sum()
     }
 
-    /// Resolves a tenant's program and verifier verdict (compiling via
-    /// the tenant's memoizing compile function if needed).
-    fn resolve(&self, spec: &TenantSpec) -> (Arc<Program>, VerifyVerdict) {
-        match &spec.source {
+    /// A tenant's program and verifier verdict: borrowed from a
+    /// program-sourced tenant; for a kernel-sourced one, compiled by its
+    /// compile function on the first call and kept from then on.
+    fn resolve(&self, tenant: usize) -> (&Arc<Program>, &VerifyVerdict) {
+        match &self.tenants[tenant].source {
             TenantSource::Kernel {
                 kernel,
                 opts,
                 compile,
             } => {
-                let compiled = compile(kernel, opts);
-                (compiled.program, compiled.verdict)
+                let compiled = self.compiled[tenant].get_or_init(|| compile(kernel, opts));
+                (&compiled.program, &compiled.verdict)
             }
-            TenantSource::Program { program, verdict } => (Arc::clone(program), verdict.clone()),
+            TenantSource::Program { program, verdict } => (program, verdict),
         }
     }
 
     /// Takes the least-recently-used idle instance of `isolation` so
     /// its live sandbox slot can be repurposed. Returns `None` when no
-    /// instance of that scheme is idle. LRU entries for other schemes
-    /// (or already-drained tenants) are rotated to the back, not lost.
+    /// instance of that scheme is idle.
     fn recycle_idle(state: &mut PoolsState, isolation: Isolation) -> Option<WarmInstance> {
-        for _ in 0..state.lru.len() {
-            let tenant = state.lru.pop_front()?;
-            match state.idle[tenant].last() {
-                Some(candidate) if candidate.isolation == isolation => {
-                    return state.idle[tenant].pop();
-                }
-                Some(_) => state.lru.push_back(tenant),
-                None => {} // stale entry: drop it
-            }
-        }
-        None
+        let (node, tenant) = state.order.oldest(isolation)?;
+        let (listed, victim) = state.idle[tenant]
+            .pop_front()
+            .expect("a listed instance is idle");
+        debug_assert_eq!(
+            listed, node,
+            "a tenant's oldest idle instance is its oldest listed"
+        );
+        state.order.unlink(node);
+        Some(victim)
     }
 
     /// Reserves a fresh sandbox for `isolation`, or — when the scheme's
     /// address space is exhausted (reservations are never returned to
-    /// the allocator) — recycles an idle instance's slot.
+    /// the allocator) — recycles an idle instance's slot, handing back
+    /// the victim's executor for the new tenant to retarget.
     fn reserve(
         &self,
         state: &mut PoolsState,
         isolation: Isolation,
-    ) -> Result<(SandboxId, bool), PoolError> {
+    ) -> Result<(SandboxId, Option<Engine>), PoolError> {
         let va_bits = self.va_bits;
         let max_heap = self.max_heap;
         let space = state.spaces.entry(isolation).or_insert_with(|| {
@@ -565,12 +704,12 @@ impl WarmPools {
             Ok(id) => {
                 let resident = Self::live_total(state);
                 state.stats.peak_resident = state.stats.peak_resident.max(resident);
-                Ok((id, false))
+                Ok((id, None))
             }
             Err(_) => match Self::recycle_idle(state, isolation) {
                 Some(victim) => {
                     state.stats.recycled += 1;
-                    Ok((victim.sandbox, true))
+                    Ok((victim.sandbox, Some(victim.engine)))
                 }
                 None => Err(PoolError::AtCapacity),
             },
@@ -592,7 +731,8 @@ impl WarmPools {
     pub fn checkout(&self, tenant: usize) -> Result<Lease, PoolError> {
         {
             let mut state = self.state.lock().expect("pool unpoisoned");
-            if let Some(mut instance) = state.idle[tenant].pop() {
+            if let Some((node, mut instance)) = state.idle[tenant].pop_back() {
+                state.order.unlink(node);
                 state.stats.warm_hits += 1;
                 instance.generation += 1;
                 return Ok(Lease {
@@ -602,14 +742,14 @@ impl WarmPools {
                 });
             }
         }
-        // Cold path: compile/resolve and verify-admit outside the lock
-        // (the compile function memoizes process-wide, and the digest
-        // check reads the program's memoized content digest), then
-        // reserve address space under the lock, then build the executor
-        // and load the heap image outside it again.
+        // Cold path: resolve and verify-admit outside the lock (the
+        // tenant's program is compiled on its first cold build only, and
+        // the digest check reads the program's memoized content digest),
+        // then reserve address space under the lock, then build or
+        // retarget the executor and load the heap image outside it again.
         let spec = &self.tenants[tenant];
-        let (program, verdict) = self.resolve(spec);
-        match self.admit.decide(&verdict, &program) {
+        let (program, verdict) = self.resolve(tenant);
+        match self.admit.decide(verdict, program) {
             AdmitDecision::Proven => {
                 let mut state = self.state.lock().expect("pool unpoisoned");
                 state.stats.admitted_proven += 1;
@@ -632,19 +772,21 @@ impl WarmPools {
                 });
             }
         }
-        let (sandbox, serial) = {
+        let (sandbox, victim, serial) = {
             let mut state = self.state.lock().expect("pool unpoisoned");
-            let (sandbox, _recycled) = self.reserve(&mut state, spec.isolation)?;
+            let (sandbox, victim) = self.reserve(&mut state, spec.isolation)?;
             state.stats.cold_builds += 1;
             let serial = state.next_serial;
             state.next_serial += 1;
-            (sandbox, serial)
+            (sandbox, victim, serial)
+        };
+        let engine = match victim {
+            Some(engine) => engine.retarget(spec.tier, program),
+            None => Engine::new(spec.tier, program),
         };
         let mut instance = WarmInstance {
-            engine: build_engine(spec.tier, &program),
-            program,
+            engine,
             sandbox,
-            isolation: spec.isolation,
             generation: 0,
             serial,
         };
@@ -656,22 +798,16 @@ impl WarmPools {
         })
     }
 
-    /// Returns a leased instance to its pool: per-tenant state is reset
-    /// (the measured cheap teardown) and the heap image re-prepared, so
-    /// the next checkout is run-ready.
+    /// Returns a leased instance to its pool: the executor is reset in
+    /// place (the measured cheap teardown) and the heap image
+    /// re-prepared, so the next checkout is run-ready.
     pub fn release(&self, mut lease: Lease) {
         let spec = &self.tenants[lease.tenant];
-        match &mut lease.instance.engine {
-            Engine::Func(f) => f.reset(),
-            // The cycle machine's microarchitectural state (caches,
-            // predictors, ROB) has no reset seam; rebuild it from the
-            // shared program — still no recompile, no re-decode.
-            Engine::Cycle(m) => **m = Machine::new(Arc::clone(&lease.instance.program)),
-        }
+        lease.instance.engine.reset();
         prepare_heap(spec, &mut lease.instance);
         let mut state = self.state.lock().expect("pool unpoisoned");
-        state.idle[lease.tenant].push(lease.instance);
-        state.lru.push_back(lease.tenant);
+        let node = state.order.push_newest(spec.isolation, lease.tenant);
+        state.idle[lease.tenant].push_back((node, lease.instance));
     }
 
     /// Drops a leased instance entirely, releasing its address space
@@ -723,13 +859,6 @@ impl WarmPools {
     }
 }
 
-fn build_engine(tier: Tier, program: &Arc<Program>) -> Engine {
-    match tier {
-        Tier::Cycle => Engine::Cycle(Box::new(Machine::new(Arc::clone(program)))),
-        Tier::Functional => Engine::Func(Box::new(Functional::new(Arc::clone(program)))),
-    }
-}
-
 fn prepare_heap(spec: &TenantSpec, instance: &mut WarmInstance) {
     for (off, bytes) in &spec.heap_init {
         instance
@@ -742,7 +871,8 @@ fn prepare_heap(spec: &TenantSpec, instance: &mut WarmInstance) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hfi_sim::{ProgramBuilder, Reg, Stop};
+    use hfi_sim::{MemOperand, ProgramBuilder, Reg, Stop};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tiny_program(result: u64) -> Arc<Program> {
         let mut asm = ProgramBuilder::new(0x1000);
@@ -1078,6 +1208,159 @@ mod tests {
         );
         assert_eq!(pools.stats().quarantined, quarantined);
         assert_eq!(pools.stats().recycled, 0);
+    }
+
+    #[test]
+    fn recycling_takes_the_least_recently_used_idle_instance() {
+        // A 35-bit space holds a few 8 GiB guard reservations: fill its
+        // slots, lease tenant 0 again, then build one tenant more.
+        // Tenant 0 was provisioned first but used last, so tenant 1 is
+        // the LRU victim.
+        let tenants = || -> Vec<TenantSpec> {
+            (0..6)
+                .map(|i| tenant(&format!("t{i}"), Isolation::GuardPages, None))
+                .collect()
+        };
+        let probe = pools(tenants(), 35, AdmitPolicy::VerifiedOrExempt);
+        (0..6).for_each(|i| probe.provision(i).expect("recycles"));
+        let slots = probe.resident() as usize;
+        assert!(slots >= 2, "the space must hold two slots");
+
+        let pools = pools(tenants(), 35, AdmitPolicy::VerifiedOrExempt);
+        for i in 0..slots {
+            pools.provision(i).expect("fits");
+        }
+        assert_eq!(pools.stats().recycled, 0);
+        let lease = pools.checkout(0).expect("warm");
+        assert!(lease.warm);
+        pools.release(lease);
+        pools.provision(slots).expect("recycles");
+        assert_eq!(pools.stats().recycled, 1);
+        let lease = pools.checkout(0).expect("checkout");
+        assert!(lease.warm, "the most recently used tenant keeps its slot");
+        pools.release(lease);
+        let lease = pools.checkout(1).expect("checkout");
+        assert!(!lease.warm, "the least recently used tenant lost its slot");
+        pools.release(lease);
+    }
+
+    #[test]
+    fn the_lru_holds_one_entry_per_idle_instance() {
+        // A pool that never recycles: every checkout after the first few
+        // is a warm hit, and the release order must not grow with them.
+        let tenants: Vec<TenantSpec> = (0..6)
+            .map(|i| tenant(&format!("t{i}"), Isolation::Hfi, Some(true)))
+            .collect();
+        let pools = pools(tenants, 42, AdmitPolicy::RequireVerified);
+        let mut state = 0x1D1E_u64;
+        for cycle in 0..10_000u64 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let tenant = (state >> 33) as usize % 6;
+            let first = pools.checkout(tenant).expect("lease");
+            // Now and then hold a second lease of the same tenant, so
+            // tenants come to own more than one idle instance.
+            let second = (cycle % 7 == 0).then(|| pools.checkout(tenant).expect("lease"));
+            pools.release(first);
+            if let Some(second) = second {
+                pools.release(second);
+            }
+            let state = pools.state.lock().expect("pool unpoisoned");
+            let idle: usize = state.idle.iter().map(VecDeque::len).sum();
+            assert_eq!(state.order.len(), idle, "cycle {cycle}");
+            assert!(state.order.nodes.len() <= idle + Isolation::ALL.len());
+        }
+        let stats = pools.stats();
+        assert_eq!(stats.recycled, 0);
+        assert!(stats.warm_hits > 10_000);
+    }
+
+    /// Calls of [`counting_compile`]: one test uses it, so no other test
+    /// moves the count.
+    static COMPILES: AtomicU64 = AtomicU64::new(0);
+
+    fn counting_compile(kernel: &Kernel, opts: &CompileOptions) -> CompiledKernel {
+        COMPILES.fetch_add(1, Ordering::Relaxed);
+        hfi_wasm::compile(&kernel.func, opts)
+    }
+
+    #[test]
+    fn a_kernel_tenant_is_compiled_once_across_recycling_cold_builds() {
+        // Eight tenants round-robin through the few guard-page slots a
+        // 35-bit space holds, so every checkout is a cold build, and all
+        // but the first few recycle.
+        let kernel = hfi_wasm::sightglass_suite(1)
+            .into_iter()
+            .find(|k| k.name == "fib2")
+            .expect("fib2 is in the suite");
+        let opts = CompileOptions::new(Isolation::GuardPages);
+        let tenants: Vec<TenantSpec> = (0..8)
+            .map(|i| {
+                let name = format!("fib2#{i}");
+                TenantSpec::from_kernel(
+                    name,
+                    kernel.clone(),
+                    opts,
+                    Tier::Functional,
+                    counting_compile,
+                )
+            })
+            .collect();
+        let pools = pools(tenants, 35, AdmitPolicy::VerifiedOrExempt);
+        for i in 0..1_000 {
+            let mut lease = pools.checkout(i % 8).expect("recycles");
+            assert!(!lease.warm);
+            assert_eq!(lease.instance.executor_mut().run(1 << 30), Stop::Halted);
+            assert_eq!(lease.instance.executor_mut().regs()[0], kernel.expected);
+            pools.release(lease);
+        }
+        let stats = pools.stats();
+        assert_eq!(stats.cold_builds, 1_000);
+        assert_eq!(stats.recycled, 1_000 - pools.resident());
+        assert_eq!(
+            stats.admitted_exempt, 1_000,
+            "admission rules on every cold build"
+        );
+        assert_eq!(COMPILES.load(Ordering::Relaxed), 8);
+    }
+
+    #[test]
+    fn an_instances_page_buffers_stay_constant_across_lease_cycles() {
+        // Writes to three pages outside the heap image, on top of the
+        // image's own page.
+        let mut asm = ProgramBuilder::new(0x1000);
+        asm.movi(Reg(0), 42);
+        asm.movi(Reg(1), 0x2000_0000);
+        for page in 0..3 {
+            asm.store(Reg(0), MemOperand::base_disp(Reg(1), page * 4096), 8);
+        }
+        asm.halt();
+        let program = Arc::new(asm.finish());
+        let spec = TenantSpec::from_program(
+            "pages".into(),
+            program,
+            VerifyVerdict::Unchecked,
+            Isolation::GuardPages,
+            Tier::Functional,
+            0x1000_0000,
+            vec![(0, vec![7; 64])],
+            Some(42),
+        );
+        let pools = pools(vec![spec], 42, AdmitPolicy::VerifiedOrExempt);
+        let mut buffers = None;
+        for cycle in 0..1_000 {
+            let mut lease = pools.checkout(0).expect("lease");
+            assert_eq!(lease.instance.memory().touched_pages(), 1, "the heap image");
+            assert_eq!(lease.instance.executor_mut().run(1_000), Stop::Halted);
+            let memory = lease.instance.memory();
+            assert_eq!(memory.touched_pages(), 4);
+            let held = *buffers.get_or_insert(memory.page_buffers());
+            assert_eq!(memory.page_buffers(), held, "cycle {cycle}");
+            pools.release(lease);
+        }
+        assert_eq!(buffers, Some(4));
+        assert_eq!(pools.stats().cold_builds, 1);
     }
 
     #[test]

@@ -604,7 +604,9 @@ fn serve_one(
             match &outcome {
                 // An admission denial is the tenant's own defect (a
                 // compile/verify failure burst): it counts toward the
-                // breaker so repeated denials stop paying resolve cost.
+                // breaker, so a tenant denied again and again is turned
+                // away at the breaker instead of re-running the admission
+                // check on every request.
                 Outcome::Rejected { .. } => breaker.record_failure(finish_ns),
                 // Capacity exhaustion is the pool's state, not this
                 // tenant's health; inconclusive for a probe.

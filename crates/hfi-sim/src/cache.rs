@@ -157,6 +157,26 @@ impl Cache {
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
+
+    /// Returns the cache to its just-built state, keeping its lines'
+    /// allocation: every way invalid, no memo, zero counters.
+    pub fn reset(&mut self) {
+        let Self {
+            lines,
+            assoc: _,
+            line_bits: _,
+            set_bits: _,
+            last_line,
+            last_way,
+            hits,
+            misses,
+        } = self;
+        lines.fill(Line::INVALID);
+        *last_line = Self::NO_LINE;
+        *last_way = 0;
+        *hits = 0;
+        *misses = 0;
+    }
 }
 
 /// Latency parameters of the modelled hierarchy (cycles).
@@ -255,6 +275,22 @@ impl CacheHierarchy {
     /// Would a data access at `addr` hit in L1D? (No state change.)
     pub fn probe_l1d(&self, addr: u64) -> bool {
         self.l1d.probe(addr)
+    }
+
+    /// Returns every level and the dTLB to their just-built state and
+    /// restores the default latencies, keeping the allocations.
+    pub fn reset(&mut self) {
+        let Self {
+            l1i,
+            l1d,
+            l2,
+            dtlb,
+            latencies,
+        } = self;
+        for cache in [l1i, l1d, l2, dtlb] {
+            cache.reset();
+        }
+        *latencies = CacheLatencies::default();
     }
 
     /// clflush: evicts `addr` from all data levels.

@@ -202,6 +202,34 @@ impl OsModel for DefaultOs {
     }
 }
 
+/// The OS model an executor services syscalls with: the default model
+/// held inline, so a reset restores it without allocating, or one
+/// installed with `set_os`.
+pub(crate) enum Os {
+    Default(DefaultOs),
+    Installed(Box<dyn OsModel>),
+}
+
+impl Default for Os {
+    fn default() -> Self {
+        Os::Default(DefaultOs::default())
+    }
+}
+
+impl OsModel for Os {
+    fn syscall(
+        &mut self,
+        number: u64,
+        regs: &mut [u64; 16],
+        mem: &mut SparseMemory,
+    ) -> SyscallOutcome {
+        match self {
+            Os::Default(os) => os.syscall(number, regs, mem),
+            Os::Installed(os) => os.syscall(number, regs, mem),
+        }
+    }
+}
+
 /// Operand-source tags for the compact [`Src`] slot.
 const SRC_NONE: u8 = 0;
 const SRC_READY: u8 = 1;
@@ -457,6 +485,21 @@ impl WaitLists {
         self.busy.clear();
     }
 
+    /// Returns every list to its just-built state, keeping the buffers.
+    fn reset(&mut self) {
+        let Self {
+            head,
+            next,
+            mask: _,
+            busy,
+            at,
+        } = self;
+        head.fill(Self::NONE);
+        next.fill(Self::NONE);
+        busy.clear();
+        at.fill(0);
+    }
+
     /// Whether every parked entry's seq lies in `[lo, hi)`.
     fn all_within(&self, lo: u64, hi: u64) -> bool {
         self.busy.iter().all(|&b| {
@@ -506,7 +549,7 @@ pub struct Machine {
     config: CoreConfig,
     pht: PatternHistoryTable,
     btb: BranchTargetBuffer,
-    os: Box<dyn OsModel>,
+    os: Os,
     /// Runtime fault-injection hook (see [`crate::chaos`]); `None` in
     /// normal operation, where every hook site is one predictable branch.
     chaos: Option<Box<dyn ChaosHook>>,
@@ -617,7 +660,7 @@ impl Machine {
             config,
             pht: PatternHistoryTable::new(4096),
             btb: BranchTargetBuffer::new(512),
-            os: Box::new(DefaultOs::default()),
+            os: Os::default(),
             chaos: None,
             signal_handler: None,
             regs: [0; 16],
@@ -647,9 +690,107 @@ impl Machine {
         }
     }
 
+    /// Resets all per-tenant state, keeping the program, its plan, the
+    /// structural configuration and every buffer: afterwards the machine
+    /// behaves exactly as a new one over the same program. Memory (its
+    /// page buffers kept, see [`SparseMemory::clear`]), the caches and
+    /// dTLB (lines, counters and latencies), the predictors, the HFI
+    /// state and its speculation history, the cost model, the OS model,
+    /// the chaos hook, the signal handler, the registers and the whole
+    /// pipeline return to their just-constructed values. A warm pool
+    /// runs this between leases instead of building a new machine.
+    pub fn reset(&mut self) {
+        // Every field is named, so a field added later must be placed
+        // here: reset, or kept on purpose.
+        let Self {
+            program: _,
+            plan: _,
+            mem,
+            caches,
+            hfi,
+            costs,
+            config: _,
+            pht,
+            btb,
+            os,
+            chaos,
+            signal_handler,
+            regs,
+            hfi_history,
+            hfi_gen,
+            rob,
+            rob_mask: _,
+            head_seq,
+            issue_queue,
+            waits,
+            woken,
+            parked_hmov,
+            parked_hmov_now,
+            in_flight,
+            reg_writer,
+            store_seqs,
+            next_seq,
+            cycle,
+            fetch_index,
+            fetch_stall_until,
+            call_stack,
+            call_journal,
+            halted,
+            stats,
+            mem_ops_this_cycle,
+            alu_ops_this_cycle,
+        } = self;
+        mem.clear();
+        caches.reset();
+        *hfi = HfiContext::new();
+        *costs = CostModel::default();
+        pht.reset();
+        btb.reset();
+        *os = Os::default();
+        *chaos = None;
+        *signal_handler = None;
+        *regs = [0; 16];
+        hfi_history.clear();
+        hfi_history.push(HfiContext::new());
+        *hfi_gen = 0;
+        rob.fill(RobEntry::blank(0));
+        *head_seq = 0;
+        issue_queue.clear();
+        waits.reset();
+        woken.clear();
+        parked_hmov.clear();
+        parked_hmov_now.clear();
+        in_flight.clear();
+        *reg_writer = [None; 16];
+        store_seqs.clear();
+        *next_seq = 0;
+        *cycle = 0;
+        *fetch_index = 0;
+        *fetch_stall_until = 0;
+        call_stack.clear();
+        call_journal.clear();
+        *halted = None;
+        *stats = CoreStats::default();
+        *mem_ops_this_cycle = 0;
+        *alu_ops_this_cycle = 0;
+    }
+
+    /// Points this machine at another program and resets it: afterwards
+    /// it behaves exactly as `Machine::with_config(program, config)`
+    /// with its own configuration, but keeps its buffers. A warm pool
+    /// repurposing one tenant's idle instance for another takes this
+    /// instead of building a new machine.
+    pub fn retarget(&mut self, program: &Arc<Program>) {
+        if !Arc::ptr_eq(&self.program, program) {
+            self.plan = plan_of(program);
+            self.program = Arc::clone(program);
+        }
+        self.reset();
+    }
+
     /// Replaces the OS model.
     pub fn set_os(&mut self, os: Box<dyn OsModel>) {
-        self.os = os;
+        self.os = Os::Installed(os);
     }
 
     /// Installs a runtime fault-injection hook (see [`crate::chaos`]).

@@ -17,7 +17,7 @@ use hfi_core::{
 };
 
 use crate::chaos::{ArchEvent, ChaosHook};
-use crate::core::{DefaultOs, OsModel, Stop, SyscallOutcome};
+use crate::core::{Os, OsModel, Stop, SyscallOutcome};
 use crate::isa::{effective_address, AluOp, Inst, Program, Reg};
 use crate::mem::SparseMemory;
 use crate::plan::{plan_of, DecodedProgram, MicroOp, OpClass, NO_REG};
@@ -132,7 +132,8 @@ enum Flow {
 /// The functional executor.
 pub struct Functional {
     /// The shared pre-decoded plan of the program ([`plan_of`]), fetched
-    /// once at construction and kept across [`Functional::reset`].
+    /// at construction or [`Functional::retarget`] and kept across
+    /// [`Functional::reset`].
     plan: Arc<DecodedProgram>,
     /// Data memory.
     pub mem: SparseMemory,
@@ -144,7 +145,7 @@ pub struct Functional {
     pub weights: FunctionalCosts,
     /// Signal handler byte PC for fault delivery.
     pub signal_handler: Option<u64>,
-    os: Box<dyn OsModel>,
+    os: Os,
     chaos: Option<Box<dyn ChaosHook>>,
     fuel: Option<Fuel>,
     regs: [u64; 16],
@@ -175,7 +176,7 @@ impl Functional {
             costs: CostModel::default(),
             weights: FunctionalCosts::default(),
             signal_handler: None,
-            os: Box::new(DefaultOs::default()),
+            os: Os::default(),
             chaos: None,
             fuel: None,
             regs: [0; 16],
@@ -192,25 +193,55 @@ impl Functional {
     /// This is the warm-pool teardown primitive: a reused instance
     /// behaves bit-identically to a freshly constructed one
     /// (`tests/warm_pool_safety.rs`), while the expensive artifacts —
-    /// the `Arc<Program>` and its pre-decoded plan — survive the reset.
+    /// the `Arc<Program>`, its pre-decoded plan, and the memory's page
+    /// buffers ([`SparseMemory::clear`]) — survive the reset, so it
+    /// allocates nothing.
     pub fn reset(&mut self) {
-        self.mem = SparseMemory::new();
-        self.hfi = HfiContext::new();
-        self.costs = CostModel::default();
-        self.weights = FunctionalCosts::default();
-        self.signal_handler = None;
-        self.os = Box::new(DefaultOs::default());
-        self.chaos = None;
-        self.fuel = None;
-        self.regs = [0; 16];
-        self.call_stack.clear();
-        self.cycles = 0.0;
-        self.stats = FunctionalStats::default();
+        // Every field is named, so a field added later must be placed
+        // here: reset, or kept on purpose.
+        let Self {
+            plan: _,
+            mem,
+            hfi,
+            costs,
+            weights,
+            signal_handler,
+            os,
+            chaos,
+            fuel,
+            regs,
+            call_stack,
+            cycles,
+            stats,
+        } = self;
+        mem.clear();
+        *hfi = HfiContext::new();
+        *costs = CostModel::default();
+        *weights = FunctionalCosts::default();
+        *signal_handler = None;
+        *os = Os::default();
+        *chaos = None;
+        *fuel = None;
+        *regs = [0; 16];
+        call_stack.clear();
+        *cycles = 0.0;
+        *stats = FunctionalStats::default();
+    }
+
+    /// Points this executor at another program and resets it: afterwards
+    /// it behaves exactly as `Functional::new(program)`, but keeps its
+    /// buffers. A warm pool repurposing one tenant's idle instance for
+    /// another takes this instead of building a new executor.
+    pub fn retarget(&mut self, program: &Arc<Program>) {
+        if !Arc::ptr_eq(self.plan.program(), program) {
+            self.plan = plan_of(program);
+        }
+        self.reset();
     }
 
     /// Replaces the OS model.
     pub fn set_os(&mut self, os: Box<dyn OsModel>) {
-        self.os = os;
+        self.os = Os::Installed(os);
     }
 
     /// Installs a runtime fault-injection hook (see [`crate::chaos`]).

@@ -12,7 +12,10 @@ const CACHE_ENTRIES: usize = 16;
 /// A sparse 64-bit byte-addressable memory.
 ///
 /// Pages materialize (zero-filled) on first write; reads of untouched
-/// memory return zero, like anonymous mmap.
+/// memory return zero, like anonymous mmap. [`SparseMemory::clear`]
+/// forgets every page but keeps its buffer, zeroed, for the next
+/// materialization, so a memory that is cleared and refilled again and
+/// again allocates only past its high-water mark.
 ///
 /// The page table maps page number to a slot in flat page storage, with
 /// a 16-entry direct-mapped translation cache in front, indexed by the
@@ -24,11 +27,14 @@ const CACHE_ENTRIES: usize = 16;
 #[derive(Debug, Default, Clone)]
 pub struct SparseMemory {
     page_table: HashMap<u64, u32>,
+    /// Page buffers. Slots `..page_table.len()` hold the materialized
+    /// pages; the rest are spares, all zero, which the next pages take
+    /// in order.
     storage: Vec<Box<[u8; PAGE_BYTES]>>,
     /// The translation cache, entry `page number % CACHE_ENTRIES`: the
     /// cached page number plus one (zero marks an empty entry; page
-    /// numbers are below 2^52) and its storage slot. Slots are stable
-    /// (pages are never freed), so an entry never goes stale.
+    /// numbers are below 2^52) and its storage slot. A slot is stable
+    /// until [`SparseMemory::clear`], which empties the cache.
     tags: [Cell<u64>; CACHE_ENTRIES],
     slots: [Cell<u32>; CACHE_ENTRIES],
 }
@@ -71,12 +77,18 @@ impl SparseMemory {
         let slot = match self.page_table.get(&page_no) {
             Some(&slot) => slot,
             None => {
-                let slot = self.storage.len() as u32;
-                let page = vec![0u8; PAGE_BYTES].into_boxed_slice();
-                self.storage
-                    .push(page.try_into().expect("a page is PAGE_BYTES long"));
-                self.page_table.insert(page_no, slot);
-                slot
+                let slot = self.page_table.len();
+                if slot == self.storage.len() {
+                    let page = vec![0u8; PAGE_BYTES].into_boxed_slice();
+                    self.storage
+                        .push(page.try_into().expect("a page is PAGE_BYTES long"));
+                }
+                debug_assert!(
+                    self.storage[slot].iter().all(|&b| b == 0),
+                    "a spare page buffer is zero"
+                );
+                self.page_table.insert(page_no, slot as u32);
+                slot as u32
             }
         };
         self.remember(page_no, slot);
@@ -212,6 +224,45 @@ impl SparseMemory {
     /// Number of materialized 4 KiB pages.
     pub fn touched_pages(&self) -> usize {
         self.page_table.len()
+    }
+
+    /// Every materialized page's base address and bytes, ascending by
+    /// address: two memories with equal snapshots have touched the same
+    /// pages and read the same everywhere.
+    pub fn snapshot(&self) -> Vec<(u64, Vec<u8>)> {
+        let mut pages: Vec<(u64, Vec<u8>)> = self
+            .page_table
+            .iter()
+            .map(|(&page_no, &slot)| (page_no << PAGE_BITS, self.storage[slot as usize].to_vec()))
+            .collect();
+        pages.sort_unstable_by_key(|&(addr, _)| addr);
+        pages
+    }
+
+    /// Page buffers held, materialized and spare: the most pages this
+    /// memory has held at once since it was built.
+    pub fn page_buffers(&self) -> usize {
+        self.storage.len()
+    }
+
+    /// Forgets every page: afterwards the memory reads as zero
+    /// everywhere and [`Self::touched_pages`] is 0, exactly as a new
+    /// one. The buffers are zeroed and kept as spares, so no byte of
+    /// the old contents survives and refilling them allocates nothing.
+    pub fn clear(&mut self) {
+        let Self {
+            page_table,
+            storage,
+            tags,
+            slots: _,
+        } = self;
+        for page in &mut storage[..page_table.len()] {
+            page.fill(0);
+        }
+        page_table.clear();
+        for tag in tags.iter() {
+            tag.set(0);
+        }
     }
 }
 
@@ -364,6 +415,79 @@ mod tests {
             assert_eq!(
                 mem.read_bytes(base, PAGE_BYTES),
                 model.read_bytes(base, PAGE_BYTES)
+            );
+        }
+    }
+
+    #[test]
+    fn cleared_memory_reads_like_a_fresh_one_and_reuses_its_buffers() {
+        // SplitMix64, so the test needs no crate beyond this one.
+        let mut state = 0xC1EA_4ED0_0001_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        // Neighbouring pages, pages that share a translation-cache entry,
+        // and pages far apart, so a refill lands its pages in spare
+        // buffers that held other pages before the clear.
+        let pages = [1u64, 2, 3, 17, 33, 0x4_0000, 0x4_0001];
+        let mut mem = SparseMemory::new();
+        let mut fresh = SparseMemory::new();
+        let mut most_touched = 0;
+        for step in 0..40_000 {
+            let page = pages[(next() % pages.len() as u64) as usize];
+            let addr = (page << PAGE_BITS) | (next() % PAGE_SIZE);
+            match next() % 50 {
+                0 => {
+                    mem.clear();
+                    fresh = SparseMemory::new();
+                    assert_eq!(mem.touched_pages(), 0, "step {step}");
+                    // No byte of the old contents survives, whether the
+                    // page is read before or after it is materialized
+                    // again.
+                    for &page in &pages {
+                        let base = page << PAGE_BITS;
+                        assert!(mem.read_bytes(base, PAGE_BYTES).iter().all(|&b| b == 0));
+                    }
+                    let page = pages[(next() % pages.len() as u64) as usize];
+                    mem.write_u8(page << PAGE_BITS, 0);
+                    fresh.write_u8(page << PAGE_BITS, 0);
+                    let base = page << PAGE_BITS;
+                    assert!(mem.read_bytes(base, PAGE_BYTES).iter().all(|&b| b == 0));
+                }
+                1..=4 => {
+                    let len = (next() % (2 * PAGE_SIZE)) as usize;
+                    let bytes: Vec<u8> = (0..len).map(|_| next() as u8 | 1).collect();
+                    mem.write_bytes(addr, &bytes);
+                    fresh.write_bytes(addr, &bytes);
+                }
+                5..=24 => {
+                    let size = [1u8, 2, 4, 8][(next() % 4) as usize];
+                    let value = next() | 1;
+                    mem.write(addr, value, size);
+                    fresh.write(addr, value, size);
+                }
+                _ => {
+                    let size = [1u8, 2, 4, 8][(next() % 4) as usize];
+                    assert_eq!(
+                        mem.read(addr, size),
+                        fresh.read(addr, size),
+                        "{size}-byte read at {addr:#x}, step {step}"
+                    );
+                }
+            }
+            assert_eq!(mem.touched_pages(), fresh.touched_pages(), "step {step}");
+            most_touched = most_touched.max(mem.touched_pages());
+            assert_eq!(mem.page_buffers(), most_touched, "step {step}");
+        }
+        for &page in &pages {
+            let base = page << PAGE_BITS;
+            assert_eq!(
+                mem.read_bytes(base, PAGE_BYTES),
+                fresh.read_bytes(base, PAGE_BYTES)
             );
         }
     }

@@ -33,6 +33,11 @@ impl PatternHistoryTable {
         self.counters[self.index(pc)] >= 2
     }
 
+    /// Returns every counter to weakly-taken, as built.
+    pub fn reset(&mut self) {
+        self.counters.fill(2);
+    }
+
     /// Trains the counter with the resolved direction.
     pub fn update(&mut self, pc: u64, taken: bool) {
         let idx = self.index(pc);
@@ -72,6 +77,11 @@ impl BranchTargetBuffer {
             Some((tag, target)) if tag == pc => Some(target),
             _ => None,
         }
+    }
+
+    /// Forgets every target, as built.
+    pub fn reset(&mut self) {
+        self.entries.fill(None);
     }
 
     /// Records the resolved target.
