@@ -36,16 +36,18 @@
 //! (wrong-path, predictor-clobber) have no sites and are accounted
 //! under `no-site`.
 //!
-//! Cells run under the supervised harness (panic isolation, watchdog,
-//! retries) and stream to `chaos.jsonl`; `--resume` skips journaled
+//! Each cell catches its own panic, so a failing cell is counted in the
+//! trailer's `failures=` (and fails the run) instead of aborting the
+//! sweep. Cells stream to `chaos.jsonl`; `--resume` skips journaled
 //! cells and re-counts their recorded verdicts, so a killed sweep
 //! continues without losing (or double-counting) its escape tally.
 //! `--smoke` truncates the kernel suite, matching the other binaries.
 
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use hfi_bench::harness::{CellOutcome, Cli, Flag};
+use hfi_bench::harness::{panic_message, Cli, Flag};
 use hfi_bench::{compile_cached, print_table, FUNCTIONAL_LIMIT, MACHINE_LIMIT};
 use hfi_chaos::{
     classify, ChaosEngine, ChaosPlan, FaultClass, PanicHook, Rig, ServeFaultClass, ShadowMonitor,
@@ -87,7 +89,6 @@ struct Target {
 }
 
 /// Baseline facts an injected cell is judged against.
-#[derive(Clone)]
 struct Baseline {
     counts: SiteCounts,
     record: RunRecord,
@@ -97,22 +98,17 @@ struct Baseline {
     limit: u64,
 }
 
-/// Everything one supervised cell needs, self-contained (the grid
-/// closure is `'static`).
-struct Cell {
+/// One injected cell: its fault plan, and the target and baseline it
+/// runs and is judged against.
+struct Cell<'a> {
     target_idx: usize,
-    name: String,
-    program: Arc<Program>,
-    spec: SandboxSpec,
-    heap_base: u64,
-    heap_init: Vec<(u32, Vec<u8>)>,
+    target: &'a Target,
+    baseline: &'a Baseline,
     class: FaultClass,
     rep: u64,
     seed: u64,
     sites: u64,
-    baseline: Baseline,
     weaken: bool,
-    vehicle: Vehicle,
 }
 
 /// One classified injected run.
@@ -276,7 +272,7 @@ fn run_cell(cell: &Cell) -> CellResult {
         trigger,
     };
     let engine = ChaosEngine::new(plan);
-    let monitor = ShadowMonitor::from_spec(&cell.spec);
+    let monitor = ShadowMonitor::from_spec(&cell.target.spec);
     let hook: Box<dyn hfi_sim::ChaosHook> = if cell.weaken {
         Box::new(Rig::new(
             WeakenedEngine::new(engine.clone()),
@@ -285,11 +281,12 @@ fn run_cell(cell: &Cell) -> CellResult {
     } else {
         Box::new(Rig::new(engine.clone(), monitor.clone()))
     };
+    let target = cell.target;
     let (stop, record, _) = run_hooked(
-        &cell.program,
-        cell.heap_base,
-        &cell.heap_init,
-        cell.vehicle,
+        &target.program,
+        target.heap_base,
+        &target.heap_init,
+        target.vehicle,
         hook,
         cell.baseline.limit,
     );
@@ -298,7 +295,7 @@ fn run_cell(cell: &Cell) -> CellResult {
     let verdict = classify(&report, identical);
     CellResult {
         target_idx: cell.target_idx,
-        name: cell.name.clone(),
+        name: target.name.clone(),
         class: cell.class,
         rep: cell.rep,
         seed: cell.seed,
@@ -321,13 +318,14 @@ fn run_cell(cell: &Cell) -> CellResult {
 /// [`Request::chaos`], classification from the rig's shared handles
 /// after the completion comes back. Instance reuse across injections is
 /// the point — a hook or scribbled heap leaking past the pool's release
-/// reset would show up here as a divergent (or escaped) later cell.
+/// reset would show up here as a divergent (or escaped) later cell. A
+/// cell the scheduler did not serve comes back as an error message.
 fn run_cells_served(
     targets: &[Target],
-    cells: Vec<Cell>,
+    cells: &[Cell],
     vehicle: Vehicle,
     workers: usize,
-) -> Vec<CellOutcome<CellResult>> {
+) -> Vec<Result<CellResult, String>> {
     let tier = match vehicle {
         Vehicle::Functional => Tier::Functional,
         Vehicle::Machine => unreachable!("--serve always picks the functional tier"),
@@ -370,7 +368,7 @@ fn run_cells_served(
             trigger,
         };
         let engine = ChaosEngine::new(plan);
-        let monitor = ShadowMonitor::from_spec(&cell.spec);
+        let monitor = ShadowMonitor::from_spec(&cell.target.spec);
         let hook: Box<dyn hfi_sim::ChaosHook> = if cell.weaken {
             Box::new(Rig::new(
                 WeakenedEngine::new(engine.clone()),
@@ -410,19 +408,18 @@ fn run_cells_served(
         .zip(rigs)
         .zip(by_cell)
         .map(|((cell, (trigger, engine, monitor)), completion)| {
+            let name = &cell.target.name;
             let Some(completion) = completion else {
-                return CellOutcome::Panicked {
-                    msg: format!("{}: completion lost by the scheduler", cell.name),
-                };
+                return Err(format!("{name}: completion lost by the scheduler"));
             };
             match completion.outcome {
                 ServeOutcome::Done { stop, record, .. } => {
                     let report = monitor.report();
                     let identical = stop == Stop::Halted && *record == cell.baseline.record;
                     let verdict = classify(&report, identical);
-                    CellOutcome::Ok(CellResult {
+                    Ok(CellResult {
                         target_idx: cell.target_idx,
-                        name: cell.name.clone(),
+                        name: name.clone(),
                         class: cell.class,
                         rep: cell.rep,
                         seed: cell.seed,
@@ -439,21 +436,16 @@ fn run_cells_served(
                         }),
                     })
                 }
-                ServeOutcome::Rejected { verified, stale } => CellOutcome::Panicked {
-                    msg: format!(
-                        "{}: admission rejected a baseline-verified tenant (verified={verified:?} stale={stale})",
-                        cell.name
-                    ),
-                },
-                ServeOutcome::Overloaded => CellOutcome::Panicked {
-                    msg: format!("{}: serving pool stayed overloaded", cell.name),
-                },
+                ServeOutcome::Rejected { verified, stale } => Err(format!(
+                    "{name}: admission rejected a baseline-verified tenant (verified={verified:?} stale={stale})"
+                )),
+                ServeOutcome::Overloaded => {
+                    Err(format!("{name}: serving pool stayed overloaded"))
+                }
                 // Cells carry no deadline and the default config never
                 // sheds or opens a breaker on Done outcomes, so the
                 // fault-containment variants are bugs here.
-                other => CellOutcome::Panicked {
-                    msg: format!("{}: unexpected serving outcome {other:?}", cell.name),
-                },
+                other => Err(format!("{name}: unexpected serving outcome {other:?}")),
             }
         })
         .collect()
@@ -515,12 +507,16 @@ fn runaway_program() -> Arc<Program> {
 /// the class's rogue traffic, then checks the containment contract —
 /// the rogue degrades only itself, the healthy side stays bit-correct
 /// and escape-free, and every submission completes.
+///
+/// Every class but `worker-death` runs on one worker, which serves the
+/// requests in submission order: each rogue outcome is recorded before
+/// the next rogue request reaches the breaker, so the breaker trips on
+/// exactly its threshold and the table is the same on every run.
 fn run_soak_class(
     class: ServeFaultClass,
     healthy: &[&Target],
     tier: Tier,
     seed: u64,
-    workers: usize,
     failures: &mut Vec<String>,
 ) -> SoakRow {
     let mut rng = Rng::new(seed);
@@ -607,7 +603,7 @@ fn run_soak_class(
             },
         ),
         _ => (
-            workers.max(1),
+            1,
             ServeConfig {
                 breaker_threshold,
                 // Long cooldown: no half-open probes inside the soak, so
@@ -741,6 +737,7 @@ fn run_soak_class(
     }
     // Class-specific contract on the rogue outcomes.
     let stats = pools.stats();
+    let threshold = breaker_threshold as usize;
     match class {
         ServeFaultClass::WorkerDeath => {}
         ServeFaultClass::WedgedRequest => {
@@ -752,11 +749,13 @@ fn run_soak_class(
             }
         }
         ServeFaultClass::PanicOnDispatch => {
-            if row.panicked == 0 || row.panicked + row.circuit_open != rogue_count {
+            if row.panicked != threshold || row.circuit_open != rogue_count - threshold {
                 failures.push(format!(
-                    "{class}: expected panics then breaker sheds over {rogue_count} rogue \
-                     requests, got panicked={} circuit_open={}",
-                    row.panicked, row.circuit_open
+                    "{class}: expected {threshold} panics then {} breaker sheds over \
+                     {rogue_count} rogue requests, got panicked={} circuit_open={}",
+                    rogue_count - threshold,
+                    row.panicked,
+                    row.circuit_open
                 ));
             }
             if stats.quarantined != row.panicked as u64 {
@@ -772,11 +771,13 @@ fn run_soak_class(
             }
         }
         ServeFaultClass::CompileFailureBurst => {
-            if row.rejected == 0 || row.rejected + row.circuit_open != rogue_count {
+            if row.rejected != threshold || row.circuit_open != rogue_count - threshold {
                 failures.push(format!(
-                    "{class}: expected rejections then breaker sheds over {rogue_count} rogue \
-                     requests, got rejected={} circuit_open={}",
-                    row.rejected, row.circuit_open
+                    "{class}: expected {threshold} rejections then {} breaker sheds over \
+                     {rogue_count} rogue requests, got rejected={} circuit_open={}",
+                    rogue_count - threshold,
+                    row.rejected,
+                    row.circuit_open
                 ));
             }
         }
@@ -792,7 +793,6 @@ fn serve_fault_soak(
     targets: &[Target],
     tier: Tier,
     seed: u64,
-    workers: usize,
     failures: &mut Vec<String>,
 ) -> Vec<Vec<String>> {
     // The injected panics are caught and classified; keep their default
@@ -813,7 +813,7 @@ fn serve_fault_soak(
     for (idx, class) in ServeFaultClass::ALL.iter().enumerate() {
         let mut class_seed = seed ^ ((idx as u64 + 1) << 48);
         let class_seed = split_mix64(&mut class_seed);
-        let row = run_soak_class(*class, &healthy, tier, class_seed, workers, failures);
+        let row = run_soak_class(*class, &healthy, tier, class_seed, failures);
         rows.push(vec![
             class.label().to_string(),
             row.done.to_string(),
@@ -897,40 +897,34 @@ fn main() {
                 seed = split_mix64(&mut seed);
                 cells.push(Cell {
                     target_idx,
-                    name: target.name.clone(),
-                    program: target.program.clone(),
-                    spec: target.spec.clone(),
-                    heap_base: target.heap_base,
-                    heap_init: target.heap_init.clone(),
+                    target,
+                    baseline,
                     class,
                     rep,
                     seed,
                     sites,
-                    baseline: baseline.clone(),
                     weaken,
-                    vehicle,
                 });
             }
         }
     }
 
     let outcomes = if serve {
-        run_cells_served(&targets, cells, vehicle, harness.jobs().max(1))
+        run_cells_served(&targets, &cells, vehicle, harness.jobs().max(1))
     } else {
-        harness.run_grid_supervised(cells, run_cell)
+        harness.run_grid(&cells, |cell| {
+            catch_unwind(AssertUnwindSafe(|| run_cell(cell)))
+                .map_err(|payload| panic_message(payload.as_ref()))
+        })
     };
 
-    // verdict-label -> count per class, plus supervision failures.
+    // verdict-label -> count per class, plus cells that failed to run.
     let mut matrix: BTreeMap<&'static str, BTreeMap<&'static str, usize>> = BTreeMap::new();
     let mut escapes = 0usize;
     let mut cell_failures = 0usize;
-    let mut retried = 0usize;
     for outcome in &outcomes {
         match outcome {
-            CellOutcome::Ok(result) | CellOutcome::Retried { result, .. } => {
-                if matches!(outcome, CellOutcome::Retried { .. }) {
-                    retried += 1;
-                }
+            Ok(result) => {
                 *matrix
                     .entry(result.class.label())
                     .or_default()
@@ -959,13 +953,9 @@ fn main() {
                 let record = result.record;
                 harness.record(&context, &record);
             }
-            CellOutcome::Panicked { msg } => {
+            Err(msg) => {
                 cell_failures += 1;
-                eprintln!("cell panicked: {msg}");
-            }
-            CellOutcome::TimedOut => {
-                cell_failures += 1;
-                eprintln!("cell timed out");
+                eprintln!("cell failed: {msg}");
             }
         }
     }
@@ -1015,7 +1005,6 @@ fn main() {
             &targets,
             Tier::Functional,
             campaign_seed,
-            harness.jobs().max(1),
             &mut soak_failures,
         );
         print_table(
@@ -1042,11 +1031,10 @@ fn main() {
 
     let total_escapes = escapes + resumed_escapes;
     println!(
-        "\nchaos-verdicts: kernels={} cells={} resumed={} retried={} failures={} escapes={}",
+        "\nchaos-verdicts: kernels={} cells={} resumed={} failures={} escapes={}",
         targets.len(),
         outcomes.len(),
         resumed_cells,
-        retried,
         cell_failures,
         total_escapes,
     );

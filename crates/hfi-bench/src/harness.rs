@@ -8,35 +8,26 @@
 //! sequential run. Cells compile through the process-wide
 //! [`compile_cached`](crate::compile_cached) memo, so a kernel ×
 //! isolation pair is compiled once no matter how many executors or
-//! worker threads run it, and every vehicle shares one `Arc<Program>`
-//! (and therefore one pre-decoded plan). After the grid, binaries append
-//! [`RunRecord`]s (or model-level [`Harness::note`] lines) and
-//! [`Harness::finish`] publishes them to
+//! worker threads run it, and the cycle and functional vehicles share
+//! one `Arc<Program>` and so the one decoded plan it owns (the emulated
+//! vehicle transforms it into a program of its own). After the grid,
+//! binaries append [`RunRecord`]s (or model-level [`Harness::note`]
+//! lines) and [`Harness::finish`] publishes them to
 //! `target/bench-records/<figure>.jsonl`.
 //!
 //! # Fault tolerance
 //!
-//! Two grid runners cover two failure postures:
+//! [`Harness::run_grid`] is the one grid runner. A panicking cell does
+//! not abort the sweep mid-flight: every remaining cell still runs, and
+//! the first panic is re-raised only after the whole grid completes
+//! (the harnesses' correctness assertions live inside cells, so the
+//! panic must still fail the experiment loudly). A sweep that reports
+//! failures instead of dying — the chaos campaign — catches each
+//! cell's panic inside the cell ([`panic_message`] renders it).
 //!
-//! * [`Harness::run_grid`] — a panicking cell no longer aborts the
-//!   sweep mid-flight: every remaining cell still runs, and the first
-//!   panic is re-raised only after the whole grid completes (the
-//!   harnesses' correctness assertions live inside cells, so the panic
-//!   must still fail the experiment loudly).
-//! * [`Harness::run_grid_supervised`] — each cell runs under
-//!   `catch_unwind` supervision and returns a structured
-//!   [`CellOutcome`]: `Ok`, `Retried` (succeeded after transient
-//!   panics, with bounded exponential backoff), `Panicked` (every
-//!   attempt panicked; carries the payload message), or `TimedOut`
-//!   (the per-cell deadline watchdog expired — the stuck worker thread
-//!   is abandoned and a replacement spawned so the rest of the grid
-//!   still completes). Long sweeps — the chaos campaign — use this and
-//!   report failures instead of dying.
-//!
-//! Cell *fuel* is cooperative: simulator cells are already bounded by
+//! Cells need no wall-clock watchdog: simulator cells are bounded by
 //! the executor cycle/instruction budgets (`MACHINE_LIMIT`,
-//! `FUNCTIONAL_LIMIT`), so the wall-clock deadline is the backstop for
-//! host-level hangs, not the primary bound.
+//! `FUNCTIONAL_LIMIT`), and CI jobs by their own timeouts.
 //!
 //! # Crash safety and resume
 //!
@@ -61,10 +52,6 @@
 //!   kernel subsets, for CI.
 //! * `--resume` / `HFI_RESUME=1` — preload the existing journal and
 //!   skip cells already present ([`Harness::have`]).
-//! * `--cell-deadline MS` — per-cell watchdog deadline in milliseconds
-//!   for supervised grids (default: none).
-//! * `--cell-retries N` — attempts to re-run a panicking supervised
-//!   cell before reporting [`CellOutcome::Panicked`] (default 0).
 //! * `--seed N` / `HFI_SEED=N` — RNG seed for binaries with stochastic
 //!   inputs (the serving load generator, the chaos campaign plans);
 //!   each binary documents its own default ([`Harness::seed_or`]).
@@ -75,15 +62,12 @@
 //! undeclared flag or a flag without its value exits 2.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::fs;
 use std::io::{BufWriter, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Mutex;
 
 use hfi_sim::RunRecord;
 
@@ -117,7 +101,7 @@ fn context_json(figure: &str, context: &[(&str, String)]) -> String {
 }
 
 /// Renders a `catch_unwind` payload as a message.
-fn panic_message(payload: &(dyn Any + Send)) -> String {
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -125,251 +109,6 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// What happened to one supervised grid cell.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CellOutcome<R> {
-    /// The cell completed on its first attempt.
-    Ok(R),
-    /// The cell panicked `n` time(s) and then completed — a transient
-    /// host failure absorbed by the bounded-retry policy.
-    Retried {
-        /// How many failed attempts preceded the success.
-        n: u32,
-        /// The eventual result.
-        result: R,
-    },
-    /// Every attempt panicked; `msg` is the last panic payload.
-    Panicked {
-        /// The panic payload, rendered as text.
-        msg: String,
-    },
-    /// The per-cell deadline expired before the cell finished. The
-    /// worker thread is abandoned (safe Rust cannot kill it) and a
-    /// replacement keeps the rest of the grid moving.
-    TimedOut,
-}
-
-impl<R> CellOutcome<R> {
-    /// The cell's result, if it produced one.
-    pub fn result(&self) -> Option<&R> {
-        match self {
-            CellOutcome::Ok(r) | CellOutcome::Retried { result: r, .. } => Some(r),
-            _ => None,
-        }
-    }
-
-    /// Consumes the outcome, yielding the result if there is one.
-    pub fn into_result(self) -> Option<R> {
-        match self {
-            CellOutcome::Ok(r) | CellOutcome::Retried { result: r, .. } => Some(r),
-            _ => None,
-        }
-    }
-
-    /// True for `Panicked` and `TimedOut`.
-    pub fn is_failure(&self) -> bool {
-        matches!(self, CellOutcome::Panicked { .. } | CellOutcome::TimedOut)
-    }
-
-    /// A short stable label ("ok", "retried", "panicked", "timed-out").
-    pub fn label(&self) -> &'static str {
-        match self {
-            CellOutcome::Ok(_) => "ok",
-            CellOutcome::Retried { .. } => "retried",
-            CellOutcome::Panicked { .. } => "panicked",
-            CellOutcome::TimedOut => "timed-out",
-        }
-    }
-}
-
-/// Supervision policy for [`run_supervised`] grids.
-#[derive(Debug, Clone)]
-pub struct GridOptions {
-    /// Wall-clock watchdog per cell; `None` disables the watchdog.
-    pub deadline: Option<Duration>,
-    /// Extra attempts after a panicking first attempt.
-    pub retries: u32,
-    /// Base backoff slept before retry `k` is `backoff * 2^(k-1)`.
-    pub backoff: Duration,
-}
-
-impl Default for GridOptions {
-    fn default() -> Self {
-        GridOptions {
-            deadline: None,
-            retries: 0,
-            backoff: Duration::from_millis(25),
-        }
-    }
-}
-
-struct GridShared<J, F> {
-    cells: Vec<J>,
-    f: F,
-    next: AtomicUsize,
-    retries: u32,
-    backoff: Duration,
-}
-
-enum Event<R> {
-    Started {
-        cell: usize,
-        at: Instant,
-    },
-    Done {
-        cell: usize,
-        outcome: CellOutcome<R>,
-    },
-}
-
-fn worker_loop<J, R, F>(shared: Arc<GridShared<J, F>>, tx: Sender<Event<R>>)
-where
-    J: Send + Sync + 'static,
-    R: Send + 'static,
-    F: Fn(&J) -> R + Send + Sync + 'static,
-{
-    let n = shared.cells.len();
-    loop {
-        let i = shared.next.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            return;
-        }
-        let _ = tx.send(Event::Started {
-            cell: i,
-            at: Instant::now(),
-        });
-        let mut attempt = 0u32;
-        let outcome = loop {
-            match catch_unwind(AssertUnwindSafe(|| (shared.f)(&shared.cells[i]))) {
-                Ok(result) if attempt == 0 => break CellOutcome::Ok(result),
-                Ok(result) => break CellOutcome::Retried { n: attempt, result },
-                Err(payload) => {
-                    let msg = panic_message(payload.as_ref());
-                    if attempt >= shared.retries {
-                        break CellOutcome::Panicked { msg };
-                    }
-                    attempt += 1;
-                    std::thread::sleep(shared.backoff.saturating_mul(1 << (attempt - 1).min(10)));
-                }
-            }
-        };
-        let _ = tx.send(Event::Done { cell: i, outcome });
-    }
-}
-
-/// Runs one closure per cell under full supervision and returns one
-/// [`CellOutcome`] per cell, **in cell order**.
-///
-/// Workers are detached threads pulling cells from a shared cursor;
-/// each attempt runs under `catch_unwind`, panics are retried up to
-/// `opts.retries` times with exponential backoff, and a cell that
-/// outlives `opts.deadline` is reported [`CellOutcome::TimedOut`]
-/// while a replacement worker keeps draining the remaining cells (the
-/// stuck thread is abandoned — safe Rust cannot preempt it — so it
-/// no longer blocks the sweep).
-pub fn run_supervised<J, R, F>(
-    jobs: usize,
-    cells: Vec<J>,
-    opts: GridOptions,
-    f: F,
-) -> Vec<CellOutcome<R>>
-where
-    J: Send + Sync + 'static,
-    R: Send + 'static,
-    F: Fn(&J) -> R + Send + Sync + 'static,
-{
-    let n = cells.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let shared = Arc::new(GridShared {
-        cells,
-        f,
-        next: AtomicUsize::new(0),
-        retries: opts.retries,
-        backoff: opts.backoff,
-    });
-    let (tx, rx) = mpsc::channel::<Event<R>>();
-    let spawn_worker = |shared: &Arc<GridShared<J, F>>, tx: &Sender<Event<R>>| {
-        let shared = Arc::clone(shared);
-        let tx = tx.clone();
-        std::thread::spawn(move || worker_loop(shared, tx));
-    };
-    for _ in 0..jobs.clamp(1, n) {
-        spawn_worker(&shared, &tx);
-    }
-
-    let mut slots: Vec<Option<CellOutcome<R>>> = (0..n).map(|_| None).collect();
-    let mut running: HashMap<usize, Instant> = HashMap::new();
-    let mut done = 0usize;
-    while done < n {
-        let event = match opts.deadline {
-            None => rx.recv().ok(),
-            Some(deadline) => {
-                // Wake at the earliest outstanding deadline to check
-                // the watchdog even if no event arrives.
-                let wake = running
-                    .values()
-                    .map(|at| (*at + deadline).saturating_duration_since(Instant::now()))
-                    .min()
-                    .unwrap_or(deadline);
-                match rx.recv_timeout(wake) {
-                    Ok(event) => Some(event),
-                    Err(RecvTimeoutError::Timeout) => {
-                        let now = Instant::now();
-                        let expired: Vec<usize> = running
-                            .iter()
-                            .filter(|(_, at)| now.duration_since(**at) >= deadline)
-                            .map(|(cell, _)| *cell)
-                            .collect();
-                        for cell in expired {
-                            running.remove(&cell);
-                            if slots[cell].is_none() {
-                                slots[cell] = Some(CellOutcome::TimedOut);
-                                done += 1;
-                                // The worker is stuck inside this cell;
-                                // replace it so the grid keeps moving.
-                                spawn_worker(&shared, &tx);
-                            }
-                        }
-                        continue;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => None,
-                }
-            }
-        };
-        match event {
-            Some(Event::Started { cell, at }) => {
-                running.insert(cell, at);
-            }
-            Some(Event::Done { cell, outcome }) => {
-                running.remove(&cell);
-                // A late completion of a cell already timed out is
-                // dropped: the outcome was published as TimedOut.
-                if slots[cell].is_none() {
-                    slots[cell] = Some(outcome);
-                    done += 1;
-                }
-            }
-            None => {
-                // All senders gone with cells unaccounted for — a
-                // worker died outside catch_unwind. Report rather than
-                // hang.
-                for slot in slots.iter_mut().filter(|s| s.is_none()) {
-                    *slot = Some(CellOutcome::Panicked {
-                        msg: "worker disappeared".to_string(),
-                    });
-                }
-                break;
-            }
-        }
-    }
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every cell accounted for"))
-        .collect()
 }
 
 /// The experiment harness for one figure/table binary.
@@ -384,8 +123,6 @@ pub struct Harness {
     streaming: bool,
     writer: Option<BufWriter<fs::File>>,
     out_dir: Option<PathBuf>,
-    cell_deadline: Option<Duration>,
-    cell_retries: u32,
     seed: Option<u64>,
 }
 
@@ -399,12 +136,10 @@ pub enum Flag {
 }
 
 /// The flags the harness owns; every binary accepts them.
-const HARNESS_FLAGS: [Flag; 6] = [
+const HARNESS_FLAGS: [Flag; 4] = [
     Flag::Switch("--smoke"),
     Flag::Switch("--resume"),
     Flag::Value("--jobs"),
-    Flag::Value("--cell-deadline"),
-    Flag::Value("--cell-retries"),
     Flag::Value("--seed"),
 ];
 
@@ -452,7 +187,7 @@ fn parse_cli(args: impl Iterator<Item = String>, flags: &[Flag]) -> Result<Cli, 
         };
         cli.given.push((flag, value));
     }
-    for flag in ["--jobs", "--cell-deadline", "--cell-retries", "--seed"] {
+    for flag in ["--jobs", "--seed"] {
         cli.number::<u64>(flag, None)?;
     }
     Ok(cli)
@@ -516,10 +251,6 @@ impl Cli {
         let jobs = self.number("--jobs", Some("HFI_JOBS"))?.unwrap_or(1);
         let smoke = self.switch("--smoke") || env_truthy("HFI_SMOKE");
         let mut harness = Harness::new(figure, jobs, smoke).with_streaming();
-        harness.cell_deadline = self
-            .number("--cell-deadline", None)?
-            .map(Duration::from_millis);
-        harness.cell_retries = self.number("--cell-retries", None)?.unwrap_or(0);
         harness.seed = self.number("--seed", Some("HFI_SEED"))?;
         if self.switch("--resume") || env_truthy("HFI_RESUME") {
             harness = harness.with_resume();
@@ -558,8 +289,6 @@ impl Harness {
             streaming: false,
             writer: None,
             out_dir: None,
-            cell_deadline: None,
-            cell_retries: 0,
             seed: None,
         }
     }
@@ -575,18 +304,6 @@ impl Harness {
     /// (tests use this to stay hermetic).
     pub fn with_output_dir(mut self, dir: PathBuf) -> Self {
         self.out_dir = Some(dir);
-        self
-    }
-
-    /// Sets the supervised-grid watchdog deadline.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.cell_deadline = Some(deadline);
-        self
-    }
-
-    /// Sets the supervised-grid retry budget.
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.cell_retries = retries;
         self
     }
 
@@ -650,16 +367,6 @@ impl Harness {
         self.seed.unwrap_or(default)
     }
 
-    /// The supervision policy configured by `--cell-deadline` /
-    /// `--cell-retries` (or the builders).
-    pub fn grid_options(&self) -> GridOptions {
-        GridOptions {
-            deadline: self.cell_deadline,
-            retries: self.cell_retries,
-            ..GridOptions::default()
-        }
-    }
-
     /// Picks the iteration count for the current mode.
     pub fn iters(&self, full: u64, smoke: u64) -> u64 {
         if self.smoke {
@@ -690,8 +397,8 @@ impl Harness {
     /// Propagates a panic from any cell (the harnesses' correctness
     /// assertions live inside the cells) — but only **after every other
     /// cell has completed**, so one bad cell cannot waste the rest of
-    /// an expensive sweep. Use [`Harness::run_grid_supervised`] to get
-    /// failures back as structured [`CellOutcome`]s instead.
+    /// an expensive sweep. A cell that must report its panic instead
+    /// catches it itself.
     pub fn run_grid<J, R, F>(&self, cells: &[J], f: F) -> Vec<R>
     where
         J: Sync,
@@ -748,19 +455,6 @@ impl Harness {
             std::panic::resume_unwind(payload);
         }
         results
-    }
-
-    /// Runs a grid under full supervision: panics are isolated per
-    /// cell (with the configured retry budget) and a deadline watchdog
-    /// abandons hung cells, so the sweep always completes and reports
-    /// one structured [`CellOutcome`] per cell, in cell order.
-    pub fn run_grid_supervised<J, R, F>(&self, cells: Vec<J>, f: F) -> Vec<CellOutcome<R>>
-    where
-        J: Send + Sync + 'static,
-        R: Send + 'static,
-        F: Fn(&J) -> R + Send + Sync + 'static,
-    {
-        run_supervised(self.jobs, cells, self.grid_options(), f)
     }
 
     /// True if a resumed journal already contains a line for this
@@ -954,15 +648,12 @@ mod tests {
         assert!(parse(&["--jobs", "garbage"], &[]).is_err());
         assert!(parse(&["--jobs=garbage"], &[]).is_err());
         assert!(parse(&["--jobs"], &[]).is_err());
-        assert!(parse(&["--cell-deadline=soon"], &[]).is_err());
-        assert!(parse(&["--cell-retries", "-1"], &[]).is_err());
 
         let ok = parse(&["--jobs", "4", "--smoke", "--resume"], &[]).unwrap();
         assert_eq!(ok.number("--jobs", None), Ok(Some(4)));
         assert!(ok.switch("--smoke") && ok.switch("--resume"));
-        let ok = parse(&["--jobs=0", "--cell-deadline", "250"], &[]).unwrap();
+        let ok = parse(&["--jobs=0"], &[]).unwrap();
         assert_eq!(ok.number("--jobs", None), Ok(Some(0)));
-        assert_eq!(ok.number("--cell-deadline", None), Ok(Some(250)));
         assert!(parse(&["--seed", "garbage"], &[]).is_err());
         let ok = parse(&["--seed=42"], &[]).unwrap();
         assert_eq!(ok.number("--seed", None), Ok(Some(42)));
@@ -972,6 +663,9 @@ mod tests {
         // Undeclared flags are errors, not pass-throughs: a misspelt
         // `--check` must not run the binary with its gate disarmed.
         assert!(parse(&["--mutants", "--check", "x.json"], &[]).is_err());
+        // The cell watchdog flags are gone and undeclared like any other.
+        assert!(parse(&["--cell-deadline", "250"], &[]).is_err());
+        assert!(parse(&["--cell-retries=1"], &[]).is_err());
         let gated = [Flag::Switch("--degrade"), Flag::Value("--check")];
         assert!(parse(&["--smoke", "--chek", "base.json"], &gated).is_err());
         assert!(parse(&["--smoke", "base.json"], &gated).is_err());
@@ -1014,77 +708,6 @@ mod tests {
             16,
             "every cell must run despite the panic"
         );
-    }
-
-    #[test]
-    fn supervised_grid_reports_panics_structurally() {
-        let cells: Vec<u32> = (0..8).collect();
-        let outcomes = Harness::new("test", 4, false).run_grid_supervised(cells, |cell| {
-            if *cell == 5 {
-                panic!("boom {cell}");
-            }
-            cell * 10
-        });
-        assert_eq!(outcomes.len(), 8);
-        for (i, outcome) in outcomes.iter().enumerate() {
-            if i == 5 {
-                assert_eq!(
-                    outcome,
-                    &CellOutcome::Panicked {
-                        msg: "boom 5".to_string()
-                    }
-                );
-                assert!(outcome.is_failure());
-            } else {
-                assert_eq!(outcome.result(), Some(&(i as u32 * 10)), "cell {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn supervised_grid_retries_transient_failures() {
-        // Cell 2 panics on its first attempt only.
-        let attempts: Vec<AtomicU32> = (0..4).map(|_| AtomicU32::new(0)).collect();
-        let attempts = Arc::new(attempts);
-        let seen = Arc::clone(&attempts);
-        let opts = GridOptions {
-            retries: 2,
-            backoff: Duration::from_millis(1),
-            ..GridOptions::default()
-        };
-        let outcomes = run_supervised(2, (0..4u32).collect(), opts, move |cell: &u32| {
-            let attempt = seen[*cell as usize].fetch_add(1, Ordering::Relaxed);
-            if *cell == 2 && attempt == 0 {
-                panic!("transient");
-            }
-            *cell
-        });
-        assert_eq!(outcomes[2], CellOutcome::Retried { n: 1, result: 2 });
-        assert_eq!(outcomes[2].label(), "retried");
-        for i in [0usize, 1, 3] {
-            assert_eq!(outcomes[i], CellOutcome::Ok(i as u32));
-        }
-    }
-
-    #[test]
-    fn supervised_grid_times_out_hung_cells_and_finishes_the_rest() {
-        let opts = GridOptions {
-            deadline: Some(Duration::from_millis(100)),
-            ..GridOptions::default()
-        };
-        // Cell 1 "hangs" (sleeps far past the deadline); the sweep must
-        // still complete every other cell and report the hang.
-        let outcomes = run_supervised(2, (0..6u32).collect(), opts, |cell: &u32| {
-            if *cell == 1 {
-                std::thread::sleep(Duration::from_secs(30));
-            }
-            *cell
-        });
-        assert_eq!(outcomes[1], CellOutcome::TimedOut);
-        assert_eq!(outcomes[1].label(), "timed-out");
-        for i in [0usize, 2, 3, 4, 5] {
-            assert_eq!(outcomes[i], CellOutcome::Ok(i as u32), "cell {i}");
-        }
     }
 
     fn scratch_dir(tag: &str) -> PathBuf {

@@ -32,12 +32,12 @@ use hfi_sim::{Emulated, Executor, Functional, Machine, RunRecord, Stop};
 use hfi_wasm::compiler::{compile, CompileOptions, CompiledKernel, Isolation};
 use hfi_wasm::kernels::{sightglass, speclike, Kernel};
 
-pub use harness::{run_supervised, CellOutcome, Cli, Flag, GridOptions, Harness};
+pub use harness::{Cli, Flag, Harness};
 
 /// Cache key for [`compile_cached`]: a cheap structural fingerprint of
 /// the kernel (name alone is not unique — suites are parameterized by
-/// scale) plus the full `Debug` rendering of the compile options.
-type CompileKey = (String, u64, usize, usize, String);
+/// scale) plus the compile options themselves.
+type CompileKey = (String, u64, usize, usize, CompileOptions);
 
 /// Process-wide compile memo backing [`compile_cached`].
 static COMPILE_CACHE: OnceLock<Mutex<HashMap<CompileKey, CompiledKernel>>> = OnceLock::new();
@@ -46,11 +46,11 @@ static COMPILE_CACHE: OnceLock<Mutex<HashMap<CompileKey, CompiledKernel>>> = Onc
 /// lifetime of the process.
 ///
 /// Every vehicle wrapper below funnels through this, so a grid that runs
-/// the same (kernel, isolation) cell on the cycle, emulated, and
-/// functional executors compiles it once and hands all three the *same*
-/// `Arc<Program>` allocation — which in turn means the identity-keyed
-/// pre-decode (`plan_of`) and A.2-transform (`emulate_arc`) caches in
-/// `hfi-sim` hit instead of re-lowering per executor.
+/// the same (kernel, isolation) cell on the cycle and functional
+/// executors compiles it once and hands both the *same* `Arc<Program>`,
+/// which carries its decoded plan ([`hfi_sim::Program::plan`]): the
+/// program is lowered once, not once per executor. The emulated vehicle
+/// transforms the shared program into a program of its own.
 ///
 /// A cache hit clones only counters and an `Arc` pointer; the program's
 /// instruction vector is shared.
@@ -60,7 +60,7 @@ pub fn compile_cached(kernel: &Kernel, opts: &CompileOptions) -> CompiledKernel 
         kernel.expected,
         kernel.func.insts.len(),
         kernel.heap_init_len(),
-        format!("{opts:?}"),
+        *opts,
     );
     let cache = COMPILE_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     // The cache is insert-only, so a lock poisoned by a panicking grid
@@ -197,7 +197,7 @@ pub fn run_on_machine_with(kernel: &Kernel, opts: &CompileOptions) -> KernelRun 
 pub fn run_emulated(kernel: &Kernel, isolation: Isolation) -> KernelRun {
     let opts = CompileOptions::new(isolation);
     let compiled = compile_cached(kernel, &opts);
-    let mut emulated = Emulated::from_arc(&compiled.program, opts.heap_base);
+    let mut emulated = Emulated::new(&compiled.program, opts.heap_base);
     let mut record = run_cell(&mut emulated, kernel, opts.heap_base);
     // The emulated stream carries its own proof: translation validation
     // against the (verified) original, not trust in the transform.

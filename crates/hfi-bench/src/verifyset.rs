@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use hfi_core::TransitionScheme;
 use hfi_native::{benchmark_program, interposition_spec, Interposition};
-use hfi_sim::{emulate_arc, uses_hfi, Program};
+use hfi_sim::{emulate, uses_hfi, Program};
 use hfi_verify::{
     direct_mutants, emulation_mutants, verify_emulation, verify_emulation_cached, verify_program,
     verify_program_cached, Mutant, Proof, SandboxSpec, Violation,
@@ -124,7 +124,7 @@ pub fn all_targets(smoke: bool) -> Vec<VerifyTarget> {
                 mode: VerifyMode::Emulation {
                     original: hfi.program.clone(),
                 },
-                program: emulate_arc(&hfi.program),
+                program: Arc::new(emulate(&hfi.program)),
             });
         }
         let guarded = guarded_emulation(&hfi).expect("hfi kernels are guardable");

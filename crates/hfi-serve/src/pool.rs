@@ -178,8 +178,8 @@ pub enum TenantSource {
     /// function on the tenant's first cold build; the pools keep the
     /// program and verdict for every later one. Pass
     /// `hfi_bench::compile_cached` so all tenants of one kernel ×
-    /// options pair share a single `Arc<Program>` and its memoized
-    /// plans.
+    /// options pair share a single `Arc<Program>` and the one decoded
+    /// plan it owns.
     Kernel {
         /// The kernel to compile.
         kernel: Kernel,

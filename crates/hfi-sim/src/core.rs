@@ -32,7 +32,7 @@ use crate::cache::CacheHierarchy;
 use crate::chaos::{ArchEvent, ChaosHook};
 use crate::isa::{effective_address, Inst, Program, Reg};
 use crate::mem::{zero_extend, SparseMemory};
-use crate::plan::{plan_of, DecodedProgram, MicroOp, OpClass, SerializeClass, NO_REG, NO_TARGET};
+use crate::plan::{DecodedProgram, MicroOp, OpClass, SerializeClass, NO_REG, NO_TARGET};
 use crate::predictor::{BranchTargetBuffer, PatternHistoryTable};
 
 /// Structural parameters of the modelled core (paper Table 2).
@@ -535,9 +535,9 @@ fn merge_sorted(into: &mut Vec<u64>, extra: &[u64]) {
 /// The complete simulated machine: program, memory, caches, predictors,
 /// HFI state, and the out-of-order pipeline.
 pub struct Machine {
+    /// The program under execution. Each run borrows its static plan,
+    /// the pre-decoded micro-ops and block table ([`Program::plan`]).
     program: Arc<Program>,
-    /// The shared static plan: pre-decoded micro-ops and block table.
-    plan: Arc<DecodedProgram>,
     /// Data memory.
     pub mem: SparseMemory,
     /// Cache hierarchy and dTLB.
@@ -647,12 +647,9 @@ impl Machine {
 
     /// Creates a machine with explicit structural parameters.
     pub fn with_config(program: impl Into<Arc<Program>>, config: CoreConfig) -> Self {
-        let program: Arc<Program> = program.into();
-        let plan = plan_of(&program);
         let slots = config.rob_size.max(1).next_power_of_two();
         Self {
-            program,
-            plan,
+            program: program.into(),
             mem: SparseMemory::new(),
             caches: CacheHierarchy::new(),
             hfi: HfiContext::new(),
@@ -704,7 +701,6 @@ impl Machine {
         // here: reset, or kept on purpose.
         let Self {
             program: _,
-            plan: _,
             mem,
             caches,
             hfi,
@@ -782,7 +778,6 @@ impl Machine {
     /// instead of building a new machine.
     pub fn retarget(&mut self, program: &Arc<Program>) {
         if !Arc::ptr_eq(&self.program, program) {
-            self.plan = plan_of(program);
             self.program = Arc::clone(program);
         }
         self.reset();
@@ -836,11 +831,6 @@ impl Machine {
     /// The program under execution.
     pub fn program(&self) -> &Program {
         &self.program
-    }
-
-    /// The pre-decoded plan the pipeline runs from.
-    pub fn plan(&self) -> &Arc<DecodedProgram> {
-        &self.plan
     }
 
     /// Ring slot of the entry with sequence number `seq`.
@@ -1709,7 +1699,7 @@ impl Machine {
             }
             let mut skip = false;
             if let Some(hook) = self.chaos.as_deref_mut() {
-                skip = hook.skip_guard(self.plan.pc(self.rob[i].inst_idx as usize));
+                skip = hook.skip_guard(self.program.pc_of(self.rob[i].inst_idx as usize));
             }
             let hfi = &self.hfi_history[self.rob[i].hfi_gen as usize];
             if !skip {
@@ -1738,8 +1728,8 @@ impl Machine {
         let mut value = value;
         if self.chaos.is_some() {
             let inst_idx = self.rob[i].inst_idx as usize;
-            let pc = self.plan.pc(inst_idx);
-            let transition = self.plan.op(inst_idx).has(MicroOp::TRANSITION);
+            let pc = self.program.pc_of(inst_idx);
+            let transition = self.program.plan().op(inst_idx).has(MicroOp::TRANSITION);
             let dst = self.rob[i].dst;
             if let Some(hook) = self.chaos.as_deref_mut() {
                 // Result-bus corruption: the flipped value is what writeback
@@ -2028,7 +2018,8 @@ impl Machine {
     pub fn run(&mut self, max_cycles: u64) -> RunResult {
         // One `Arc` bump per call: the stages borrow the plan while they
         // mutate the rest of the machine.
-        let plan = Arc::clone(&self.plan);
+        let program = Arc::clone(&self.program);
+        let plan = program.plan();
         while self.halted.is_none() && self.cycle < max_cycles {
             // Stall fast-forward: with the ROB empty and the front end
             // stalled (kernel round trip, signal delivery, serialization
@@ -2039,12 +2030,12 @@ impl Machine {
                 self.cycle = self.fetch_stall_until.min(max_cycles);
                 continue;
             }
-            self.commit(&plan);
+            self.commit(plan);
             if self.halted.is_some() {
                 break;
             }
-            self.execute(&plan);
-            self.frontend(&plan);
+            self.execute(plan);
+            self.frontend(plan);
             self.cycle += 1;
             debug_assert!(self.lists_within_window(), "a listed seq left the window");
 

@@ -16,8 +16,6 @@
 //! Fig. 2 harness runs both the true-HFI and emulated variants on the cycle
 //! simulator and compares, mirroring the paper's gem5 cross-validation.
 
-use std::sync::{Arc, Mutex, OnceLock};
-
 use hfi_core::NUM_REGIONS;
 
 use crate::isa::{AluOp, Inst, MemOperand, Program, Reg};
@@ -86,23 +84,6 @@ pub fn emulate(program: &Program) -> Program {
         })
         .collect();
     program.with_insts(insts)
-}
-
-/// Memoized emulated programs, keyed by source-`Arc` identity (same
-/// scheme as `plan_of`: a `Weak` witness detects address reuse after the
-/// original program dies, and dead entries are purged on every lookup).
-static EMULATE_MEMO: OnceLock<Mutex<crate::plan::MemoEntries<Program>>> = OnceLock::new();
-
-/// The shared emulated counterpart of `program`, transforming it on
-/// first sight.
-///
-/// Harnesses construct the emulation vehicle once per grid cell from one
-/// shared `Arc<Program>`; memoizing by `Arc` identity means the A.2
-/// transform runs once per kernel × isolation, and — because the result
-/// is itself a stable `Arc` — every emulated machine also shares one
-/// pre-decoded plan (`plan_of` is keyed the same way).
-pub fn emulate_arc(program: &Arc<Program>) -> Arc<Program> {
-    crate::plan::memoized(&EMULATE_MEMO, program, 0, || emulate(program))
 }
 
 /// Options for the *guarded* emulation variant ([`emulate_guarded`]).
@@ -425,20 +406,6 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn emulate_arc_shares_and_survives_reuse() {
-        let prog = Arc::new(Program::new(vec![Inst::HfiExit, Inst::Halt], 0x2000));
-        let first = emulate_arc(&prog);
-        let second = emulate_arc(&prog);
-        assert!(Arc::ptr_eq(&first, &second), "same source, one transform");
-        assert!(!uses_hfi(&first));
-        // A different program (even if the old allocation's address were
-        // reused) gets its own transform: the Weak witness disambiguates.
-        let other = Arc::new(Program::new(vec![Inst::Halt], 0x2000));
-        let third = emulate_arc(&other);
-        assert!(!Arc::ptr_eq(&first, &third));
     }
 
     #[test]

@@ -16,10 +16,8 @@
 //! check/fault counts). It serializes itself to a JSON object so
 //! harnesses can emit JSON-lines trajectories without a serde dependency.
 
-use std::sync::Arc;
-
 use crate::core::{CoreStats, Machine, Stop};
-use crate::emulation::{emulate, emulate_arc, EMULATION_BASE};
+use crate::emulation::{emulate, EMULATION_BASE};
 use crate::functional::{Functional, FunctionalStats};
 use crate::isa::Program;
 
@@ -364,6 +362,10 @@ impl Emulated {
     /// around it. `heap_base` is the guest heap base the original program
     /// was compiled against; `prepare` writes are mirrored from there to
     /// [`EMULATION_BASE`].
+    ///
+    /// Every call transforms anew, in one linear pass; the transformed
+    /// program is the machine's own and lowers its plan on its first
+    /// run, as any program does ([`Program::plan`]).
     pub fn new(program: &Program, heap_base: u64) -> Self {
         Self {
             machine: Machine::new(emulate(program)),
@@ -374,20 +376,6 @@ impl Emulated {
     /// The wrapped cycle machine (for OS models, cost tweaks, probes).
     pub fn machine_mut(&mut self) -> &mut Machine {
         &mut self.machine
-    }
-
-    /// Creates the emulated counterpart of an existing shared program.
-    ///
-    /// The A.2 transform (and, transitively, the pre-decoded plan of its
-    /// result) is memoized by `Arc` identity — see
-    /// [`emulate_arc`](crate::emulation::emulate_arc) — so repeated grid
-    /// cells over one shared program pay for one transform and one
-    /// lowering.
-    pub fn from_arc(program: &Arc<Program>, heap_base: u64) -> Self {
-        Self {
-            machine: Machine::new(emulate_arc(program)),
-            heap_base,
-        }
     }
 }
 
@@ -441,6 +429,8 @@ const _: () = {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::asm::ProgramBuilder;
     use crate::isa::{AluOp, Reg};
@@ -462,7 +452,7 @@ mod tests {
         let mut executors: Vec<Box<dyn Executor>> = vec![
             Box::new(Machine::new(Arc::clone(&program))),
             Box::new(Functional::new(Arc::clone(&program))),
-            Box::new(Emulated::from_arc(&program, 0x1000_0000)),
+            Box::new(Emulated::new(&program, 0x1000_0000)),
         ];
         for exec in &mut executors {
             let stop = exec.run(1_000_000);

@@ -20,7 +20,7 @@ use crate::chaos::{ArchEvent, ChaosHook};
 use crate::core::{Os, OsModel, Stop, SyscallOutcome};
 use crate::isa::{effective_address, AluOp, Inst, Program, Reg};
 use crate::mem::SparseMemory;
-use crate::plan::{plan_of, DecodedProgram, MicroOp, OpClass, NO_REG};
+use crate::plan::{DecodedProgram, MicroOp, OpClass, NO_REG};
 
 /// Per-class cycle costs for the functional timing model, calibrated so
 /// that functional cycle counts track the cycle simulator on the
@@ -131,10 +131,10 @@ enum Flow {
 
 /// The functional executor.
 pub struct Functional {
-    /// The shared pre-decoded plan of the program ([`plan_of`]), fetched
-    /// at construction or [`Functional::retarget`] and kept across
-    /// [`Functional::reset`].
-    plan: Arc<DecodedProgram>,
+    /// The program under execution, set at construction or
+    /// [`Functional::retarget`] and kept across [`Functional::reset`].
+    /// Each run borrows its decoded plan ([`Program::plan`]).
+    program: Arc<Program>,
     /// Data memory.
     pub mem: SparseMemory,
     /// HFI register state (identical semantics to the cycle model).
@@ -170,7 +170,7 @@ impl Functional {
     /// [`Machine::new`](crate::core::Machine::new)).
     pub fn new(program: impl Into<Arc<Program>>) -> Self {
         Self {
-            plan: plan_of(&program.into()),
+            program: program.into(),
             mem: SparseMemory::new(),
             hfi: HfiContext::new(),
             costs: CostModel::default(),
@@ -200,7 +200,7 @@ impl Functional {
         // Every field is named, so a field added later must be placed
         // here: reset, or kept on purpose.
         let Self {
-            plan: _,
+            program: _,
             mem,
             hfi,
             costs,
@@ -233,8 +233,8 @@ impl Functional {
     /// buffers. A warm pool repurposing one tenant's idle instance for
     /// another takes this instead of building a new executor.
     pub fn retarget(&mut self, program: &Arc<Program>) {
-        if !Arc::ptr_eq(self.plan.program(), program) {
-            self.plan = plan_of(program);
+        if !Arc::ptr_eq(&self.program, program) {
+            self.program = Arc::clone(program);
         }
         self.reset();
     }
@@ -308,6 +308,11 @@ impl Functional {
         self.stats
     }
 
+    /// The program under execution.
+    pub fn program(&self) -> &Program {
+        &self.program
+    }
+
     /// Value of a pre-resolved operand slot; unset slots ([`NO_REG`])
     /// read as zero, reproducing `MemOperand`'s optional base/index.
     #[inline(always)]
@@ -334,8 +339,8 @@ impl Functional {
     /// stops with the fault when no mapped handler takes it.
     fn fault_exit(&mut self, fault: HfiFault, at: usize) -> StepExit {
         if self.chaos.is_some() {
-            let pc = if at < self.plan.len() {
-                self.plan.pc(at)
+            let pc = if at < self.program.len() {
+                self.program.pc_of(at)
             } else {
                 0
             };
@@ -350,7 +355,7 @@ impl Functional {
         };
         // Signal delivery is expensive (§3.3.2: OS delivers SIGSEGV).
         self.cycles += 3000.0;
-        match handler.and_then(|h| self.plan.program().index_of_pc(h)) {
+        match handler.and_then(|h| self.program.index_of_pc(h)) {
             Some(idx) => StepExit::Next(idx),
             None => StepExit::Stop(Stop::Fault(fault)),
         }
@@ -359,8 +364,8 @@ impl Functional {
     /// Runs up to `max_insts` steps, from the program's first
     /// instruction.
     ///
-    /// The loop is direct-threaded over the shared pre-decoded plan
-    /// ([`plan_of`]): each op is a flat [`MicroOp`] dispatched on its
+    /// The loop is direct-threaded over the program's pre-decoded plan
+    /// ([`Program::plan`]): each op is a flat [`MicroOp`] dispatched on its
     /// dense class byte — no `Inst` match and no operand `Option`
     /// walking — while the architectural semantics, the cost model, and
     /// every counter are identical to interpreting the `Inst` stream.
@@ -374,11 +379,14 @@ impl Functional {
     /// bit-identical to the per-op [`Functional::run_reference`] — see
     /// `tests/predecode_differential.rs`.
     pub fn run(&mut self, max_insts: u64) -> FunctionalResult {
-        let plan = Arc::clone(&self.plan);
+        // One `Arc` bump per call: the loop borrows the plan while it
+        // mutates the rest of the executor.
+        let program = Arc::clone(&self.program);
+        let plan = program.plan();
         let stop = if self.chaos.is_some() {
-            self.run_blocks::<true>(&plan, max_insts)
+            self.run_blocks::<true>(plan, max_insts)
         } else {
-            self.run_blocks::<false>(&plan, max_insts)
+            self.run_blocks::<false>(plan, max_insts)
         };
         self.result(stop)
     }
@@ -387,7 +395,8 @@ impl Functional {
     /// [`Functional::step`], and ignores any fuel hook. No hook selects
     /// this loop: it is the reference the block loop is tested against.
     pub fn run_reference(&mut self, max_insts: u64) -> FunctionalResult {
-        let plan = Arc::clone(&self.plan);
+        let program = Arc::clone(&self.program);
+        let plan = program.plan();
         let mut pc = 0usize;
         let mut budget = max_insts;
         let stop = loop {
@@ -398,7 +407,7 @@ impl Functional {
                 break Stop::Halted;
             }
             budget -= 1;
-            match self.step(pc, &plan) {
+            match self.step(pc, plan) {
                 StepExit::Next(next) => pc = next,
                 StepExit::Stop(stop) => break stop,
             }
@@ -773,7 +782,7 @@ impl Functional {
                 *cycles += self.weights.control;
                 stats.branches += 1;
                 let target_pc = self.slot(uop.srcs[0]);
-                next = match plan.program().index_of_pc(target_pc) {
+                next = match self.program.index_of_pc(target_pc) {
                     Some(idx) => idx,
                     None => {
                         return Flow::Fault(match self.hfi.check_fetch(target_pc, 1) {
@@ -792,7 +801,7 @@ impl Functional {
                         if pc + 1 < plan.len() {
                             self.regs[14] = plan.pc(pc + 1);
                         }
-                        next = match plan.program().index_of_pc(handler) {
+                        next = match self.program.index_of_pc(handler) {
                             Some(idx) => idx,
                             None => {
                                 return Flow::Stop(Stop::Fault(HfiFault::Hardware {
@@ -822,7 +831,7 @@ impl Functional {
                 *cycles += self.costs.serialize_cycles as f64;
             }
             OpClass::HfiEnter => {
-                let Inst::HfiEnter { config } = plan.program().inst(pc) else {
+                let Inst::HfiEnter { config } = self.program.inst(pc) else {
                     unreachable!("plan class HfiEnter lowered from HfiEnter");
                 };
                 // Entry assertion: re-validate the springboard's
@@ -830,7 +839,7 @@ impl Functional {
                 // before the sandbox starts (free — the compares
                 // overlap the enter microcode). This is the
                 // fail-closed backstop for transition corruption.
-                if let Some(contract) = plan.program().contract() {
+                if let Some(contract) = self.program.contract() {
                     let mut skip = false;
                     if let Some(hook) = self.chaos.as_deref_mut() {
                         skip = hook.skip_transition_check(plan.pc(pc));
@@ -848,7 +857,7 @@ impl Functional {
                 }
             }
             OpClass::HfiEnterChild => {
-                let Inst::HfiEnterChild { config, regions } = plan.program().inst(pc) else {
+                let Inst::HfiEnterChild { config, regions } = self.program.inst(pc) else {
                     unreachable!("plan class HfiEnterChild lowered from HfiEnterChild");
                 };
                 *cycles +=
@@ -864,7 +873,7 @@ impl Functional {
                     Ok((disposition, effect)) => {
                         self.count_serialize(effect, cycles, stats);
                         if let ExitDisposition::JumpToHandler(handler) = disposition {
-                            next = match plan.program().index_of_pc(handler) {
+                            next = match self.program.index_of_pc(handler) {
                                 Some(idx) => idx,
                                 None => {
                                     return Flow::Stop(Stop::Fault(HfiFault::Hardware {
@@ -884,7 +893,7 @@ impl Functional {
                 }
             }
             OpClass::HfiSetRegion => {
-                let Inst::HfiSetRegion { slot, region } = plan.program().inst(pc) else {
+                let Inst::HfiSetRegion { slot, region } = self.program.inst(pc) else {
                     unreachable!("plan class HfiSetRegion lowered from HfiSetRegion");
                 };
                 *cycles += self.costs.set_region_cycles as f64;

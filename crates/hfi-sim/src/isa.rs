@@ -16,6 +16,8 @@ use std::sync::OnceLock;
 
 use hfi_core::{Region, SandboxConfig, TransitionContract};
 
+use crate::plan::DecodedProgram;
+
 /// One of 16 general-purpose registers, `r0`–`r15`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Reg(pub u8);
@@ -522,10 +524,13 @@ pub struct Program {
     /// mutator, `with_transition_meta`, consumes `self` and clears
     /// this), so the memo always equals a recomputation.
     digest: OnceLock<u64>,
+    /// [`Program::plan`], lowered on first use and cleared with the
+    /// digest, for the same reason.
+    plan: OnceLock<DecodedProgram>,
 }
 
-/// The `#[derive(Debug)]` rendering minus the digest memo, which caches
-/// the other fields and is not content of its own.
+/// The `#[derive(Debug)]` rendering minus the digest and the plan,
+/// which cache the other fields and are not content of their own.
 impl std::fmt::Debug for Program {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Program")
@@ -556,6 +561,7 @@ impl Program {
             contract: None,
             transition_ops: Vec::new(),
             digest: OnceLock::new(),
+            plan: OnceLock::new(),
         }
     }
 
@@ -579,6 +585,7 @@ impl Program {
         self.contract = contract;
         self.transition_ops = transition_ops;
         self.digest = OnceLock::new();
+        self.plan = OnceLock::new();
         self
     }
 
@@ -601,6 +608,16 @@ impl Program {
             );
             w.finish()
         })
+    }
+
+    /// The decoded plan the verifier and every executor run from,
+    /// lowered on first use and kept: every later call, from any thread
+    /// and through any `Arc` of this program, borrows the same plan. A
+    /// first call blocks only the other first calls on this program.
+    /// Clones keep the plan; [`Program::with_insts`] and
+    /// [`Program::with_transition_meta`] start without one.
+    pub fn plan(&self) -> &DecodedProgram {
+        self.plan.get_or_init(|| DecodedProgram::build(self))
     }
 
     /// The springboard entry contract, if one was declared.
@@ -676,7 +693,12 @@ impl Program {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::core::Machine;
+    use crate::functional::Functional;
+    use crate::plan::MicroOp;
 
     #[test]
     fn alu_eval_pins_the_documented_edge_cases() {
@@ -795,12 +817,57 @@ mod tests {
     }
 
     #[test]
-    fn debug_rendering_leaves_out_the_digest_memo() {
+    fn debug_rendering_leaves_out_the_digest_and_the_plan() {
         let program = meta_program();
         let cold = format!("{program:?}");
         program.content_digest();
+        program.plan();
         assert_eq!(format!("{program:?}"), cold);
-        assert!(!cold.contains("digest"), "{cold}");
+        assert!(!cold.contains("digest") && !cold.contains("plan"), "{cold}");
+    }
+
+    #[test]
+    fn the_verifier_and_the_executors_reach_one_plan() {
+        let program = Arc::new(meta_program());
+        // `hfi_verify::verify_program` analyses this plan.
+        let plan: *const DecodedProgram = program.plan();
+        let mut machine = Machine::new(Arc::clone(&program));
+        let mut functional = Functional::new(Arc::clone(&program));
+        machine.run(1_000);
+        functional.run(1_000);
+        assert!(std::ptr::eq(machine.program().plan(), plan));
+        assert!(std::ptr::eq(functional.program().plan(), plan));
+
+        // A retargeted executor runs from the new program's plan and
+        // lets go of the old program: no plan, memo or witness holds a
+        // program, so its last owner frees it.
+        let other = Arc::new(Program::new(vec![Inst::Halt], 0x2000));
+        machine.retarget(&other);
+        functional.retarget(&other);
+        assert!(std::ptr::eq(machine.program().plan(), other.plan()));
+        assert!(std::ptr::eq(functional.program().plan(), other.plan()));
+        assert_eq!(Arc::strong_count(&program), 1);
+        assert_eq!(Arc::weak_count(&program), 0);
+    }
+
+    #[test]
+    fn relayouts_and_new_metadata_start_without_a_plan() {
+        let program = meta_program();
+        program.plan();
+        let relaid = program.with_insts(program.insts().to_vec());
+        assert!(relaid.plan.get().is_none(), "with_insts copied the plan");
+        let flagged = program.clone().with_transition_meta(None, vec![0]);
+        assert!(flagged.plan.get().is_none(), "a stale plan survived");
+        assert!(flagged.plan().op(0).has(MicroOp::TRANSITION));
+        assert!(!program.plan().op(0).has(MicroOp::TRANSITION));
+    }
+
+    #[test]
+    fn a_clone_keeps_an_equal_plan() {
+        let program = meta_program().with_transition_meta(None, vec![0]);
+        let plan = format!("{:?}", program.plan());
+        assert_eq!(format!("{:?}", program.clone().plan()), plan);
+        assert_eq!(format!("{:?}", DecodedProgram::build(&program)), plan);
     }
 
     #[test]

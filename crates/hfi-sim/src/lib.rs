@@ -40,11 +40,11 @@ pub use asm::{Label, ProgramBuilder};
 pub use cache::{Cache, CacheHierarchy, CacheLatencies};
 pub use chaos::{ArchEvent, ChaosHook};
 pub use emulation::{
-    emulate, emulate_arc, emulate_guarded, uses_hfi, GuardedEmulation, GuardedEmulationError,
-    GuardedOptions, EMULATION_BASE,
+    emulate, emulate_guarded, uses_hfi, GuardedEmulation, GuardedEmulationError, GuardedOptions,
+    EMULATION_BASE,
 };
 pub use exec::{Emulated, Executor, ExecutorKind, RunRecord};
 pub use functional::{Functional, FunctionalCosts, FunctionalResult, FunctionalStats};
 pub use isa::{AluOp, Cond, Fnv1a, HmovOperand, Inst, MemOperand, Program, Reg};
 pub use mem::SparseMemory;
-pub use plan::{plan_of, BasicBlock, DecodedProgram, EaTemplate, MicroOp, OpClass, SerializeClass};
+pub use plan::{BasicBlock, DecodedProgram, EaTemplate, MicroOp, OpClass, SerializeClass};

@@ -4,13 +4,14 @@
 //! millions of times, yet the hot loops used to re-derive every static
 //! fact — operand shape, mem-op class, branch kind, serialization class,
 //! encoded length — through a 28-arm `match` on [`Inst`] per *dynamic*
-//! instruction. [`DecodedProgram`] lowers an [`Arc<Program>`] **once**
-//! into a flat array of [`MicroOp`]s (dense `u8` opcode class,
-//! pre-resolved operand slots, effective-address template, load/store and
-//! branch flags, encoded length, static [`SerializeClass`], static branch
-//! target) plus a [`BasicBlock`] table, and [`plan_of`] memoizes the
-//! lowering per program allocation so every executor — cycle, functional,
-//! emulated — and every parallel grid cell shares one plan.
+//! instruction. [`DecodedProgram`] lowers a [`Program`] **once** into a
+//! flat array of [`MicroOp`]s (dense `u8` opcode class, pre-resolved
+//! operand slots, effective-address template, load/store and branch
+//! flags, encoded length, static [`SerializeClass`], static branch
+//! target) plus a [`BasicBlock`] table, and the program keeps its
+//! lowering ([`Program::plan`]), so the verifier and every executor
+//! holding one `Arc<Program>`, in every parallel grid cell, share one
+//! plan.
 //!
 //! The plan is *purely static*: it holds facts derivable from the
 //! instruction encoding alone. Everything dynamic — register values, HFI
@@ -22,10 +23,8 @@
 //! Rare, payload-carrying instructions (`hfi_enter`'s inline
 //! `SandboxConfig`, `hfi_set_region`'s metadata) are not flattened into
 //! the 24-byte micro-op; their executors fetch the full [`Inst`] from the
-//! backing program via [`MicroOp::PAYLOAD`] — a cold path by construction
-//! (sandbox transitions, not inner loops).
-
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+//! program that owns the plan via [`MicroOp::PAYLOAD`] — a cold path by
+//! construction (sandbox transitions, not inner loops).
 
 use crate::isa::{AluOp, Cond, Inst, Program};
 
@@ -298,11 +297,10 @@ pub(crate) struct BlockTail {
 }
 
 /// A program lowered to its static execution plan: flat micro-ops, byte
-/// PCs, and the basic-block table. Built once per program allocation and
-/// shared (`Arc`) by every executor; see [`plan_of`].
-#[derive(Debug)]
+/// PCs, and the basic-block table. Built once per program and kept by it;
+/// see [`Program::plan`].
+#[derive(Debug, Clone)]
 pub struct DecodedProgram {
-    program: Arc<Program>,
     ops: Vec<MicroOp>,
     pcs: Vec<u64>,
     blocks: Vec<BasicBlock>,
@@ -317,7 +315,7 @@ impl DecodedProgram {
     ///
     /// Panics if the program has ≥ `u32::MAX` instructions (plans index
     /// with `u32`).
-    pub fn build(program: Arc<Program>) -> Self {
+    pub(crate) fn build(program: &Program) -> Self {
         assert!(
             program.len() < u32::MAX as usize,
             "program too large for a u32-indexed plan"
@@ -349,19 +347,12 @@ impl DecodedProgram {
         }
         tails.reverse();
         Self {
-            program,
             ops,
             pcs,
             blocks,
             block_of,
             tails,
         }
-    }
-
-    /// The backing program (payload fetches, byte-PC reverse lookups).
-    #[inline(always)]
-    pub fn program(&self) -> &Arc<Program> {
-        &self.program
     }
 
     /// The micro-op at `index`.
@@ -678,61 +669,6 @@ fn build_blocks(ops: &[MicroOp]) -> (Vec<BasicBlock>, Vec<u32>) {
     (blocks, block_of)
 }
 
-/// Entry list of an identity-keyed memo: `(Arc address, liveness
-/// witness, cached value)`. Shared with the `emulate_arc` memo.
-pub(crate) type MemoEntries<T> = Vec<(usize, Weak<Program>, Arc<T>)>;
-
-/// The value `memo` caches for `program`, building it with `build` on
-/// first sight.
-///
-/// Keyed by the `Arc`'s pointer, with a `Weak` liveness witness: if the
-/// allocation died and the address was reused by a different program,
-/// the stale entry fails the `ptr_eq` upgrade check and is replaced.
-/// Every lookup purges the entries whose program has no owner left
-/// outside the memo: `own_refs` is how many strong references to its
-/// program a cached value holds itself (a plan holds one), and those do
-/// not count. A memo so stays bounded by the number of *live* programs;
-/// a purged value lives on in whoever still holds it.
-pub(crate) fn memoized<T>(
-    memo: &OnceLock<Mutex<MemoEntries<T>>>,
-    program: &Arc<Program>,
-    own_refs: usize,
-    build: impl FnOnce() -> T,
-) -> Arc<T> {
-    let memo = memo.get_or_init(|| Mutex::new(Vec::new()));
-    let key = Arc::as_ptr(program) as usize;
-    let mut entries = memo.lock().expect("memo unpoisoned");
-    entries.retain(|(_, witness, _)| witness.strong_count() > own_refs);
-    for (entry_key, witness, value) in entries.iter() {
-        if *entry_key == key {
-            if let Some(alive) = witness.upgrade() {
-                if Arc::ptr_eq(&alive, program) {
-                    return Arc::clone(value);
-                }
-            }
-        }
-    }
-    let value = Arc::new(build());
-    entries.retain(|(entry_key, _, _)| *entry_key != key);
-    entries.push((key, Arc::downgrade(program), Arc::clone(&value)));
-    value
-}
-
-/// Global plan memo: one cached lowering per live program allocation.
-static PLAN_MEMO: OnceLock<Mutex<MemoEntries<DecodedProgram>>> = OnceLock::new();
-
-/// The shared plan for `program`, building it on first sight.
-///
-/// Executors call this from their constructors, so harnesses that share
-/// one `Arc<Program>` across many machines (and many grid threads) pay
-/// for exactly one lowering per kernel × isolation.
-pub fn plan_of(program: &Arc<Program>) -> Arc<DecodedProgram> {
-    // A plan holds its program: one reference of the program's own.
-    memoized(&PLAN_MEMO, program, 1, || {
-        DecodedProgram::build(Arc::clone(program))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -766,8 +702,8 @@ mod tests {
 
     #[test]
     fn lowering_preserves_static_facts() {
-        let program = Arc::new(sample_program());
-        let plan = DecodedProgram::build(Arc::clone(&program));
+        let program = sample_program();
+        let plan = program.plan();
         assert_eq!(plan.len(), program.len());
         for i in 0..program.len() {
             assert_eq!(plan.op(i).len as u64, program.inst(i).encoded_len());
@@ -784,14 +720,14 @@ mod tests {
 
     #[test]
     fn mem_operand_slots_follow_the_convention() {
-        let plan = DecodedProgram::build(Arc::new(Program::new(
+        let plan = DecodedProgram::build(&Program::new(
             vec![Inst::Store {
                 src: Reg(7),
                 mem: MemOperand::full(Reg(1), Reg(2), 8, -16),
                 size: 4,
             }],
             0,
-        )));
+        ));
         let op = plan.op(0);
         assert_eq!(op.srcs, [1, 2, 7]);
         assert_eq!(op.scale, 8);
@@ -803,7 +739,7 @@ mod tests {
     #[test]
     fn ea_templates_name_the_operand_slots() {
         use crate::isa::HmovOperand;
-        let plan = DecodedProgram::build(Arc::new(Program::new(
+        let plan = DecodedProgram::build(&Program::new(
             vec![
                 Inst::Store {
                     src: Reg(7),
@@ -819,7 +755,7 @@ mod tests {
                 Inst::Nop,
             ],
             0,
-        )));
+        ));
         let store = plan.op(0).ea_template().expect("store has a template");
         assert_eq!(
             store,
@@ -853,21 +789,21 @@ mod tests {
             vec![movi(0), movi(1), Inst::Cpuid, movi(2), Inst::Halt],
             0x1000,
         );
-        let plan = DecodedProgram::build(Arc::new(program));
+        let plan = DecodedProgram::build(&program);
         assert_eq!(plan.blocks().len(), 1);
         let ends: Vec<u32> = (0..plan.len()).map(|i| plan.tail(i).end).collect();
         assert_eq!(ends, [2, 2, 2, 4, 4]);
         assert_eq!(plan.tail(0).last_byte, plan.pc(2) - 1);
         assert_eq!(plan.tail(3).last_byte, plan.pc(4) - 1);
         // The sample's runs end at its blocks' ends, and at its `halt`.
-        let plan = DecodedProgram::build(Arc::new(sample_program()));
+        let plan = DecodedProgram::build(&sample_program());
         let ends: Vec<u32> = (0..plan.len()).map(|i| plan.tail(i).end).collect();
         assert_eq!(ends, [1, 2, 4, 4, 4]);
     }
 
     #[test]
     fn block_table_partitions_the_program() {
-        let plan = DecodedProgram::build(Arc::new(sample_program()));
+        let plan = DecodedProgram::build(&sample_program());
         // Leaders: 0, 1 (branch target of jump), 2 (post-branch), 4.
         let blocks = plan.blocks();
         assert_eq!(blocks.first().map(|b| b.start), Some(0));
@@ -910,7 +846,7 @@ mod tests {
             Inst::HfiClearAllRegions,
             Inst::Nop,
         ];
-        let plan = DecodedProgram::build(Arc::new(Program::new(insts, 0)));
+        let plan = DecodedProgram::build(&Program::new(insts, 0));
         use SerializeClass::*;
         let expect = [
             Always,
@@ -928,33 +864,5 @@ mod tests {
             assert_eq!(plan.op(i).serialize, *want, "inst {i}");
         }
         assert_eq!(plan.op(7).region, 3, "clear_region slot rides inline");
-    }
-
-    #[test]
-    fn plan_memo_shares_and_survives_reuse() {
-        let program = Arc::new(sample_program());
-        let a = plan_of(&program);
-        let b = plan_of(&program);
-        assert!(Arc::ptr_eq(&a, &b), "same allocation must share one plan");
-        // A different allocation (even of identical content) gets its own
-        // plan keyed by its own pointer.
-        let other = Arc::new(sample_program());
-        let c = plan_of(&other);
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(c.len(), a.len());
-    }
-
-    #[test]
-    fn plan_memo_lets_go_of_unreachable_programs() {
-        // The plan holds its program, so the memo must not count that
-        // reference as an owner: once the caller drops the program and
-        // the plan, the next lookup frees both.
-        let program = Arc::new(sample_program());
-        let witness = Arc::downgrade(&program);
-        let plan = plan_of(&program);
-        assert!(Arc::ptr_eq(&plan_of(&program), &plan));
-        drop((program, plan));
-        plan_of(&Arc::new(sample_program()));
-        assert!(witness.upgrade().is_none(), "the memo leaked the program");
     }
 }

@@ -3,12 +3,14 @@
 //!
 //! Re-verifying a program whose plan has not changed is pure waste — the
 //! abstract interpretation is deterministic over (instruction stream,
-//! spec, pass versions). This module memoizes successful [`Proof`]s the
-//! same way `hfi_sim::plan` memoizes decoded plans: entries are keyed on
-//! the program's **Arc identity**,
-//! held alive by a [`Weak`] witness so a dropped program cannot pin its
-//! proof (or alias a recycled allocation), and verified against
-//! [`Arc::ptr_eq`] on the upgraded witness before a hit is declared.
+//! spec, pass versions). This module memoizes successful [`Proof`]s in
+//! one process-wide table keyed on the program's **Arc identity** and
+//! the spec. A proof is not a property of the program alone (it depends
+//! on the spec), so unlike the decoded plan ([`Program::plan`]) it is not
+//! kept on the program. Each entry holds a [`Weak`] witness, so a
+//! dropped program cannot pin its proof (or alias a recycled
+//! allocation), and a hit is declared only after [`Arc::ptr_eq`] on the
+//! upgraded witness.
 //!
 //! A second-level lookup catches *recreated* programs: when identity
 //! misses, the program's content digest is compared against cached

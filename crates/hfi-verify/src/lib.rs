@@ -7,8 +7,8 @@
 //! overheads on today's silicon — the claim that the emulated
 //! instruction stream faithfully stands in for the real one. Both legs
 //! are only as strong as the code emitter. This crate closes that gap
-//! with an abstract-interpretation dataflow pass over the simulator's
-//! pre-decoded [`hfi_sim::plan::DecodedProgram`]:
+//! with an abstract-interpretation dataflow pass over the program's
+//! pre-decoded plan ([`hfi_sim::Program::plan`]):
 //!
 //! 1. **Memory safety** — every plain load/store effective address is
 //!    provably confined to a spec-declared data window, via a
@@ -45,6 +45,6 @@ pub use lattice::{AbsVal, NO_DEF};
 pub use mutate::{direct_mutants, emulation_mutants, Mutant, MutationClass};
 pub use spec::{DataWindow, SandboxSpec};
 pub use verify::{
-    block_successors, verify_emulation, verify_plan, verify_program, ElisionProof, GuardKind,
-    GuardSite, Proof, Reason, TransitionEvidence, Violation,
+    block_successors, verify_emulation, verify_program, ElisionProof, GuardKind, GuardSite, Proof,
+    Reason, TransitionEvidence, Violation,
 };

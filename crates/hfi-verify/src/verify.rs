@@ -10,10 +10,8 @@
 //! collects every [`Violation`] and, when there are none, the [`Proof`]
 //! naming the guard instructions the result depends on.
 
-use std::sync::Arc;
-
 use hfi_core::{slot_accepts, Region, FIRST_EXPLICIT_SLOT, NUM_REGIONS};
-use hfi_sim::plan::{plan_of, DecodedProgram, MicroOp, OpClass, NO_REG};
+use hfi_sim::plan::{DecodedProgram, MicroOp, OpClass, NO_REG};
 use hfi_sim::{AluOp, Cond, Inst, Program};
 
 use crate::lattice::{AbsVal, NO_DEF};
@@ -315,7 +313,7 @@ pub struct Proof {
     /// Per-`hfi_enter` springboard evidence, in instruction order.
     pub transitions: Vec<TransitionEvidence>,
     /// Identity of the proof: spec hash, program hash, and verifier
-    /// pass roster. Stamped by [`verify_plan`]; the all-zero default
+    /// pass roster. Stamped by [`verify_program`]; the all-zero default
     /// only appears on hand-constructed proofs.
     pub digest: crate::cache::ProofDigest,
 }
@@ -425,6 +423,7 @@ impl Report {
 }
 
 struct Analysis<'a> {
+    program: &'a Program,
     plan: &'a DecodedProgram,
     spec: &'a SandboxSpec,
     /// Entry state per block; `None` = not yet reached.
@@ -651,7 +650,7 @@ impl<'a> Analysis<'a> {
                 OpClass::Flush => {}
                 OpClass::Branch | OpClass::BranchI | OpClass::Jump | OpClass::Call => {
                     // Static targets are checked structurally (over the
-                    // whole program, reachable or not) in `verify_plan`.
+                    // whole program, reachable or not) in `verify_program`.
                 }
                 OpClass::JumpInd => {
                     let v = state.regs[op.srcs[0] as usize];
@@ -732,7 +731,7 @@ impl<'a> Analysis<'a> {
                     if let Some(r) = report.as_deref_mut() {
                         r.transitions.push(evidence);
                     }
-                    let config = match self.plan.program().inst(i) {
+                    let config = match self.program.inst(i) {
                         Inst::HfiEnter { config } => Some(*config),
                         Inst::HfiEnterChild { config, regions } => {
                             state.slots = **regions;
@@ -761,7 +760,7 @@ impl<'a> Analysis<'a> {
                     }
                     if let Some(config) = config {
                         if let Some(handler_pc) = config.exit_handler {
-                            match self.plan.program().index_of_pc(handler_pc).filter(|&idx| {
+                            match self.program.index_of_pc(handler_pc).filter(|&idx| {
                                 self.plan.blocks()[self.plan.block_of(idx)].start as usize == idx
                             }) {
                                 Some(idx) => {
@@ -811,7 +810,7 @@ impl<'a> Analysis<'a> {
                     );
                 }
                 OpClass::HfiSetRegion => {
-                    if let Inst::HfiSetRegion { slot, region } = self.plan.program().inst(i) {
+                    if let Inst::HfiSetRegion { slot, region } = self.program.inst(i) {
                         if slot_accepts(*slot as usize, region).is_err() {
                             violate(&mut report, None, None, Reason::BadSlotKind);
                         } else {
@@ -1026,22 +1025,25 @@ impl<'a> Analysis<'a> {
     }
 }
 
-/// Verifies a pre-decoded plan against a spec.
+/// Verifies a program against a spec, over its decoded plan
+/// ([`Program::plan`], lowered on first use and shared with every
+/// executor of the program).
 ///
 /// On success, returns the [`Proof`] naming the guard instructions the
 /// verdict depends on; on failure, every violation found (the reporting
 /// pass does not stop at the first).
-pub fn verify_plan(plan: &DecodedProgram, spec: &SandboxSpec) -> Result<Proof, Vec<Violation>> {
+pub fn verify_program(program: &Program, spec: &SandboxSpec) -> Result<Proof, Vec<Violation>> {
     if let Err(detail) = spec.validate() {
         return Err(vec![Violation {
             op: 0,
-            pc: plan.program().base(),
+            pc: program.base(),
             reg: None,
             state: None,
             reason: Reason::SpecInvalid { detail },
         }]);
     }
-    let digest = crate::cache::ProofDigest::compute(plan.program(), spec);
+    let digest = crate::cache::ProofDigest::compute(program, spec);
+    let plan = program.plan();
     if plan.is_empty() {
         return Ok(Proof {
             digest,
@@ -1050,6 +1052,7 @@ pub fn verify_plan(plan: &DecodedProgram, spec: &SandboxSpec) -> Result<Proof, V
     }
 
     let mut analysis = Analysis {
+        program,
         plan,
         spec,
         entry: vec![None; plan.blocks().len()],
@@ -1297,7 +1300,7 @@ fn attach_elision(analysis: &Analysis<'_>, report: &mut Report, spec: &SandboxSp
         }
         // A configured exit handler can observe the register file at any
         // interruption point; no elision is provable then.
-        let handler_configured = match plan.program().inst(ev.enter_op) {
+        let handler_configured = match analysis.program.inst(ev.enter_op) {
             Inst::HfiEnter { config } | Inst::HfiEnterChild { config, .. } => {
                 config.exit_handler.is_some()
             }
@@ -1383,11 +1386,6 @@ fn check_interposed_syscalls(analysis: &Analysis<'_>, report: &mut Report) {
     }
 }
 
-/// Verifies a program (building or reusing its shared plan).
-pub fn verify_program(program: &Arc<Program>, spec: &SandboxSpec) -> Result<Proof, Vec<Violation>> {
-    verify_plan(&plan_of(program), spec)
-}
-
 /// Translation validation of the index-preserving A.2 emulation: proves
 /// the *original* program safe under `spec`, then checks that `emulated`
 /// corresponds to it instruction-for-instruction under the transform's
@@ -1400,7 +1398,7 @@ pub fn verify_program(program: &Arc<Program>, spec: &SandboxSpec) -> Result<Proo
 /// which is exactly why validation against a verified original is the
 /// right contract, following the VeriWasm/translation-validation line.
 pub fn verify_emulation(
-    original: &Arc<Program>,
+    original: &Program,
     emulated: &Program,
     spec: &SandboxSpec,
 ) -> Result<Proof, Vec<Violation>> {
@@ -1511,6 +1509,8 @@ fn emulation_mismatch(original: &Inst, emulated: &Inst) -> Option<String> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use hfi_core::{ExplicitDataRegion, ImplicitCodeRegion, SandboxConfig};
     use hfi_sim::{AluOp, Cond, HmovOperand, MemOperand, ProgramBuilder, Reg};
@@ -1550,7 +1550,7 @@ mod tests {
     #[test]
     fn bounds_checked_access_verifies_and_names_its_guards() {
         let p = bounds_checked_program();
-        let proof = verify_plan(&plan_of(&p), &heap_spec()).expect("verifies");
+        let proof = verify_program(&p, &heap_spec()).expect("verifies");
         assert_eq!(proof.mem_ops, 1);
         assert!(proof.guards.contains(&GuardSite {
             op: 3,
@@ -1568,7 +1568,7 @@ mod tests {
         let mut insts = p.insts().to_vec();
         insts[3] = Inst::Nop;
         let broken = Arc::new(p.with_insts(insts));
-        let violations = verify_plan(&plan_of(&broken), &heap_spec()).unwrap_err();
+        let violations = verify_program(&broken, &heap_spec()).unwrap_err();
         assert!(violations
             .iter()
             .any(|v| v.reason == Reason::UnprovenAddress && v.reg == Some(14)));
@@ -1591,7 +1591,7 @@ mod tests {
         );
         b.halt();
         let p = b.finish_arc();
-        let proof = verify_plan(&plan_of(&p), &heap_spec()).expect("verifies");
+        let proof = verify_program(&p, &heap_spec()).expect("verifies");
         assert!(proof.guards.contains(&GuardSite {
             op: 0,
             kind: GuardKind::MaskAnd
@@ -1599,7 +1599,7 @@ mod tests {
 
         // A window too small for the masked range is an OutOfWindow.
         let tight = SandboxSpec::new("tight").window("heap", HEAP_BASE, 0x800);
-        let violations = verify_plan(&plan_of(&p), &tight).unwrap_err();
+        let violations = verify_program(&p, &tight).unwrap_err();
         assert!(matches!(violations[0].reason, Reason::OutOfWindow { .. }));
     }
 
@@ -1635,7 +1635,7 @@ mod tests {
     #[test]
     fn hmov_kernel_shape_verifies() {
         let p = hmov_program(true, true, true);
-        let proof = verify_plan(&plan_of(&p), &hmov_spec()).expect("verifies");
+        let proof = verify_program(&p, &hmov_spec()).expect("verifies");
         let kinds: Vec<GuardKind> = proof.guards.iter().map(|g| g.kind).collect();
         assert!(kinds.contains(&GuardKind::SlotInstall));
         assert!(kinds.contains(&GuardKind::Enter));
@@ -1646,7 +1646,7 @@ mod tests {
     #[test]
     fn hmov_obligations_each_bite() {
         let no_install =
-            verify_plan(&plan_of(&hmov_program(false, true, true)), &hmov_spec()).unwrap_err();
+            verify_program(&hmov_program(false, true, true), &hmov_spec()).unwrap_err();
         assert!(no_install
             .iter()
             .any(|v| matches!(v.reason, Reason::MissingRegionAtEnter { .. })));
@@ -1654,8 +1654,7 @@ mod tests {
             .iter()
             .any(|v| matches!(v.reason, Reason::SlotNotInstalled { .. })));
 
-        let no_enter =
-            verify_plan(&plan_of(&hmov_program(true, false, true)), &hmov_spec()).unwrap_err();
+        let no_enter = verify_program(&hmov_program(true, false, true), &hmov_spec()).unwrap_err();
         assert!(no_enter
             .iter()
             .any(|v| v.reason == Reason::HmovOutsideSandbox));
@@ -1664,8 +1663,7 @@ mod tests {
             .iter()
             .any(|v| v.reason == Reason::ExitWithoutEnter));
 
-        let no_exit =
-            verify_plan(&plan_of(&hmov_program(true, true, false)), &hmov_spec()).unwrap_err();
+        let no_exit = verify_program(&hmov_program(true, true, false), &hmov_spec()).unwrap_err();
         assert!(no_exit
             .iter()
             .any(|v| v.reason == Reason::HaltInsideSandbox));
@@ -1680,8 +1678,7 @@ mod tests {
             )
             .require_enter()
             .require_exit();
-        let mismatch =
-            verify_plan(&plan_of(&hmov_program(true, true, true)), &wrong_region).unwrap_err();
+        let mismatch = verify_program(&hmov_program(true, true, true), &wrong_region).unwrap_err();
         assert!(mismatch
             .iter()
             .any(|v| matches!(v.reason, Reason::RegionMismatch { .. })));
@@ -1696,7 +1693,7 @@ mod tests {
         b.hfi_exit();
         b.halt();
         let p = b.finish_arc();
-        verify_plan(&plan_of(&p), &hmov_spec())
+        verify_program(&p, &hmov_spec())
             .expect("an hmov that can only trap never escapes the sandbox");
     }
 
@@ -1744,13 +1741,13 @@ mod tests {
     #[test]
     fn interposition_shape_verifies_including_the_handler() {
         let p = interposition_program(true);
-        verify_plan(&plan_of(&p), &interposition_spec()).expect("verifies");
+        verify_program(&p, &interposition_spec()).expect("verifies");
     }
 
     #[test]
     fn uninterposed_syscall_and_unproven_indirect_jump_are_rejected() {
         let p = interposition_program(false);
-        let violations = verify_plan(&plan_of(&p), &interposition_spec()).unwrap_err();
+        let violations = verify_program(&p, &interposition_spec()).unwrap_err();
         assert!(violations
             .iter()
             .any(|v| v.reason == Reason::SyscallOutsideSandbox));
@@ -1771,7 +1768,7 @@ mod tests {
             target: insts.len(),
         };
         let broken = Arc::new(p.with_insts(insts));
-        let violations = verify_plan(&plan_of(&broken), &heap_spec()).unwrap_err();
+        let violations = verify_program(&broken, &heap_spec()).unwrap_err();
         assert!(violations
             .iter()
             .any(|v| matches!(v.reason, Reason::BadBranchTarget { .. })));
@@ -1827,7 +1824,7 @@ mod tests {
         b.place(trap);
         b.halt();
         let p = b.finish_arc();
-        let proof = verify_plan(&plan_of(&p), &heap_spec()).expect("verifies");
+        let proof = verify_program(&p, &heap_spec()).expect("verifies");
         assert_eq!(proof.mem_ops, 1);
     }
 }

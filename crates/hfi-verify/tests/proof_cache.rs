@@ -210,7 +210,7 @@ fn digest_word_is_nonzero_and_tracks_content() {
 }
 
 #[test]
-fn verify_plan_stamps_the_digest() {
+fn verify_program_stamps_the_digest() {
     let program = guarded_program();
     let spec = spec("proof-cache-stamp");
     let proof = verify_program(&program, &spec).expect("verifies");

@@ -17,9 +17,9 @@ use std::sync::Arc;
 
 use hfi_core::region::ExplicitDataRegion;
 use hfi_core::{Region, SandboxConfig, FIRST_EXPLICIT_SLOT};
-use hfi_sim::plan::{plan_of, NO_TARGET};
+use hfi_sim::plan::NO_TARGET;
 use hfi_sim::{
-    emulate_arc, uses_hfi, AluOp, Cond, HmovOperand, MemOperand, Program, ProgramBuilder, Reg,
+    emulate, uses_hfi, AluOp, Cond, HmovOperand, MemOperand, Program, ProgramBuilder, Reg,
 };
 use hfi_util::rng::Rng;
 use hfi_verify::{block_successors, verify_emulation, verify_program, SandboxSpec};
@@ -164,7 +164,7 @@ fn emulations_of_random_hfi_programs_validate() {
     for case in 0..100 {
         let program = random_program(&mut rng, true);
         assert!(uses_hfi(&program), "generator always brackets with hfi");
-        let emulated = emulate_arc(&program);
+        let emulated = emulate(&program);
         let result = verify_emulation(&program, &emulated, &spec(true));
         assert!(
             result.is_ok(),
@@ -180,7 +180,7 @@ fn plan_facts_agree_with_the_instruction_stream_and_verifier_cfg() {
     for _ in 0..100 {
         let hfi = rng.bool();
         let program = random_program(&mut rng, hfi);
-        let plan = plan_of(&program);
+        let plan = program.plan();
 
         // One micro-op per instruction, at the pc the encoded lengths
         // dictate.
@@ -195,7 +195,7 @@ fn plan_facts_agree_with_the_instruction_stream_and_verifier_cfg() {
         // The verifier's terminator-derived successor edges agree with
         // the plan's own block table, block by block.
         for (idx, block) in plan.blocks().iter().enumerate() {
-            let (fall, taken) = block_successors(&plan, idx);
+            let (fall, taken) = block_successors(plan, idx);
             let table_fall = (block.fall_through != NO_TARGET).then_some(block.fall_through);
             let table_taken = (block.taken != NO_TARGET).then_some(block.taken);
             assert_eq!(fall, table_fall, "fall edge of block {idx}");

@@ -74,7 +74,7 @@ impl std::fmt::Display for Isolation {
 }
 
 /// Compilation parameters.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CompileOptions {
     /// Isolation strategy for linear memory.
     pub isolation: Isolation,

@@ -14,7 +14,7 @@ use hfi_core::region::{ExplicitDataRegion, ImplicitCodeRegion, ImplicitDataRegio
 use hfi_core::Region;
 use hfi_core::TransitionScheme;
 use hfi_sim::{
-    emulate_arc, emulate_guarded, GuardedEmulation, GuardedEmulationError, GuardedOptions, Program,
+    emulate, emulate_guarded, GuardedEmulation, GuardedEmulationError, GuardedOptions,
     EMULATION_BASE,
 };
 use hfi_verify::{verify_emulation_cached, verify_program_cached, Proof, SandboxSpec, Violation};
@@ -132,8 +132,11 @@ pub fn verify_emulated_kernel(
     if !hfi_sim::uses_hfi(&kernel.program) {
         return None;
     }
-    let emulated: Arc<Program> = emulate_arc(&kernel.program);
-    Some(verify_emulation_cached(&kernel.program, &emulated, &spec))
+    Some(verify_emulation_cached(
+        &kernel.program,
+        &emulate(&kernel.program),
+        &spec,
+    ))
 }
 
 /// The *guarded* emulation of an HFI kernel: index-masked software bounds
@@ -157,8 +160,7 @@ mod tests {
     use super::*;
     use crate::compiler::compile;
     use crate::kernels::sightglass_suite;
-    use hfi_sim::plan::plan_of;
-    use hfi_verify::verify_plan;
+    use hfi_verify::verify_program;
 
     #[test]
     fn every_kernel_verifies_under_checkable_strategies() {
@@ -209,8 +211,7 @@ mod tests {
             let compiled = compile(&kernel.func, &CompileOptions::new(Isolation::Hfi));
             let guarded = guarded_emulation(&compiled).expect("guardable");
             let spec = guarded_spec(&compiled.options);
-            let program = Arc::new(guarded.program.clone());
-            let result = verify_plan(&plan_of(&program), &spec);
+            let result = verify_program(&guarded.program, &spec);
             assert!(
                 result.is_ok(),
                 "{} guarded emulation failed verification: {:?}",

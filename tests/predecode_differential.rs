@@ -33,8 +33,8 @@ use hfi_repro::hfi_core::region::ExplicitDataRegion;
 use hfi_repro::hfi_core::{Region, SandboxConfig};
 use hfi_repro::hfi_sim::plan::{NO_REG, NO_TARGET};
 use hfi_repro::hfi_sim::{
-    plan_of, AluOp, Cond, Functional, FunctionalResult, HmovOperand, Inst, Machine, MemOperand,
-    MicroOp, Program, Reg, SerializeClass, Stop,
+    AluOp, Cond, Functional, FunctionalResult, HmovOperand, Inst, Machine, MemOperand, MicroOp,
+    Program, Reg, SerializeClass, Stop,
 };
 use hfi_repro::hfi_util::Rng;
 
@@ -207,7 +207,7 @@ fn predecode_static_facts_match_fresh_derivation() {
     let mut rng = Rng::new(0x9DEC0DE);
     for case in 0..64 {
         let program = random_program(&mut rng);
-        let plan = plan_of(&program);
+        let plan = program.plan();
         assert_eq!(plan.len(), program.len(), "case {case}");
         for i in 0..program.len() {
             let inst = program.inst(i);
@@ -273,7 +273,7 @@ fn block_table_invariants_hold_on_random_programs() {
     let mut rng = Rng::new(0xB10C);
     for case in 0..64 {
         let program = random_program(&mut rng);
-        let plan = plan_of(&program);
+        let plan = program.plan();
         let blocks = plan.blocks();
         let n = plan.len() as u32;
 
@@ -771,7 +771,7 @@ fn block_loop_matches_per_op_path_at_mid_block_handler_entries() {
     let mut entered = 0u32;
     for case in 0..48 {
         let program = random_guarded_runnable(&mut rng);
-        let plan = plan_of(&program);
+        let plan = program.plan();
         let mid: Vec<usize> = (0..plan.len())
             .filter(|&i| plan.blocks()[plan.block_of(i)].start as usize != i)
             .collect();
@@ -830,7 +830,7 @@ fn block_loop_faults_at_the_exact_op_where_the_code_region_ends() {
             panic!("pad {pad}: expected a fetch fault, got {:?}", per_op.stop);
         };
         let idx = program.index_of_pc(pc).expect("faulting op");
-        let plan = plan_of(&program);
+        let plan = program.plan();
         // The faulting op is the one holding the region's first
         // outside byte: every earlier op fits in the region.
         let len = program.inst(idx).encoded_len();
