@@ -47,7 +47,7 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use hfi_bench::harness::{panic_message, Cli, Flag};
+use hfi_bench::harness::{Cli, Flag};
 use hfi_bench::{compile_cached, print_table, FUNCTIONAL_LIMIT, MACHINE_LIMIT};
 use hfi_chaos::{
     classify, ChaosEngine, ChaosPlan, FaultClass, PanicHook, Rig, ServeFaultClass, ShadowMonitor,
@@ -61,7 +61,7 @@ use hfi_serve::{
 use hfi_sim::{
     AluOp, Executor, Functional, Machine, Program, ProgramBuilder, Reg, RunRecord, Stop,
 };
-use hfi_util::{split_mix64, Rng};
+use hfi_util::{panic_message, split_mix64, Rng};
 use hfi_verify::SandboxSpec;
 use hfi_wasm::compiler::{CompileOptions, Isolation};
 use hfi_wasm::kernels::{sightglass, speclike};
@@ -838,7 +838,11 @@ fn context_for(name: &str, class: FaultClass, rep: u64) -> Vec<(&'static str, St
 }
 
 fn main() {
-    let cli = Cli::from_env(&[Flag::Switch("--weaken"), Flag::Switch("--serve")]);
+    let cli = Cli::from_env(&[
+        Flag::Switch("--weaken"),
+        Flag::Switch("--serve"),
+        Flag::Switch("--resume"),
+    ]);
     let weaken = cli.switch("--weaken");
     let serve = cli.switch("--serve");
     let vehicle = if serve {

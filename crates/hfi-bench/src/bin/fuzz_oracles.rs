@@ -384,7 +384,7 @@ fn shrink_violation(violated: &Violated, genome: &Genome) -> Genome {
 }
 
 fn main() {
-    let cli = Cli::from_env(&[Flag::Switch("--weaken-verifier")]);
+    let cli = Cli::from_env(&[Flag::Switch("--weaken-verifier"), Flag::Switch("--resume")]);
     let weaken_verifier = cli.switch("--weaken-verifier");
     let figure = if weaken_verifier {
         "fuzz-oracles-weakened"

@@ -231,8 +231,9 @@ impl DegradeCell {
 /// system sheds late requests instead of queueing unboundedly.
 const DEGRADE_DEADLINE: Duration = Duration::from_millis(250);
 
-/// Wedged (runaway) requests get a short budget; the fuel hook must
-/// cancel them near this bound instead of wedging a worker.
+/// Wedged (runaway) requests get a short budget; the scheduler must
+/// cancel them between two slices near this bound instead of wedging a
+/// worker.
 const WEDGE_DEADLINE: Duration = Duration::from_millis(5);
 
 /// Every Nth arrival in a faulty run is redirected to the runaway

@@ -23,7 +23,8 @@
 //! (the harnesses' correctness assertions live inside cells, so the
 //! panic must still fail the experiment loudly). A sweep that reports
 //! failures instead of dying — the chaos campaign — catches each
-//! cell's panic inside the cell ([`panic_message`] renders it).
+//! cell's panic inside the cell ([`hfi_util::panic_message`] renders
+//! it).
 //!
 //! Cells need no wall-clock watchdog: simulator cells are bounded by
 //! the executor cycle/instruction budgets (`MACHINE_LIMIT`,
@@ -41,7 +42,10 @@
 //! (the partial file if the run was killed, else the last finished
 //! file); [`Harness::have`] then tells the binary which cells are
 //! already journaled so it re-runs only the missing ones, and the
-//! merged output is bit-identical to an uninterrupted run.
+//! merged output is bit-identical to an uninterrupted run. Only a
+//! binary that asks [`Harness::have`] declares `--resume` (the chaos
+//! campaign and the fuzz loop); any other exits 2 on it, as on any
+//! undeclared flag, instead of journaling every cell a second time.
 //!
 //! Configuration comes from the command line and the environment:
 //!
@@ -50,8 +54,6 @@
 //!   error (exit 2), not a silent fall-through to the default.
 //! * `--smoke` / `HFI_SMOKE=1` — scaled-down iteration counts and
 //!   kernel subsets, for CI.
-//! * `--resume` / `HFI_RESUME=1` — preload the existing journal and
-//!   skip cells already present ([`Harness::have`]).
 //! * `--seed N` / `HFI_SEED=N` — RNG seed for binaries with stochastic
 //!   inputs (the serving load generator, the chaos campaign plans);
 //!   each binary documents its own default ([`Harness::seed_or`]).
@@ -70,6 +72,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use hfi_sim::RunRecord;
+use hfi_util::panic_message;
 
 /// Escapes a string for inclusion in a JSON string literal.
 pub(crate) fn json_escape(s: &str) -> String {
@@ -100,17 +103,6 @@ fn context_json(figure: &str, context: &[(&str, String)]) -> String {
     line
 }
 
-/// Renders a `catch_unwind` payload as a message.
-pub fn panic_message(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// The experiment harness for one figure/table binary.
 #[derive(Debug)]
 pub struct Harness {
@@ -135,10 +127,11 @@ pub enum Flag {
     Value(&'static str),
 }
 
-/// The flags the harness owns; every binary accepts them.
-const HARNESS_FLAGS: [Flag; 4] = [
+/// The flags the harness owns; every binary accepts them. A binary
+/// that skips journaled cells ([`Harness::have`]) also declares
+/// `--resume`, which the harness then honours.
+const HARNESS_FLAGS: [Flag; 3] = [
     Flag::Switch("--smoke"),
-    Flag::Switch("--resume"),
     Flag::Value("--jobs"),
     Flag::Value("--seed"),
 ];
@@ -252,7 +245,7 @@ impl Cli {
         let smoke = self.switch("--smoke") || env_truthy("HFI_SMOKE");
         let mut harness = Harness::new(figure, jobs, smoke).with_streaming();
         harness.seed = self.number("--seed", Some("HFI_SEED"))?;
-        if self.switch("--resume") || env_truthy("HFI_RESUME") {
+        if self.switch("--resume") {
             harness = harness.with_resume();
         }
         Ok(harness)
@@ -649,9 +642,13 @@ mod tests {
         assert!(parse(&["--jobs=garbage"], &[]).is_err());
         assert!(parse(&["--jobs"], &[]).is_err());
 
-        let ok = parse(&["--jobs", "4", "--smoke", "--resume"], &[]).unwrap();
+        let resumable = [Flag::Switch("--resume")];
+        let ok = parse(&["--jobs", "4", "--smoke", "--resume"], &resumable).unwrap();
         assert_eq!(ok.number("--jobs", None), Ok(Some(4)));
         assert!(ok.switch("--smoke") && ok.switch("--resume"));
+        // `--resume` is not a harness flag: a binary that never asks
+        // `Harness::have` would journal every cell again.
+        assert!(parse(&["--smoke", "--resume"], &[]).is_err());
         let ok = parse(&["--jobs=0"], &[]).unwrap();
         assert_eq!(ok.number("--jobs", None), Ok(Some(0)));
         assert!(parse(&["--seed", "garbage"], &[]).is_err());

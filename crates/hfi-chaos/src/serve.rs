@@ -11,8 +11,9 @@
 //!   (`ServeConfig::worker_deaths` in `hfi-serve`); survivors must
 //!   steal the orphaned queue and every request still completes.
 //! * [`ServeFaultClass::WedgedRequest`] — a runaway kernel that never
-//!   halts; the request's deadline plus the executors' fuel hook must
-//!   cancel it (`DeadlineExceeded`) instead of wedging the worker.
+//!   halts; the request's deadline, read by the scheduler between
+//!   slices of the run, must cancel it (`DeadlineExceeded`) instead of
+//!   wedging the worker.
 //! * [`ServeFaultClass::PanicOnDispatch`] — a [`PanicHook`] unwinds the
 //!   Nth dispatch; the scheduler must contain it (`Panicked`),
 //!   quarantine the poisoned instance, and keep serving co-tenants.

@@ -2,13 +2,14 @@
 //! circuit breakers and seeded jittered-exponential backoff.
 //!
 //! The scheduler (`sched.rs`) composes these with the warm pools'
-//! panic quarantine and the executors' cooperative-cancellation fuel
-//! hook so that one misbehaving tenant — a panicking kernel, a wedged
-//! request, a compile-failure burst — degrades only its own requests,
-//! never the serving process or its co-tenants. Everything here is
-//! deterministic given its inputs: the breaker is a pure state machine
-//! over caller-supplied timestamps, and backoff jitter comes from a
-//! seeded [`hfi_util::Rng`], never the host entropy pool.
+//! panic quarantine and its deadline loop (a run in resumable slices,
+//! cancelled between two of them) so that one misbehaving tenant — a
+//! panicking kernel, a wedged request, a compile-failure burst —
+//! degrades only its own requests, never the serving process or its
+//! co-tenants. Everything here is deterministic given its inputs: the
+//! breaker is a pure state machine over caller-supplied timestamps, and
+//! backoff jitter comes from a seeded [`hfi_util::Rng`], never the host
+//! entropy pool.
 
 use std::time::Duration;
 

@@ -19,7 +19,8 @@
 //! * [`faults`] — tenant-level fault containment: per-tenant circuit
 //!   breakers (closed → open → half-open probe) and seeded
 //!   jittered-exponential backoff, composed by the scheduler with the
-//!   pools' panic quarantine and the executors' deadline fuel hook;
+//!   pools' panic quarantine and its own deadline loop, which runs a
+//!   request in resumable slices and reads the clock between them;
 //! * [`loadgen`] — a deterministic open-loop arrival generator
 //!   (seeded Poisson and two-state MMPP over virtual time), so the
 //!   offered-load sweeps in `serve_bench` are reproducible

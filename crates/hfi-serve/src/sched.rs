@@ -13,16 +13,16 @@
 //! workspace's `forbid(unsafe_code)` posture.
 //!
 //! **Fault containment** (see `faults.rs` and DESIGN.md): requests may
-//! carry a wall-clock deadline, checked at dispatch and enforced
-//! mid-run through the executors' cooperative-cancellation fuel hook,
-//! so a runaway kernel cannot wedge its worker; a panic that escapes a
-//! run is caught at the lease boundary and the instance quarantined
-//! ([`crate::pool::WarmPools::quarantine`]) — never re-leased; each
-//! tenant sits behind a circuit breaker whose consecutive failures
-//! shed that tenant's traffic fast ([`Outcome::CircuitOpen`]) while
-//! co-tenants are unaffected; and `AtCapacity` checkouts retry on
-//! seeded jittered-exponential backoff with the retry count stamped
-//! into the completion.
+//! carry a wall-clock deadline, checked at dispatch and enforced mid-run
+//! by running a functional-tier request's budget in slices and reading
+//! the clock between them, so a runaway kernel cannot wedge its worker;
+//! a panic that escapes a run is caught at the lease boundary and the
+//! instance quarantined ([`crate::pool::WarmPools::quarantine`]) —
+//! never re-leased; each tenant sits behind a circuit breaker whose
+//! consecutive failures shed that tenant's traffic fast
+//! ([`Outcome::CircuitOpen`]) while co-tenants are unaffected; and
+//! `AtCapacity` checkouts retry on seeded jittered-exponential backoff
+//! with the retry count stamped into the completion.
 //!
 //! Timestamps are nanoseconds since the scheduler's epoch, read from
 //! the host monotonic clock only at the edges (request pickup,
@@ -37,8 +37,8 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hfi_sim::{ChaosHook, RunRecord, Stop};
-use hfi_util::split_mix64;
+use hfi_sim::{ChaosHook, Functional, RunRecord, Stop};
+use hfi_util::{panic_message, split_mix64};
 
 use crate::faults::{Backoff, CircuitBreaker};
 use crate::pool::{PoolError, WarmPools};
@@ -56,11 +56,10 @@ pub struct Request {
     /// Optional wall-clock budget, measured from submission. A request
     /// still queued past its deadline completes as
     /// [`Outcome::DeadlineExceeded`] without running; one that is
-    /// mid-run when the deadline passes is cooperatively cancelled via
-    /// the executor's fuel hook (functional tier; the cycle tier has
-    /// no cancellation seam and runs to its `limit`). The hook runs the
-    /// same block-stepped loop as a request without a deadline, and
-    /// polls the clock every 4096 steps.
+    /// mid-run when the deadline passes is cancelled between two slices
+    /// of its run (functional tier; the cycle tier runs to its `limit`).
+    /// The run resumes where each slice stopped, so a deadline that never
+    /// passes ends it exactly where an unsliced run ends.
     pub deadline: Option<Duration>,
     /// Optional fault-injection hook, installed for this run only
     /// (functional tier; the cycle tier has no chaos seam).
@@ -95,8 +94,9 @@ pub enum Outcome {
     /// The request's wall-clock budget expired.
     DeadlineExceeded {
         /// `false`: the deadline passed while the request was still
-        /// queued (it never ran). `true`: the run was cooperatively
-        /// cancelled mid-flight by the fuel hook.
+        /// queued (it never ran). `true`: the run stopped with
+        /// [`Stop::CycleLimit`] after the deadline passed, cancelled
+        /// between two slices or out of budget.
         ran: bool,
     },
     /// The tenant's circuit breaker was open: shed without checkout.
@@ -187,10 +187,10 @@ const CAPACITY_RETRIES: u32 = 32;
 const BACKOFF_BASE: Duration = Duration::from_micros(5);
 /// Ceiling on any single backoff sleep.
 const BACKOFF_CAP: Duration = Duration::from_millis(1);
-/// Steps between deadline polls of the fuel hook: the cancellation
-/// latency. The poll splits the functional tier's step budget, so it
-/// costs one clock read per period and changes no loop.
-const FUEL_PERIOD: u64 = 4096;
+/// Steps per slice of a functional run with a deadline: the clock is
+/// read between slices, so this bounds the cancellation latency at one
+/// clock read per slice.
+const DEADLINE_SLICE: u64 = 4096;
 
 /// Longest a parked worker waits before it looks at its siblings'
 /// shards again. `submit` wakes only the shard's owner, so this bounds
@@ -509,14 +509,20 @@ fn refused(
     }
 }
 
-/// Renders a caught panic payload for the completion journal.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+/// Runs `functional` for up to `limit` steps in slices of
+/// [`DEADLINE_SLICE`], reading the clock between them. It stops on any
+/// stop other than [`Stop::CycleLimit`], once the budget is spent, or
+/// once `deadline` has passed; each slice resumes where the last one
+/// stopped, so the slicing itself changes nothing in the run.
+fn run_until(functional: &mut Functional, limit: u64, deadline: Instant) -> Stop {
+    let mut left = limit;
+    loop {
+        let slice = left.min(DEADLINE_SLICE);
+        left -= slice;
+        let stop = functional.run(slice).stop;
+        if stop != Stop::CycleLimit || left == 0 || Instant::now() >= deadline {
+            return stop;
+        }
     }
 }
 
@@ -631,20 +637,15 @@ fn serve_one(
     let deadline_at = request
         .deadline
         .map(|deadline| inner.epoch + Duration::from_nanos(queued_ns) + deadline);
-    if let Some(at) = deadline_at {
-        // Cooperative cancellation: the fuel hook polls the wall clock
-        // every `FUEL_PERIOD` steps and stops the run (as
-        // `Stop::CycleLimit`) once the deadline passes, so a runaway
-        // kernel cannot hold this worker hostage. The pool's release
-        // reset detaches the hook.
-        if let Some(functional) = lease.instance.functional_mut() {
-            functional.set_fuel(FUEL_PERIOD, Box::new(move || Instant::now() < at));
-        }
-    }
     let limit = request.limit;
     let ran = catch_unwind(AssertUnwindSafe(|| {
+        let stop = match (deadline_at, lease.instance.functional_mut()) {
+            // Cooperative cancellation: a runaway kernel cannot hold
+            // this worker past its deadline by more than one slice.
+            (Some(at), Some(functional)) => run_until(functional, limit, at),
+            _ => lease.instance.executor_mut().run(limit),
+        };
         let executor = lease.instance.executor_mut();
-        let stop = executor.run(limit);
         let record = Box::new(executor.stats());
         let r0 = executor.regs()[0];
         (stop, record, r0)
@@ -652,9 +653,9 @@ fn serve_one(
     let finish_ns = inner.now_ns();
     let outcome = match ran {
         Ok((stop, record, r0)) => {
-            // A CycleLimit stop past the deadline is the fuel hook's
-            // cancellation (or a budget exhaustion that would have been
-            // cancelled anyway — same SLA verdict either way).
+            // A CycleLimit stop past the deadline is a cancellation
+            // between slices (or a budget exhaustion that would have
+            // been cancelled anyway — same SLA verdict either way).
             let expired = deadline_at.is_some_and(|at| Instant::now() >= at);
             inner.pools.release(lease);
             if stop == Stop::CycleLimit && expired {
@@ -859,7 +860,7 @@ mod tests {
     #[test]
     fn runaway_kernels_are_cancelled_at_their_deadline() {
         // An infinite loop with a huge instruction budget: only the
-        // wall-clock deadline (via the fuel hook) can stop it.
+        // wall-clock deadline, read between slices, can stop it.
         let program = loop_program();
         let tenants = vec![TenantSpec::from_program(
             "runaway".to_string(),
@@ -889,7 +890,7 @@ mod tests {
         assert_eq!(
             completions[0].outcome,
             Outcome::DeadlineExceeded { ran: true },
-            "the fuel hook must cancel the run mid-flight"
+            "the deadline must cancel the run mid-flight"
         );
         assert!(
             started.elapsed() < Duration::from_secs(20),

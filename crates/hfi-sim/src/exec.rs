@@ -230,6 +230,15 @@ pub trait Executor {
     fn prepare(&mut self, addr: u64, bytes: &[u8]);
 
     /// Runs to completion (or the budget) and reports why it stopped.
+    ///
+    /// A run resumes where the executor's last run stopped; a new or
+    /// reset executor starts at the program's first instruction. A run
+    /// that stopped with [`Stop::CycleLimit`] goes on at the next call;
+    /// any other stop is final, and the executor is reset (or a new one
+    /// built) before it runs again. The functional interpreter counts
+    /// `limit` in steps of this call; the cycle-level vehicles count it
+    /// in cycles since the last reset, so for them a resumed run needs a
+    /// larger `limit` than the last one.
     fn run(&mut self, limit: u64) -> Stop;
 
     /// The unified counter snapshot.

@@ -90,18 +90,6 @@ pub struct FunctionalResult {
     pub regs: [u64; 16],
 }
 
-/// Cooperative-cancellation fuel: a predicate polled every `period`
-/// steps. Returning `false` stops the run with [`Stop::CycleLimit`] at
-/// the poll point, between two instructions — the serving tier uses
-/// this to cancel a request whose wall-clock deadline passed without
-/// wedging the worker thread.
-struct Fuel {
-    period: u64,
-    /// Steps left before the next poll, carried across runs.
-    until_poll: u64,
-    check: Box<dyn FnMut() -> bool + Send>,
-}
-
 /// Where control goes after executing one micro-op: on to another
 /// instruction index, or out of the run entirely.
 enum StepExit {
@@ -124,9 +112,6 @@ enum Flow {
     /// Block loop only: the op at the loop's `pc` takes the per-op
     /// [`Functional::step`] instead. Nothing was executed.
     Leave,
-    /// Block loop only: the steps before the fuel hook's next poll are
-    /// spent.
-    Poll,
 }
 
 /// The functional executor.
@@ -147,7 +132,9 @@ pub struct Functional {
     pub signal_handler: Option<u64>,
     os: Os,
     chaos: Option<Box<dyn ChaosHook>>,
-    fuel: Option<Fuel>,
+    /// The instruction index the next run starts at: where the last run
+    /// stopped, or 0 after construction or a reset.
+    pc: usize,
     regs: [u64; 16],
     call_stack: Vec<usize>,
     cycles: f64,
@@ -178,7 +165,7 @@ impl Functional {
             signal_handler: None,
             os: Os::default(),
             chaos: None,
-            fuel: None,
+            pc: 0,
             regs: [0; 16],
             call_stack: Vec::new(),
             cycles: 0.0,
@@ -187,9 +174,10 @@ impl Functional {
     }
 
     /// Resets all per-tenant state, keeping the program and its shared
-    /// plan: memory, HFI region context, registers, call stack, cycles,
-    /// counters, the signal handler, the OS model, and any installed
-    /// chaos or fuel hook all return to their just-constructed values.
+    /// plan: memory, HFI region context, registers, call stack, the
+    /// point the next run starts at, cycles, counters, the signal
+    /// handler, the OS model, and any installed chaos hook all return to
+    /// their just-constructed values.
     /// This is the warm-pool teardown primitive: a reused instance
     /// behaves bit-identically to a freshly constructed one
     /// (`tests/warm_pool_safety.rs`), while the expensive artifacts —
@@ -208,7 +196,7 @@ impl Functional {
             signal_handler,
             os,
             chaos,
-            fuel,
+            pc,
             regs,
             call_stack,
             cycles,
@@ -221,7 +209,7 @@ impl Functional {
         *signal_handler = None;
         *os = Os::default();
         *chaos = None;
-        *fuel = None;
+        *pc = 0;
         *regs = [0; 16];
         call_stack.clear();
         *cycles = 0.0;
@@ -255,32 +243,6 @@ impl Functional {
     /// can inspect the engine/monitor state after a run.
     pub fn take_chaos(&mut self) -> Option<Box<dyn ChaosHook>> {
         self.chaos.take()
-    }
-
-    /// Installs a cooperative-cancellation fuel hook: `check` is polled
-    /// before every `period`-th step (`period` clamped to at least 1),
-    /// counted across runs, and returning `false` stops the run with
-    /// [`Stop::CycleLimit`] there — between two instructions, with all
-    /// retired architectural effects visible. The serving tier uses this
-    /// to enforce wall-clock request deadlines: a runaway kernel cannot
-    /// wedge its worker thread for longer than one poll period.
-    ///
-    /// The hook only splits the run's step budget at its polls: a hook
-    /// that refuses on its k-th poll ends the run exactly as an unhooked
-    /// run with a budget of k·`period` − 1 steps, and one that never
-    /// fires changes nothing. [`Functional::reset`] clears the hook.
-    pub fn set_fuel(&mut self, period: u64, check: Box<dyn FnMut() -> bool + Send>) {
-        let period = period.max(1);
-        self.fuel = Some(Fuel {
-            period,
-            until_poll: period - 1,
-            check,
-        });
-    }
-
-    /// Removes the installed fuel hook, if any.
-    pub fn take_fuel(&mut self) {
-        self.fuel = None;
     }
 
     /// Sets a register before running.
@@ -361,8 +323,14 @@ impl Functional {
         }
     }
 
-    /// Runs up to `max_insts` steps, from the program's first
-    /// instruction.
+    /// Runs up to `max_insts` steps, from where the last run stopped
+    /// (the program's first instruction after construction or a reset).
+    ///
+    /// A run that stops with [`Stop::CycleLimit`] is resumed by the next
+    /// call: k runs of P steps end exactly where one run of k·P steps
+    /// ends, in cycles, counters, registers, memory and chaos hook calls.
+    /// The serving tier cancels a request at its deadline this way, by
+    /// running its budget in slices and reading the clock between them.
     ///
     /// The loop is direct-threaded over the program's pre-decoded plan
     /// ([`Program::plan`]): each op is a flat [`MicroOp`] dispatched on its
@@ -392,12 +360,13 @@ impl Functional {
     }
 
     /// Runs up to `max_insts` steps one op at a time, each through
-    /// [`Functional::step`], and ignores any fuel hook. No hook selects
-    /// this loop: it is the reference the block loop is tested against.
+    /// [`Functional::step`], and resumes as [`Functional::run`] does. No
+    /// hook selects this loop: it is the reference the block loop is
+    /// tested against.
     pub fn run_reference(&mut self, max_insts: u64) -> FunctionalResult {
         let program = Arc::clone(&self.program);
         let plan = program.plan();
-        let mut pc = 0usize;
+        let mut pc = self.pc;
         let mut budget = max_insts;
         let stop = loop {
             if budget == 0 {
@@ -412,6 +381,7 @@ impl Functional {
                 StepExit::Stop(stop) => break stop,
             }
         };
+        self.pc = pc;
         self.result(stop)
     }
 
@@ -424,42 +394,37 @@ impl Functional {
         }
     }
 
-    /// The block-stepped loop.
+    /// The block-stepped loop, from the executor's resume point.
     ///
     /// Runs basic blocks back to back with the cycle sum, the counters
-    /// and the remaining budget in locals, written back whenever control
-    /// leaves the loop. HFI's implicit code-region check — the one the
-    /// hardware makes at decode (§4.1) — is made once per block entry
-    /// instead of once per op. An entry is a block leader, or a
-    /// mid-block op after a fault redirect or a per-op step; it goes on
-    /// only if the budget covers the ops up to the end of its inline run
-    /// (the block's end, or the first op of a class that
-    /// [leaves the loop](OpClass::leaves_block)) and, while HFI is
-    /// enabled, the bytes from this op to the run's last byte lie inside
-    /// [`HfiContext::fetch_window`]. Every fetch of that span would pass,
-    /// so each op still counts its fetch check in `hfi_checks`.
-    /// Otherwise that one op takes [`Functional::step`].
+    /// and the remaining budget in locals, written back whenever
+    /// control leaves the loop. A spent budget stops the run with
+    /// [`Stop::CycleLimit`] before the end of the program is checked,
+    /// as in [`Functional::run_reference`]. HFI's implicit code-region
+    /// check — the one the hardware makes at decode (§4.1) — is made
+    /// once per block entry instead of once per op. An entry is a block
+    /// leader, or a mid-block op after a fault redirect or a per-op
+    /// step; it goes on only if the budget covers the ops up to the end
+    /// of its inline run (the block's end, or the first op of a class
+    /// that [leaves the loop](OpClass::leaves_block)) and, while HFI is
+    /// enabled, the bytes from this op to the run's last byte lie
+    /// inside [`HfiContext::fetch_window`]. Every fetch of that span
+    /// would pass, so each op still counts its fetch check in
+    /// `hfi_checks`. Otherwise that one op takes [`Functional::step`].
     ///
     /// The window is read each time the loop is entered and needs no
     /// other invalidation: every op that can change the HFI context
     /// leaves the loop, and so does a fault. Cycles are still summed one
     /// op at a time in program order: an f64 sum depends on its order.
     ///
-    /// A fuel hook splits the budget at its poll points. The `OBSERVED`
-    /// instance makes [`Functional::step`]'s hook calls in its order:
-    /// `Retire` before each op, the op's sites, then
+    /// The `OBSERVED` instance makes [`Functional::step`]'s hook calls
+    /// in its order: `Retire` before each op, the op's sites, then
     /// [`Functional::after_op`]; when that reports a changed HFI context
     /// the loop leaves, so the enable bit and window are read again.
     fn run_blocks<const OBSERVED: bool>(&mut self, plan: &DecodedProgram, max_insts: u64) -> Stop {
         let ops = plan.ops();
-        let mut pc = 0usize;
-        // The step budget, split at the fuel hook's next poll: `budget`
-        // steps run before it and `after_poll` after it; when the run
-        // ends first, the poll lies `poll_gap` steps past its end.
-        let to_poll = self.fuel.as_ref().map_or(u64::MAX, |fuel| fuel.until_poll);
-        let mut budget = max_insts.min(to_poll);
-        let mut after_poll = max_insts - budget;
-        let mut poll_gap = to_poll - budget;
+        let mut pc = self.pc;
+        let mut budget = max_insts;
         let stop = loop {
             let enabled = self.hfi.enabled();
             let (lo, hi) = self.hfi.fetch_window().into_inner();
@@ -467,7 +432,7 @@ impl Functional {
             let mut stats = self.stats;
             let left = 'blocks: loop {
                 if budget == 0 {
-                    break Flow::Poll;
+                    break Flow::Stop(Stop::CycleLimit);
                 }
                 if pc >= ops.len() {
                     break Flow::Stop(Stop::Halted);
@@ -527,22 +492,6 @@ impl Functional {
                     budget -= 1;
                     self.step(pc, plan)
                 }
-                Flow::Poll if after_poll == 0 => break Stop::CycleLimit,
-                Flow::Poll if pc >= ops.len() => break Stop::Halted,
-                Flow::Poll => {
-                    let fuel = self.fuel.as_mut().expect("a fuel hook split it");
-                    budget = after_poll.min(fuel.period);
-                    after_poll -= budget;
-                    poll_gap = fuel.period - budget;
-                    if !(fuel.check)() {
-                        // Cancelled. The refused step counts toward the
-                        // next period, as a taken one would.
-                        budget = 0;
-                        poll_gap = fuel.period - 1;
-                        break Stop::CycleLimit;
-                    }
-                    StepExit::Next(pc)
-                }
                 Flow::Stop(stop) => break stop,
             };
             match exit {
@@ -550,9 +499,7 @@ impl Functional {
                 StepExit::Stop(stop) => break stop,
             }
         };
-        if let Some(fuel) = self.fuel.as_mut() {
-            fuel.until_poll = budget + poll_gap;
-        }
+        self.pc = pc;
         stop
     }
 
@@ -594,7 +541,7 @@ impl Functional {
             }
             Flow::Fault(fault) => self.fault_exit(fault, pc),
             Flow::Stop(stop) => StepExit::Stop(stop),
-            Flow::Leave | Flow::Poll => unreachable!("only the block loop leaves or polls"),
+            Flow::Leave => unreachable!("only the block loop leaves"),
         }
     }
 
@@ -1059,6 +1006,7 @@ impl Functional {
 mod tests {
     use super::*;
     use crate::asm::ProgramBuilder;
+    use crate::isa::Cond;
     use hfi_core::region::{ExplicitDataRegion, ImplicitCodeRegion};
     use hfi_core::{Region, SandboxConfig};
 
@@ -1092,46 +1040,29 @@ mod tests {
     }
 
     #[test]
-    fn fuel_hook_cancels_a_runaway_loop() {
-        // An infinite loop: without fuel it runs to the budget; with a
-        // tripped fuel predicate it stops early, still as CycleLimit.
-        let mut asm = ProgramBuilder::new(0x1000);
-        asm.movi(Reg(0), 0);
-        let top = asm.label();
-        asm.place(top);
-        asm.alu_ri(AluOp::Add, Reg(0), Reg(0), 1);
-        asm.jump(top);
-        asm.halt();
-        let mut f = Functional::new(asm.finish());
-        let mut polls = 0u64;
-        f.set_fuel(
-            64,
-            Box::new(move || {
-                polls += 1;
-                polls < 4
-            }),
-        );
-        let result = f.run(1_000_000);
-        assert_eq!(result.stop, Stop::CycleLimit);
-        // Refused on the 4th poll, before the 4·64-th step.
-        assert_eq!(result.stats.retired, 255);
-    }
-
-    #[test]
-    fn unfired_fuel_hook_is_invisible_in_the_counters() {
-        // A period of 1 splits the block loop's budget before every step.
+    fn a_run_resumes_where_the_last_one_stopped() {
+        // Counts r0 up to 50, then halts: 2 + 50·2 + 1 steps.
         let program = {
             let mut asm = ProgramBuilder::new(0x1000);
-            asm.movi(Reg(0), 6);
-            asm.movi(Reg(1), 7);
-            asm.alu(AluOp::Mul, Reg(2), Reg(0), Reg(1));
+            asm.movi(Reg(0), 0);
+            asm.movi(Reg(1), 50);
+            let top = asm.label();
+            asm.place(top);
+            asm.alu_ri(AluOp::Add, Reg(0), Reg(0), 1);
+            asm.branch(Cond::Lt, Reg(0), Reg(1), top);
             asm.halt();
             Arc::new(asm.finish())
         };
-        let baseline = Functional::new(Arc::clone(&program)).run(1000);
-        let mut fueled = Functional::new(program);
-        fueled.set_fuel(1, Box::new(|| true));
-        assert_eq!(baseline, fueled.run(1000));
+        let whole = Functional::new(Arc::clone(&program)).run(1000);
+        assert_eq!(whole.stop, Stop::Halted);
+        assert_eq!(whole.stats.retired, 103);
+        let mut sliced = Functional::new(program);
+        let first = sliced.run(37);
+        assert_eq!(first.stop, Stop::CycleLimit);
+        assert_eq!(first.stats.retired, 37);
+        assert_eq!(sliced.run(1000), whole, "the second run goes on");
+        sliced.reset();
+        assert_eq!(sliced.run(1000), whole, "a reset starts over");
     }
 
     #[test]

@@ -93,10 +93,6 @@ pub struct CompileOptions {
     /// Wrap the kernel in `hfi_set_region* + hfi_enter … hfi_exit`. Only
     /// meaningful with [`Isolation::Hfi`].
     pub sandboxed: bool,
-    /// Serialize the sandbox entry/exit (`is-serialized`). Legacy switch:
-    /// equivalent to [`TransitionScheme::HfiSerialized`] and honored in
-    /// addition to `scheme` (either one forces a serialized entry).
-    pub serialize: bool,
     /// Transition scheme for the sandbox prologue/epilogue. Only
     /// meaningful with [`Isolation::Hfi`] and `sandboxed`; the default
     /// ([`TransitionScheme::HfiUnserialized`]) emits the bare
@@ -116,7 +112,6 @@ impl CompileOptions {
             spill_base: 0x7000_0000,
             extra_reserved_regs: 0,
             sandboxed: isolation == Isolation::Hfi,
-            serialize: false,
             scheme: TransitionScheme::default(),
         }
     }
@@ -127,12 +122,6 @@ impl CompileOptions {
             scheme,
             ..Self::new(Isolation::Hfi)
         }
-    }
-
-    /// Whether the springboard entry/exit is serialized, combining the
-    /// legacy `serialize` flag with the scheme's own requirement.
-    pub fn effective_serialize(&self) -> bool {
-        self.serialize || self.scheme.serialized()
     }
 }
 
@@ -646,7 +635,7 @@ pub fn compile(func: &IrFunction, opts: &CompileOptions) -> CompiledKernel {
             asm.mark_last_transition();
         }
         let mut config = SandboxConfig::hybrid();
-        config.serialize = opts.effective_serialize();
+        config.serialize = opts.scheme.serialized();
         if scheme == TransitionScheme::SwitchOnExit {
             // One atomic region-file swap (paper §4.5) instead of three
             // `hfi_set_region`s plus a plain enter; `hfi_exit` restores

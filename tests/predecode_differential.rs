@@ -13,19 +13,19 @@
 //! every failure reproduces exactly.
 //!
 //! The functional interpreter runs every program on one block-stepped
-//! loop, whatever hook is installed: a fuel hook splits its step budget
-//! at the poll points, and a chaos hook selects the loop's observed
-//! instance. Its reference is `Functional::run_reference`, a per-op loop
-//! no hook selects. The `fused_and_unfused_*` tests (named for the
-//! block-dispatch tier the block-stepped loop replaced) and the
+//! loop, whatever hook is installed: a chaos hook selects the loop's
+//! observed instance. Its reference is `Functional::run_reference`, a
+//! per-op loop no hook selects. The `fused_and_unfused_*` tests (named
+//! for the block-dispatch tier the block-stepped loop replaced) and the
 //! `block_loop_*` tests demand identical results, registers and memory
 //! from both loops: on random programs, at mid-block entries, when the
 //! budget or the code region ends inside a block, and on every
-//! verifyset kernel. Two more pin the hooks: a fuel hook that refuses on
-//! its k-th poll must stop a run exactly where a budget of k periods
-//! less one step does, and the observed loop must make the reference's
-//! hook calls, call for call, even when a hook corrupts the HFI context
-//! in the middle of a block.
+//! verifyset kernel. The observed loop must make the reference's hook
+//! calls, call for call, even when a hook corrupts the HFI context in
+//! the middle of a block. Both loops resume where their last run
+//! stopped, and the serving tier runs a request with a deadline in
+//! slices on that: k runs of P steps must end exactly where one run of
+//! k·P steps ends, with the same hook calls in the same order.
 
 use std::sync::Arc;
 
@@ -557,7 +557,7 @@ fn random_guarded_runnable(rng: &mut Rng) -> Arc<Program> {
 
 /// `program` with its final `halt` turned into a jump back to the top
 /// of its body, which starts at `body`: it runs until it faults or its
-/// budget or fuel runs out.
+/// budget runs out.
 fn looping(program: &Program, body: usize) -> Arc<Program> {
     let mut insts: Vec<Inst> = program.iter().cloned().collect();
     let last = insts.last_mut().expect("a program ends in halt");
@@ -579,9 +579,42 @@ fn run_capture(
     } else {
         functional.run(limit)
     };
+    (result, memory_image(&functional))
+}
+
+/// The final contents of every memory window the random programs can
+/// touch.
+fn memory_image(functional: &Functional) -> Vec<u8> {
     let mut image = functional.mem.read_bytes(0x2_0000, 0x1_0000);
     image.extend(functional.mem.read_bytes(0x10_0000, 0x1_0000));
-    (result, image)
+    image
+}
+
+/// Runs `functional` as the serving tier runs a request whose deadline
+/// never passes: up to `k` runs of `period` steps, on the reference loop
+/// when `per_op`, stopping early on any stop other than
+/// [`Stop::CycleLimit`]. Returns the last run's result and the memory.
+fn run_sliced(
+    functional: &mut Functional,
+    per_op: bool,
+    period: u64,
+    k: u64,
+) -> (FunctionalResult, Vec<u8>) {
+    let mut result = None;
+    for _ in 0..k {
+        let slice = if per_op {
+            functional.run_reference(period)
+        } else {
+            functional.run(period)
+        };
+        let done = slice.stop != Stop::CycleLimit;
+        result = Some(slice);
+        if done {
+            break;
+        }
+    }
+    let result = result.expect("at least one run");
+    (result, memory_image(functional))
 }
 
 /// Runs `program` on the requested loop with a deterministic setup.
@@ -910,15 +943,16 @@ fn functional_and_cycle_agree_on_plan_driven_runs() {
     }
 }
 
-/// A fuel hook that refuses on its k-th poll of period P stops the run
-/// exactly where an unhooked run with a budget of k·P − 1 steps stops:
-/// same result, counters, registers and memory. Looping variants of the
-/// random programs run until the fuel or the budget stops them, so every
-/// (P, k) pair cancels a run mid-flight somewhere.
+/// A budget given as up to k runs of P steps, stopping early on any
+/// stop other than `CycleLimit`, ends exactly where one run of k·P
+/// steps ends: same result, counters, f64 cycle bits, registers and
+/// memory, on both loops. Looping variants of the random programs run
+/// until the budget stops them, so every (P, k) pair with k > 1 resumes
+/// runs mid-flight.
 #[test]
-fn fuel_hook_refusing_on_its_kth_poll_stops_where_the_budget_of_k_periods_less_one_does() {
+fn k_runs_of_p_steps_end_where_one_run_of_k_times_p_steps_ends() {
     let mut rng = Rng::new(0xF0E1);
-    let mut cancelled = 0u32;
+    let mut resumed = 0u32;
     for case in 0..24 {
         let program = match case % 4 {
             0 => random_runnable(&mut rng),
@@ -928,26 +962,94 @@ fn fuel_hook_refusing_on_its_kth_poll_stops_where_the_budget_of_k_periods_less_o
         };
         for period in [1u64, 2, 7, 64, 4096] {
             for k in [1u64, 2, 5] {
-                let mut fueled = Functional::new(Arc::clone(&program));
-                let mut polls = 0;
-                fueled.set_fuel(
-                    period,
-                    Box::new(move || {
-                        polls += 1;
-                        polls < k
-                    }),
-                );
-                let fueled = run_capture(fueled, false, 1_000_000);
-                let budgeted = run_path(&program, false, k * period - 1);
-                assert_eq!(fueled, budgeted, "case {case}, period {period}, k {k}");
-                cancelled += u32::from(fueled.0.stop == Stop::CycleLimit);
+                for per_op in [false, true] {
+                    let at = format!("case {case}, period {period}, k {k}, per_op {per_op}");
+                    let mut functional = Functional::new(Arc::clone(&program));
+                    let sliced = run_sliced(&mut functional, per_op, period, k);
+                    let whole = run_path(&program, per_op, k * period);
+                    assert_eq!(sliced, whole, "{at}");
+                    assert_eq!(
+                        sliced.0.cycles.to_bits(),
+                        whole.0.cycles.to_bits(),
+                        "{at}: cycle bits"
+                    );
+                    resumed += u32::from(whole.0.stats.retired > period);
+                }
             }
         }
     }
-    assert!(
-        cancelled >= 2 * 15,
-        "too few runs were cancelled mid-flight"
-    );
+    // A third of the 24 · 15 · 2 runs.
+    assert!(resumed >= 240, "too few runs were resumed mid-flight");
+}
+
+/// A chaos-hooked run sliced into runs of 7 steps makes the hook calls
+/// of one unsliced run of the same budget, in the same order, and ends
+/// in the same result and memory, on both loops: under a passive site
+/// counter, and under a region-corrupting engine whose injection lands
+/// in one of the runs, with its state carried into the runs after it.
+#[test]
+fn sliced_runs_make_an_unsliced_runs_hook_calls_in_order() {
+    use hfi_repro::hfi_chaos::{ChaosEngine, ChaosPlan, FaultClass, SiteCounter};
+
+    let mut rng = Rng::new(0x511CE);
+    let mut fired = 0u32;
+    for case in 0..16u64 {
+        let program = if case % 2 == 0 {
+            random_guarded_runnable(&mut rng)
+        } else {
+            looping(&random_guarded_runnable(&mut rng), GUARDED_BODY)
+        };
+        for per_op in [false, true] {
+            let counters = [SiteCounter::new(), SiteCounter::new()];
+            let [whole, sliced] = [false, true].map(|sliced| {
+                run_logged_in_slices(&program, counters[sliced as usize].clone(), per_op, sliced)
+            });
+            assert_eq!(whole, sliced, "case {case}, per_op {per_op}: passive");
+            let sites = counters[0].counts().context;
+            for trigger in (0..sites).step_by((sites as usize / 4).max(1)) {
+                let plan = ChaosPlan {
+                    seed: case ^ trigger,
+                    class: FaultClass::RegionCorrupt,
+                    trigger,
+                };
+                let engines = [ChaosEngine::new(plan), ChaosEngine::new(plan)];
+                let [whole, sliced] = [false, true].map(|sliced| {
+                    run_logged_in_slices(&program, engines[sliced as usize].clone(), per_op, sliced)
+                });
+                let at = format!("case {case}, per_op {per_op}, trigger {trigger}");
+                assert_eq!(whole, sliced, "{at}: hook calls diverged");
+                fired += u32::from(engines[0].fired().is_some());
+            }
+        }
+    }
+    assert!(fired > 0, "no region corruption ever landed");
+}
+
+/// Runs `program` under `hook`, logged, for 28,000 steps: in 4,000 runs
+/// of 7 steps when `sliced`, else in one run; on the reference loop when
+/// `per_op`. Returns the result, the memory, and every hook call in
+/// order.
+fn run_logged_in_slices(
+    program: &Arc<Program>,
+    hook: impl hfi_repro::hfi_sim::ChaosHook + 'static,
+    per_op: bool,
+    sliced: bool,
+) -> ((FunctionalResult, Vec<u8>), Vec<HookCall>) {
+    const PERIOD: u64 = 7;
+    const RUNS: u64 = 4_000;
+    let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let mut functional = Functional::new(Arc::clone(program));
+    functional.set_chaos(Box::new(Logged {
+        inner: hook,
+        log: Arc::clone(&log),
+    }));
+    let run = if sliced {
+        run_sliced(&mut functional, per_op, PERIOD, RUNS)
+    } else {
+        run_capture(functional, per_op, PERIOD * RUNS)
+    };
+    let calls = log.lock().expect("log unpoisoned").clone();
+    (run, calls)
 }
 
 /// One call a chaos hook received, with its answer.

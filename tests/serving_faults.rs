@@ -5,14 +5,15 @@
 //! This is the serving-tier sibling of
 //! `crates/hfi-sim/tests/fault_taxonomy.rs` (which pins the
 //! *architectural* fault taxonomy). A served run is block-stepped
-//! whatever hook it carries; a request deadline installs the
-//! executor's fuel hook, which splits the run's step budget at its
-//! polls. A fault class that only classified correctly without that
-//! split would make chaos campaigns and degradation gates
-//! deadline-dependent — so each scenario whose request has neither a
-//! deadline nor a chaos hook of its own runs twice ([`PATHS`]), with no
-//! deadline and with one that never fires, and asserts the same
-//! outcome shape. A scenario built on a deadline or a hook runs once.
+//! whatever hook it carries; a request with a deadline runs its step
+//! budget in slices, each resuming where the last one stopped, and the
+//! scheduler reads the clock between them. A fault class that only
+//! classified correctly without that slicing would make chaos campaigns
+//! and degradation gates deadline-dependent — so each scenario whose
+//! request has neither a deadline nor a chaos hook of its own runs twice
+//! ([`PATHS`]), with no deadline and with one that never fires, and
+//! asserts the same outcome shape. A scenario built on a deadline or a
+//! hook runs once.
 //!
 //! The test names say "both tiers" after the two interpreter loops the
 //! deadline once chose between.
@@ -78,8 +79,8 @@ fn request(limit: u64, deadline: Option<Duration>) -> Request {
 }
 
 /// The two deadlines every plain scenario runs under: none, and one far
-/// enough out never to fire (its fuel hook polls and lets the run go
-/// on). Both runs take the block-stepped loop.
+/// enough out never to fire (the run goes on from slice to slice). Both
+/// runs take the block-stepped loop.
 const PATHS: [Option<Duration>; 2] = [None, Some(Duration::from_secs(600))];
 
 #[test]
@@ -112,7 +113,7 @@ fn runaway_kernels_are_cancelled_mid_run_on_both_tiers() {
     assert_eq!(
         completions[0].outcome,
         Outcome::DeadlineExceeded { ran: true },
-        "the fuel hook must cancel the runaway mid-run"
+        "the deadline must cancel the runaway mid-run"
     );
     assert!(
         started.elapsed() < Duration::from_secs(20),
@@ -206,7 +207,7 @@ fn zero_capacity_queues_shed_deterministically_on_both_tiers() {
 
 #[test]
 fn healthy_requests_complete_bit_identically_across_tiers() {
-    // The containment plumbing (fuel polling, catch_unwind, breakers)
+    // The containment plumbing (slicing, catch_unwind, breakers)
     // must be invisible to a healthy run: same Stop, same result, and
     // the RunRecord counter surface identical between a run with no
     // deadline and one under a deadline that never fires.
@@ -228,5 +229,31 @@ fn healthy_requests_complete_bit_identically_across_tiers() {
     assert_eq!(
         records[0], records[1],
         "both runs must retire identical counter surfaces"
+    );
+}
+
+#[test]
+fn a_budget_that_is_not_a_multiple_of_the_slice_ends_where_an_unsliced_run_ends() {
+    // A runaway under a deadline that never fires runs 10,000 steps as
+    // two full slices and a short third: it must stop at its budget, not
+    // at a slice boundary, with the counters of a run without deadline.
+    let mut runs = Vec::new();
+    for deadline in PATHS {
+        let pools = pools_with(runaway_program(), VerifyVerdict::Unchecked);
+        let scheduler = Scheduler::new(pools, 1);
+        scheduler.submit(request(10_000, deadline));
+        let completions = scheduler.finish();
+        match &completions[0].outcome {
+            Outcome::Done { stop, record, r0 } => {
+                assert_eq!(*stop, Stop::CycleLimit, "{deadline:?}");
+                assert_eq!(record.committed, 10_000, "{deadline:?}");
+                runs.push((record.clone(), *r0));
+            }
+            other => panic!("{deadline:?}: unexpected outcome {other:?}"),
+        }
+    }
+    assert_eq!(
+        runs[0], runs[1],
+        "a sliced run must retire the unsliced run's counter surface"
     );
 }

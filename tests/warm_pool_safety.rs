@@ -5,12 +5,13 @@
 //! the executor and re-prepares the heap image instead of tearing the
 //! sandbox down (`crates/hfi-serve/src/pool.rs`). If any guest state
 //! survived that reset (registers, sparse memory, the page-translation
-//! cache, chaos and fuel hooks), a tenant could observe — or be
-//! corrupted by — a previous run. This property test drives a seeded
-//! random checkout sequence over the full HFI kernel suite and demands
-//! that every run's `RunRecord`, result register, and final heap window
-//! are byte-identical to a single-use reference instance of the same
-//! kernel. Leased runs are block-stepped; every other kernel's
+//! cache, the chaos hook, the point the next run resumes at), a tenant
+//! could observe — or be corrupted by — a previous run. This property
+//! test drives a seeded random checkout sequence over the full HFI
+//! kernel suite and demands that every run's `RunRecord`, result
+//! register, and final heap window are byte-identical to a single-use
+//! reference instance of the same kernel. Leased runs are block-stepped;
+//! every other kernel's
 //! reference runs on the per-op reference loop instead
 //! (`Functional::run_reference`), so the comparison also spans both
 //! interpreter loops.
